@@ -1,31 +1,23 @@
-"""Hot inner loops for ladder-population time stepping.
+"""Fixed-step propagation of ladder populations.
 
-Two interchangeable backends compute the same fixed-step scheme:
+One step of the classical fourth-order scheme applied to the linear
+birth-death generator G is the matrix ``R = I + A + A^2/2 + A^3/6 + A^4/24``
+with ``A = dt * G``.  A stroke builds R once and jumps from recorded sample
+to recorded sample with the precomputed power ``R^stride`` (plus one
+``R^(n_steps % stride)`` for a ragged last gap), so its cost scales with the
+number of samples, not the number of steps.
 
-* a numba ``@njit`` kernel stepping the tridiagonal birth-death generator
-  level by level (default when numba is importable), and
-* a pure-numpy fallback that applies the one-step update matrix
-  ``R = I + A + A^2/2 + A^3/6 + A^4/24`` with ``A = dt * G`` (for a linear
-  generator this is algebraically the same fourth-order step).
-
-Selection is controlled by the environment variable ``OTTO_KILN_NUMBA``:
-``0/off/false`` forces the numpy path, ``1/on/true`` requires numba, anything
-else (or unset) auto-detects.  Both paths apply identical per-step guards:
-probability-sum drift, a negativity floor, clamping and renormalization.
+The per-step guards (probability-sum drift, a negativity floor) become checks
+on R made once per stroke: an entrywise non-negative R with unit column sums
+keeps every step positive and conserving.  The drift check stays, made per
+sample, followed by clamping and renormalization.  When R fails either check
+(an unstable dt), or a guard trips on a sample, the stroke reruns the stepwise
+loop, which reports the first bad step.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:
-    numba = None
-
-NUMBA_AVAILABLE = numba is not None
-
-# Per-step guards; values are contractual for the integrator.
+# Guards; values are contractual for the integrator.
 DRIFT_TOL = 1e-10
 NEG_FLOOR = 1e-12
 
@@ -33,20 +25,6 @@ NEG_FLOOR = 1e-12
 STATUS_OK = 0
 STATUS_DRIFT = 1
 STATUS_NEGATIVE = 2
-
-
-def _select_backend():
-    raw = os.environ.get("OTTO_KILN_NUMBA", "auto").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return False
-    if raw in ("1", "on", "true", "yes"):
-        if not NUMBA_AVAILABLE:
-            raise ImportError("OTTO_KILN_NUMBA requested numba, but numba is not installed")
-        return True
-    return NUMBA_AVAILABLE
-
-
-USE_NUMBA = _select_backend()
 
 
 def rate_coefficients(gamma, boltz_factor, n_levels):
@@ -97,95 +75,59 @@ def rk4_step_matrix(down, up, dt):
     return r
 
 
-def _evolve_numpy(p, down, up, dt, n_steps, stride, out):
-    r = rk4_step_matrix(down, up, dt)
+def _guard(p, max_drift):
+    """Drift and negativity checks on one state, then clamp and renormalize
+    it in place.  Returns (status, max_drift)."""
+    drift = abs(p.sum() - 1.0)
+    max_drift = max(max_drift, drift)
+    if drift > DRIFT_TOL:
+        return STATUS_DRIFT, max_drift
+    if p.min() < -NEG_FLOOR:
+        return STATUS_NEGATIVE, max_drift
+    np.clip(p, 0.0, None, out=p)
+    p /= p.sum()
+    return STATUS_OK, max_drift
+
+
+def _evolve_stepwise(p, r, n_steps, stride, out):
+    """Reference loop: one step at a time, guards checked after every step."""
     out[0] = p
     idx = 1
     max_drift = 0.0
     for k in range(1, n_steps + 1):
         p = r @ p
-        s = p.sum()
-        drift = abs(s - 1.0)
-        if drift > max_drift:
-            max_drift = drift
-        if drift > DRIFT_TOL:
-            return STATUS_DRIFT, k, max_drift
-        if p.min() < -NEG_FLOOR:
-            return STATUS_NEGATIVE, k, max_drift
-        np.clip(p, 0.0, None, out=p)
-        p /= p.sum()
+        status, max_drift = _guard(p, max_drift)
+        if status != STATUS_OK:
+            return status, k, max_drift
         if k % stride == 0 or k == n_steps:
             out[idx] = p
             idx += 1
     return STATUS_OK, n_steps, max_drift
 
 
-if NUMBA_AVAILABLE:
+def _evolve_sampled(p, r, n_steps, stride, out):
+    """Jump from sample to sample with R^stride; guards checked per sample."""
+    out[0] = p
+    max_drift = 0.0
+    gaps = [stride] * (n_steps // stride)
+    if n_steps % stride:
+        gaps.append(n_steps % stride)
+    jumps = {gap: np.linalg.matrix_power(r, gap) for gap in set(gaps)}
+    k = 0
+    for idx, gap in enumerate(gaps, start=1):
+        p = jumps[gap] @ p
+        k += gap
+        status, max_drift = _guard(p, max_drift)
+        if status != STATUS_OK:
+            return status, k, max_drift
+        out[idx] = p
+    return STATUS_OK, n_steps, max_drift
 
-    @numba.njit(cache=True, nogil=True)
-    def _evolve_njit(p0, down, up, dt, n_steps, stride, out):
-        n = p0.shape[0]
-        p = p0.copy()
-        k1 = np.empty(n)
-        k2 = np.empty(n)
-        k3 = np.empty(n)
-        k4 = np.empty(n)
-        y = np.empty(n)
-        out[0] = p
-        idx = 1
-        max_drift = 0.0
-        for step in range(1, n_steps + 1):
-            _deriv_inplace(p, down, up, k1)
-            for i in range(n):
-                y[i] = p[i] + 0.5 * dt * k1[i]
-            _deriv_inplace(y, down, up, k2)
-            for i in range(n):
-                y[i] = p[i] + 0.5 * dt * k2[i]
-            _deriv_inplace(y, down, up, k3)
-            for i in range(n):
-                y[i] = p[i] + dt * k3[i]
-            _deriv_inplace(y, down, up, k4)
-            for i in range(n):
-                p[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            s = 0.0
-            lo = p[0]
-            for i in range(n):
-                s += p[i]
-                if p[i] < lo:
-                    lo = p[i]
-            drift = abs(s - 1.0)
-            if drift > max_drift:
-                max_drift = drift
-            if drift > DRIFT_TOL:
-                return STATUS_DRIFT, step, max_drift
-            if lo < -NEG_FLOOR:
-                return STATUS_NEGATIVE, step, max_drift
-            s = 0.0
-            for i in range(n):
-                if p[i] < 0.0:
-                    p[i] = 0.0
-                s += p[i]
-            for i in range(n):
-                p[i] /= s
-            if step % stride == 0 or step == n_steps:
-                for i in range(n):
-                    out[idx, i] = p[i]
-                idx += 1
-        return STATUS_OK, n_steps, max_drift
 
-    @numba.njit(cache=True, nogil=True, inline="always")
-    def _deriv_inplace(p, down, up, d):
-        n = p.shape[0]
-        for i in range(n):
-            acc = -(down[i] + up[i]) * p[i]
-            if i + 1 < n:
-                acc += down[i + 1] * p[i + 1]
-            if i > 0:
-                acc += up[i - 1] * p[i - 1]
-            d[i] = acc
-
-else:
-    _evolve_njit = None
+def step_matrix_is_stable(r):
+    """True when the step matrix keeps every step positive and conserving:
+    R is entrywise non-negative and its column sums are 1 within DRIFT_TOL."""
+    return r.min() >= 0.0 and np.abs(r.sum(axis=0) - 1.0).max() <= DRIFT_TOL
 
 
 def sample_count(n_steps, stride):
@@ -204,28 +146,24 @@ def sample_steps(n_steps, stride):
     return np.asarray(steps, dtype=np.int64)
 
 
-def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride, backend=None):
+def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride):
     """Step the population vector n_steps times, recording every stride-th state.
 
     Returns (status, bad_step, max_drift, samples): samples has sample_count
     rows (initial state first, final state last) and max_drift is the largest
-    |sum - 1| seen before any renormalization.  backend overrides the module
-    default: "numba" or "numpy".
+    |sum - 1| seen at a guard before renormalization (per sample on the
+    sample-to-sample path, per step on the stepwise fallback).
     """
-    if backend is None:
-        use_numba = USE_NUMBA
-    elif backend == "numba":
-        if not NUMBA_AVAILABLE:
-            raise ImportError("numba backend requested but numba is not installed")
-        use_numba = True
-    elif backend == "numpy":
-        use_numba = False
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
     p0 = np.ascontiguousarray(p0, dtype=np.float64)
     down, up = rate_coefficients(gamma, boltz_factor, p0.shape[0])
+    r = rk4_step_matrix(down, up, float(dt))
+    n_steps, stride = int(n_steps), int(stride)
     out = np.empty((sample_count(n_steps, stride), p0.shape[0]))
-    kernel = _evolve_njit if use_numba else _evolve_numpy
-    status, bad_step, max_drift = kernel(p0, down, up, float(dt), int(n_steps), int(stride), out)
+    if step_matrix_is_stable(r):
+        status, bad_step, max_drift = _evolve_sampled(p0, r, n_steps, stride, out)
+        if status == STATUS_OK:
+            return status, bad_step, max_drift, out
+    # an unstable step matrix, or a guard tripped on a sample: the stepwise
+    # loop decides, and names the first bad step
+    status, bad_step, max_drift = _evolve_stepwise(p0, r, n_steps, stride, out)
     return status, bad_step, max_drift, out

@@ -8,8 +8,6 @@ point instead and flags non-converged runs.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,23 +76,16 @@ def default_ratio_grid(t_c, t_h, steps=99):
     return np.linspace(lo, 0.99, steps)
 
 
-def _max_workers():
-    raw = os.environ.get("OTTO_KILN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1.0,
-                           mode="balance", engine_config=None, convergence_tv=1e-6):
+                           mode="balance", engine_config=None, convergence_tv=1e-6,
+                           ratio_steps=99):
     """One SweepPoint per (t_h, ratio), ordered deterministically.
 
-    ratio_grid=None uses the default grid per hot temperature.  Power is
-    w_eff over the four-stroke cycle time 4*tau.  In "finite" mode the
-    engine template engine_config is rerun per point (its omega_c/omega_h,
-    t_c/t_h are overridden) and points that fail the cyclostationarity
-    threshold are flagged converged=False.
+    ratio_grid=None uses the default grid of ratio_steps points per hot
+    temperature.  Power is w_eff over the four-stroke cycle time 4*tau.
+    In "finite" mode the engine template engine_config is rerun per point
+    (its omega_c/omega_h, t_c/t_h are overridden) and points that fail the
+    cyclostationarity threshold are flagged converged=False.
     """
     if mode not in ("balance", "finite"):
         raise OttoKilnError(f"unknown sweep mode {mode!r}")
@@ -105,7 +96,7 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
     for t_h in t_h_list:
         if not t_h > t_c:
             raise OttoKilnError(f"hot temperature {t_h} must exceed t_c={t_c}")
-        grid = default_ratio_grid(t_c, t_h) if ratio_grid is None else np.asarray(ratio_grid, dtype=float)
+        grid = default_ratio_grid(t_c, t_h, ratio_steps) if ratio_grid is None else np.asarray(ratio_grid, dtype=float)
         jobs.extend((float(t_h), float(r)) for r in grid)
 
     def solve(job):
@@ -127,11 +118,6 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
         return SweepPoint(t_h, ratio, eff, cycle_power(record, trace.cycle_time),
                           converged=trace.converged(convergence_tv))
 
-    workers = _max_workers() if mode == "finite" else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve, jobs))
-    else:
-        points = [solve(job) for job in jobs]
+    points = [solve(job) for job in jobs]
     points.sort(key=lambda p: (p.t_h, p.ratio))
     return points

@@ -8,7 +8,7 @@ The birth-death rate equation for the populations reads
 with Gamma = gamma0 * (n_BE + 1).  The exp(-omega/T) factor enforces
 detailed balance, so the thermal (geometric) distribution is stationary.
 Integration uses a fixed-step fourth-order scheme (see _kernels) with
-per-step conservation and positivity guards.
+conservation and positivity guards.
 """
 
 import math
@@ -60,7 +60,7 @@ class RateParams:
 class Trajectory:
     """Sampled evolution: times[k] pairs with probs[k] (row per sample).
 
-    max_drift is the largest per-step |sum - 1| the integrator saw before
+    max_drift is the largest |sum - 1| the integrator's guards saw before
     renormalizing (0 for analytic ramps).
     """
 
@@ -97,7 +97,7 @@ def default_time_step(duration, gamma, n_max):
 
 
 def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
-                     tail_tolerance=TAIL_TOLERANCE, backend=None):
+                     tail_tolerance=TAIL_TOLERANCE):
     """Evolve populations at fixed frequency for the given duration.
 
     dt is an upper bound on the step; the actual step divides the duration
@@ -118,7 +118,6 @@ def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
 
     status, bad_step, max_drift, samples = _kernels.evolve_populations(
         dist.probs, params.gamma, params.boltz_factor, step, n_steps, sample_stride,
-        backend=backend,
     )
     if status == _kernels.STATUS_DRIFT:
         raise IntegrationError(

@@ -109,7 +109,7 @@ def _run_simulation(args, mode):
 
 def _run_sweep(args):
     config = _load(args, "sweep")
-    if config.sweep_ratio_min is not None and config.sweep_ratio_max is not None:
+    if config.sweep_ratio_min is not None:  # validate() pairs the bounds
         ratios = np.linspace(config.sweep_ratio_min, config.sweep_ratio_max,
                              config.sweep_ratio_steps)
     else:
@@ -117,6 +117,7 @@ def _run_sweep(args):
     points = sweep_efficiency_power(
         config.t_c, config.sweep_t_h, ratios, config.tau,
         omega_c=config.omega_c, mode=config.sweep_mode, engine_config=config,
+        ratio_steps=config.sweep_ratio_steps,
     )
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

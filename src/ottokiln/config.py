@@ -54,7 +54,6 @@ class EngineConfig:
     sweep_mode: str = "balance"
     csv_levels: int = 8
     tail_tolerance: float = TAIL_TOLERANCE
-    backend: str = None  # kernel backend override; not a config-file key
 
     @property
     def cycle_time(self):
@@ -102,6 +101,11 @@ class EngineConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+        lo, hi = self.sweep_ratio_min, self.sweep_ratio_max
+        if (lo is None) != (hi is None):
+            raise ConfigError("sweep_ratio_min and sweep_ratio_max must be set together")
+        if lo is not None and not lo < hi:
+            raise ConfigError(f"sweep_ratio_min must be below sweep_ratio_max, got {lo} >= {hi}")
         return self
 
 
@@ -221,5 +225,11 @@ def parse_config(text, mode_override=None):
 
 
 def load_config(path, mode_override=None):
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read(), mode_override=mode_override)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text") from exc
+    return parse_config(text, mode_override=mode_override)

@@ -234,7 +234,7 @@ def _ramp_segment(label, dist, omega_from, omega_to, duration, t_offset, samples
 
 def run_otto_cycle(dist_a, omega_c, omega_h, bath_c, bath_h, tau, dt=None,
                    sample_stride=None, adiabatic_samples=ADIABATIC_SAMPLES,
-                   cycle_index=0, tail_tolerance=TAIL_TOLERANCE, backend=None):
+                   cycle_index=0, tail_tolerance=TAIL_TOLERANCE):
     """One hot-contact / expansion / cold-contact / compression cycle.
 
     The cycle starts at frequency omega_h in contact with the hot bath and
@@ -246,14 +246,14 @@ def run_otto_cycle(dist_a, omega_c, omega_h, bath_c, bath_h, tau, dt=None,
     params_h = RateParams(OscillatorSpec(omega_h), bath_h)
     params_c = RateParams(OscillatorSpec(omega_c), bath_c)
 
-    hot = evolve_isochoric(dist_a, params_h, tau, dt, sample_stride, tail_tolerance, backend)
+    hot = evolve_isochoric(dist_a, params_h, tau, dt, sample_stride, tail_tolerance)
     dist_b = hot.final
     q_in = omega_h * (mean_occupation(dist_b) - mean_occupation(dist_a))
 
     dist_c = dist_b  # frozen populations through the ramp
     w_out = (omega_h - omega_c) * mean_occupation(dist_b)
 
-    cold = evolve_isochoric(dist_c, params_c, tau, dt, sample_stride, tail_tolerance, backend)
+    cold = evolve_isochoric(dist_c, params_c, tau, dt, sample_stride, tail_tolerance)
     dist_d = cold.final
     q_out = omega_c * (mean_occupation(dist_c) - mean_occupation(dist_d))
 
@@ -291,7 +291,7 @@ def run_otto_cycle(dist_a, omega_c, omega_h, bath_c, bath_h, tau, dt=None,
 
 def run_pump_cycle(dist_a, target, omega_c, omega_h, bath_c, tau_bc, tau_cd, tau_db,
                    dt=None, sample_stride=None, adiabatic_samples=ADIABATIC_SAMPLES,
-                   cycle_index=0, tail_tolerance=TAIL_TOLERANCE, backend=None):
+                   cycle_index=0, tail_tolerance=TAIL_TOLERANCE):
     """One pump / expansion / cold-contact / compression cycle in a single bath."""
     if not 0 < omega_c < omega_h:
         raise OttoKilnError(f"need 0 < omega_c < omega_h, got {omega_c}, {omega_h}")
@@ -303,7 +303,7 @@ def run_pump_cycle(dist_a, target, omega_c, omega_h, bath_c, tau_bc, tau_cd, tau
     dist_c = dist_b
     w_out = (omega_h - omega_c) * mean_occupation(dist_b)
 
-    cold = evolve_isochoric(dist_c, params_c, tau_cd, dt, sample_stride, tail_tolerance, backend)
+    cold = evolve_isochoric(dist_c, params_c, tau_cd, dt, sample_stride, tail_tolerance)
     dist_d = cold.final
     q_out = omega_c * (mean_occupation(dist_c) - mean_occupation(dist_d))
 
@@ -395,7 +395,6 @@ def run_engine(config):
                 dist, config.omega_c, config.omega_h, bath_c, bath_h, config.tau,
                 dt=config.dt, sample_stride=config.sample_stride,
                 cycle_index=k, tail_tolerance=config.tail_tolerance,
-                backend=config.backend,
             )
         else:
             record, dist, segments = run_pump_cycle(
@@ -403,7 +402,6 @@ def run_engine(config):
                 config.tau_bc, config.tau_cd, config.tau_db,
                 dt=config.dt, sample_stride=config.sample_stride,
                 cycle_index=k, tail_tolerance=config.tail_tolerance,
-                backend=config.backend,
             )
         trace.records.append(record)
         trace.a_shift_tv.append(

@@ -146,16 +146,6 @@ def test_finite_time_sweep_requires_template():
         sweep_efficiency_power(0.4, [1.2], mode="finite")
 
 
-def test_threaded_sweep_matches_sequential(monkeypatch):
-    template = replace(EngineConfig(), n_cycles=8, n_max=40)
-    kwargs = dict(ratio_grid=[0.5, 0.6, 0.7], tau=1.0, mode="finite", engine_config=template)
-    monkeypatch.setenv("OTTO_KILN_THREADS", "1")
-    sequential = sweep_efficiency_power(0.4, [1.2], **kwargs)
-    monkeypatch.setenv("OTTO_KILN_THREADS", "3")
-    threaded = sweep_efficiency_power(0.4, [1.2], **kwargs)
-    assert threaded == sequential
-
-
 def test_sweep_rejects_invalid_temperatures_and_ratios():
     with pytest.raises(OttoKilnError):
         sweep_efficiency_power(0.4, [0.3], tau=2.0)

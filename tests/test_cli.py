@@ -117,6 +117,20 @@ def test_bad_config_is_a_clean_failure(tmp_path, capsys):
     assert "omega_h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_unreadable_config_is_a_clean_failure(tmp_path, capsys, kind):
+    config = tmp_path / "cfg.txt"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "binary":
+        config.write_bytes(b"tau = \xff\xfe\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(config) in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_mode_conflict_is_a_clean_failure(tmp_path, capsys):
     config = tmp_path / "cfg.txt"
     config.write_text("mode = pump\n")

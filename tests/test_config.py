@@ -1,6 +1,9 @@
+import csv
+
 import pytest
 
 from ottokiln import ConfigError, EngineConfig, parse_config
+from ottokiln.cli import main
 from ottokiln.fock import InitialStateSpec
 
 
@@ -139,3 +142,25 @@ def test_validate_catches_bad_defaults_combinations():
     config = EngineConfig(n_cycles=-1)
     with pytest.raises(ConfigError, match="n_cycles"):
         config.validate()
+
+
+@pytest.mark.parametrize("bound", ["sweep_ratio_min = 0.5", "sweep_ratio_max = 0.9"])
+def test_single_sweep_bound_rejected(bound):
+    with pytest.raises(ConfigError, match="set together"):
+        parse_config(bound + "\n")
+
+
+@pytest.mark.parametrize("lo,hi", [(0.8, 0.6), (0.7, 0.7)])
+def test_inverted_sweep_bounds_rejected(lo, hi):
+    with pytest.raises(ConfigError, match="sweep_ratio_min must be below"):
+        parse_config(f"sweep_ratio_min = {lo}\nsweep_ratio_max = {hi}\n")
+
+
+def test_sweep_ratio_steps_without_bounds_sets_the_default_grid(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("sweep_t_h = 1.2, 1.6\nsweep_ratio_steps = 7\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 * 7

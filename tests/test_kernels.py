@@ -1,14 +1,12 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+from ottokiln import _kernels
 from ottokiln._kernels import (
-    NUMBA_AVAILABLE,
+    STATUS_DRIFT,
     STATUS_NEGATIVE,
     STATUS_OK,
+    _evolve_stepwise,
     derivative,
     evolve_populations,
     generator_matrix,
@@ -16,7 +14,9 @@ from ottokiln._kernels import (
     rk4_step_matrix,
     sample_count,
     sample_steps,
+    step_matrix_is_stable,
 )
+from ottokiln.verification import run_all_checks
 
 GAMMA = 0.5447127449169259   # 0.5 * (1 + nbar) at omega/T = 2.5
 BOLTZ = 0.0820849986238988
@@ -56,57 +56,63 @@ def test_sample_bookkeeping():
 def test_numpy_backend_runs_and_conserves():
     p0 = np.zeros(31)
     p0[0] = 1.0
-    status, _, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 1e-3, 2000, 500, backend="numpy")
+    status, _, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 1e-3, 2000, 500)
     assert max_drift <= 1e-10
     assert status == STATUS_OK
     np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-12)
     assert samples.min() >= 0.0
 
 
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree():
-    rng = np.random.default_rng(12)
-    p0 = rng.random(41)
-    p0 /= p0.sum()
-    results = {}
-    for backend in ("numpy", "numba"):
-        status, _, _, samples = evolve_populations(p0, GAMMA, BOLTZ, 5e-4, 4000, 1000, backend=backend)
-        assert status == STATUS_OK
-        results[backend] = samples
-    assert np.abs(results["numpy"] - results["numba"]).max() < 1e-12
-
-
 def test_unstable_step_reports_negative_status():
     p0 = np.zeros(51)
     p0[0] = 1.0
-    status, bad_step, _, _ = evolve_populations(p0, GAMMA, BOLTZ, 0.5, 50, 10, backend="numpy")
+    status, bad_step, _, _ = evolve_populations(p0, GAMMA, BOLTZ, 0.5, 50, 10)
     assert status == STATUS_NEGATIVE
     assert bad_step >= 1
 
 
-def test_unknown_backend_rejected():
-    p0 = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        evolve_populations(p0, GAMMA, BOLTZ, 1e-3, 10, 5, backend="gpu")
+def _refuse(*args):
+    raise AssertionError("the kernel took the wrong path for this step matrix")
 
 
-@pytest.mark.parametrize("flag,expect", [("0", "False"), ("auto", str(NUMBA_AVAILABLE))])
-def test_env_flag_selects_backend(flag, expect):
-    env = dict(os.environ, OTTO_KILN_NUMBA=flag)
-    out = subprocess.run(
-        [sys.executable, "-c", "from ottokiln._kernels import USE_NUMBA; print(USE_NUMBA)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == expect
+def _stepwise(p0, dt, n_steps, stride):
+    down, up = rate_coefficients(GAMMA, BOLTZ, p0.shape[0])
+    r = rk4_step_matrix(down, up, dt)
+    out = np.empty((sample_count(n_steps, stride), p0.shape[0]))
+    status, bad_step, max_drift = _evolve_stepwise(p0, r, n_steps, stride, out)
+    return status, bad_step, max_drift, out, r
 
 
-def test_env_flag_off_still_produces_same_physics():
-    env = dict(os.environ, OTTO_KILN_NUMBA="off")
-    code = (
-        "from ottokiln import EngineConfig, run_engine, cycle_efficiency;"
-        "t = run_engine(EngineConfig());"
-        "print(f'{cycle_efficiency(t.final_record):.12f}')"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert abs(float(out.stdout.strip()) - 1.0 / 3.0) < 1e-9
+@pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (10, 50), (1, 1), (2857, 44)])
+def test_sample_to_sample_path_matches_stepwise_loop(n_steps, stride):
+    rng = np.random.default_rng(n_steps)
+    p0 = rng.random(51)
+    p0 /= p0.sum()
+    status, bad_step, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, n_steps, stride)
+    ref_status, ref_bad, _, ref_samples, r = _stepwise(p0, 7e-4, n_steps, stride)
+    assert step_matrix_is_stable(r)
+    assert (status, bad_step) == (ref_status, ref_bad) == (STATUS_OK, n_steps)
+    assert max_drift <= 1e-10
+    assert samples.shape == ref_samples.shape == (sample_count(n_steps, stride), 51)
+    assert np.abs(samples - ref_samples).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dt,offset,stable,expect", [
+    (0.5, 0.0, False, (STATUS_NEGATIVE, 2)),  # unstable dt: R has negative entries
+    (7e-4, 1e-9, True, (STATUS_DRIFT, 1)),   # start off the simplex: first sample trips
+])
+def test_guard_failure_names_the_first_bad_step_like_the_stepwise_loop(dt, offset, stable, expect,
+                                                                       monkeypatch):
+    if not stable:
+        monkeypatch.setattr(_kernels, "_evolve_sampled", _refuse)
+    p0 = np.zeros(51)
+    p0[0] = 1.0 + offset
+    status, bad_step, _, _ = evolve_populations(p0, GAMMA, BOLTZ, dt, 50, 10)
+    ref_status, ref_bad, _, _, r = _stepwise(p0, dt, 50, 10)
+    assert step_matrix_is_stable(r) == stable
+    assert (status, bad_step) == (ref_status, ref_bad) == expect
+
+
+def test_verify_grid_runs_on_the_sample_to_sample_path(monkeypatch):
+    monkeypatch.setattr(_kernels, "_evolve_stepwise", _refuse)
+    assert all(result.passed for result in run_all_checks())
