@@ -52,6 +52,14 @@ def cycle_efficiency(record):
     return record.w_eff / record.q_in
 
 
+def efficiency_or_nan(record):
+    """cycle_efficiency, or nan where the efficiency is undefined."""
+    try:
+        return cycle_efficiency(record)
+    except UndefinedEfficiencyError:
+        return math.nan
+
+
 def cycle_power(record, total_cycle_time):
     """Net work per unit of total cycle time."""
     if not total_cycle_time > 0:
@@ -111,11 +119,7 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
                       t_c=t_c, t_h=t_h, tau=tau)
         trace = run_engine(cfg)
         record = trace.final_record
-        try:
-            eff = cycle_efficiency(record)
-        except UndefinedEfficiencyError:
-            eff = math.nan
-        return SweepPoint(t_h, ratio, eff, cycle_power(record, trace.cycle_time),
+        return SweepPoint(t_h, ratio, efficiency_or_nan(record), cycle_power(record, trace.cycle_time),
                           converged=trace.converged(convergence_tv))
 
     points = [solve(job) for job in jobs]

@@ -8,7 +8,6 @@ the same series.
 """
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import cycle_efficiency, cycle_power, sweep_efficiency_power
+from .analysis import cycle_power, efficiency_or_nan, sweep_efficiency_power
 from .config import EngineConfig, load_config
 from .cycle import run_engine
-from .exceptions import OttoKilnError, UndefinedEfficiencyError
+from .exceptions import OttoKilnError
 from .output import (
     write_cycles_csv,
     write_dat,
@@ -63,16 +62,6 @@ def _load(args, mode_override):
     return load_config(args.config, mode_override=mode_override)
 
 
-def _efficiency_series(trace):
-    values = []
-    for record in trace.records:
-        try:
-            values.append(cycle_efficiency(record))
-        except UndefinedEfficiencyError:
-            values.append(math.nan)
-    return values
-
-
 def _run_simulation(args, mode):
     config = _load(args, mode)
     trace = run_engine(config)
@@ -83,7 +72,7 @@ def _run_simulation(args, mode):
     if args.wide:
         write_wide_timeseries_csv(out / "timeseries_wide.csv", trace)
 
-    efficiencies = _efficiency_series(trace)
+    efficiencies = [efficiency_or_nan(r) for r in trace.records]
     if args.svg and trace.records:
         cycles = [r.cycle_index + 1 for r in trace.records]
         write_dat(out / "u_t.dat", ["t", "U"], (trace.times, trace.energies))
@@ -99,6 +88,8 @@ def _run_simulation(args, mode):
         print(f"{mode}: {len(trace.records)} cycles, final efficiency {eff:.6g}, "
               f"final power {cycle_power(last, trace.cycle_time):.6g}, "
               f"cycle-start TV shift {trace.a_shift_tv[-1]:.3g}")
+        if last.w_eff <= 0.0:
+            print(f"note: the final cycle is not in the engine regime (w_eff = {last.w_eff:.6g} <= 0)")
         if not trace.converged():
             print("note: run did not reach the cyclostationarity threshold (TV < 1e-6)")
     else:

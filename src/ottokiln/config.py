@@ -198,9 +198,12 @@ def parse_config(text, mode_override=None):
             kwargs[key] = parsed
         elif key in _LIST_KEYS:
             try:
-                kwargs[key] = tuple(float(part) for part in raw.split(","))
+                parsed = tuple(float(part) for part in raw.split(","))
             except ValueError as exc:
                 raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}", lineno) from exc
+            if not all(map(math.isfinite, parsed)):
+                raise ConfigError(f"{key}: value must be finite, got {raw!r}", lineno)
+            kwargs[key] = parsed
         elif key in ("initial_state", "pump_target"):
             kwargs[key] = _parse_state_spec(key, raw, lineno)
         else:

@@ -1,7 +1,8 @@
 """File emission: CSVs, gnuplot-style .dat twins, and minimal SVG charts.
 
-All numeric output is printed with 12 significant digits so repeated runs
-with the same configuration are byte-identical.  Undefined efficiencies are
+All numeric output is printed as "%.12g", with "-0" as "0", so repeated
+runs with the same configuration are byte-identical; each series is
+formatted in one block, one column at a time.  Undefined efficiencies are
 written as "nan", never as a large float.  SVG charts are rendered from the
 already-written numeric series and never feed back into them.
 """
@@ -10,8 +11,8 @@ import math
 
 import numpy as np
 
-from .analysis import cycle_efficiency, cycle_power
-from .exceptions import OttoKilnError, UndefinedEfficiencyError
+from .analysis import cycle_power, efficiency_or_nan
+from .exceptions import OttoKilnError
 
 
 def fmt(value):
@@ -22,75 +23,72 @@ def fmt(value):
     return format(value, ".12g")
 
 
+def _format_column(values):
+    """One series as fmt() prints it, one string per entry.
+
+    Each distinct value is formatted once: ramps repeat the populations of
+    every sample, and a converged run repeats its cycle bit for bit.
+    """
+    col = np.asarray(values, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
+    distinct, where = np.unique(col, return_inverse=True)
+    text = (("%.12g\n" * distinct.size) % tuple(distinct.tolist())).split("\n")[:-1]
+    return np.array(text, dtype=object)[where].tolist()
+
+
 def write_timeseries_csv(path, trace, csv_levels=8):
     """t, omega, U, S, stroke, total probability, first csv_levels populations."""
     k = min(csv_levels, trace.probs.shape[1]) if trace.probs.size else csv_levels
     header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{n}" for n in range(k)]
-    rows = []
-    for i in range(trace.times.shape[0]):
-        p_sum = float(trace.probs[i].sum())
-        if abs(p_sum - 1.0) > 1e-9:
-            raise OttoKilnError(f"trace row {i} carries probability sum {p_sum!r}")
-        row = [fmt(float(trace.times[i])), fmt(float(trace.omegas[i])),
-               fmt(float(trace.energies[i])), fmt(float(trace.entropies[i])),
-               trace.stroke_labels[i], fmt(p_sum)]
-        row += [fmt(float(v)) for v in trace.probs[i, :k]]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    p_sum = trace.probs.sum(axis=1)
+    bad = np.flatnonzero(abs(p_sum - 1.0) > 1e-9)
+    if bad.size:
+        i = int(bad[0])
+        raise OttoKilnError(f"trace row {i} carries probability sum {float(p_sum[i])!r}")
+    columns = [_format_column(s) for s in (trace.times, trace.omegas, trace.energies, trace.entropies)]
+    columns += [trace.stroke_labels, _format_column(p_sum)]
+    columns += [_format_column(col) for col in trace.probs[:, :k].T]
+    _write_table(path, header, columns)
 
 
 def write_wide_timeseries_csv(path, trace):
     """Full-distribution twin of the time series (every ladder level)."""
     n = trace.probs.shape[1] if trace.probs.size else 0
     header = ["t", "omega", "U", "S", "stroke"] + [f"P_{level}" for level in range(n)]
-    rows = []
-    for i in range(trace.times.shape[0]):
-        row = [fmt(float(trace.times[i])), fmt(float(trace.omegas[i])),
-               fmt(float(trace.energies[i])), fmt(float(trace.entropies[i])),
-               trace.stroke_labels[i]]
-        row += [fmt(float(v)) for v in trace.probs[i]]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    columns = [_format_column(s) for s in (trace.times, trace.omegas, trace.energies, trace.entropies)]
+    columns += [trace.stroke_labels]
+    columns += [_format_column(col) for col in trace.probs.T]
+    _write_table(path, header, columns)
 
 
 def write_cycles_csv(path, trace):
     header = ["cycle", "q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump",
               "q_pump_gross", "efficiency", "power", "a_shift_tv"]
-    rows = []
-    for record, shift in zip(trace.records, trace.a_shift_tv):
-        try:
-            eff = cycle_efficiency(record)
-        except UndefinedEfficiencyError:
-            eff = math.nan
-        rows.append([
-            fmt(record.cycle_index + 1), fmt(record.q_in), fmt(record.q_out),
-            fmt(record.w_out), fmt(record.w_in), fmt(record.w_eff),
-            fmt(record.q_pump), fmt(record.q_pump_gross), fmt(eff),
-            fmt(cycle_power(record, trace.cycle_time)), fmt(shift),
-        ])
-    _write_csv(path, header, rows)
+    records = trace.records
+    columns = [_format_column([r.cycle_index + 1 for r in records])]
+    columns += [_format_column([getattr(r, name) for r in records]) for name in header[1:8]]
+    columns += [_format_column([efficiency_or_nan(r) for r in records]),
+                _format_column([cycle_power(r, trace.cycle_time) for r in records]),
+                _format_column(trace.a_shift_tv)]
+    _write_table(path, header, columns)
 
 
 def write_sweep_csv(path, points):
     header = ["t_h", "ratio", "efficiency", "power"]
-    rows = [[fmt(p.t_h), fmt(p.ratio), fmt(p.efficiency), fmt(p.power)] for p in points]
-    _write_csv(path, header, rows)
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_table(path, header, [_format_column([getattr(p, name) for p in points]) for name in header])
 
 
 def write_dat(path, columns, series):
     """Whitespace-separated twin of a chart's series for gnuplot-style tools."""
-    lines = ["# " + " ".join(columns)]
-    for row in zip(*series):
-        lines.append(" ".join(fmt(float(v)) for v in row))
+    _write_table(path, ["#", *columns], [_format_column(s) for s in series], sep=" ")
+
+
+def _write_table(path, header, columns, sep=","):
+    """The header line, then one line per row of the formatted columns."""
+    lines = [sep.join(header)]
+    lines += map(sep.join, zip(*columns))
+    lines.append("")  # ends the text with a newline without copying it
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(lines))
 
 
 def write_svg_chart(path, x, y, title, x_label, y_label, width=720, height=420):
@@ -116,7 +114,8 @@ def write_svg_chart(path, x, y, title, x_label, y_label, width=720, height=420):
     def sy(v):
         return pad_t + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
-    points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+    pixels = np.column_stack((sx(x), sy(y))).ravel()  # x0, y0, x1, y1, ...
+    points = " ".join(["%.2f,%.2f"] * x.size) % tuple(pixels.tolist())
     tick_labels = []
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)

@@ -47,9 +47,11 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("n_cycles = 3\ntau = 1.0\n")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(config), "--out", str(out_a)]) == 0
-    assert main(["simulate", "--config", str(config), "--out", str(out_b)]) == 0
-    for name in ("timeseries.csv", "cycles.csv"):
+    flags = ["--config", str(config), "--wide", "--svg"]
+    assert main(["simulate", "--out", str(out_a)] + flags) == 0
+    assert main(["simulate", "--out", str(out_b)] + flags) == 0
+    for name in ("timeseries.csv", "cycles.csv", "timeseries_wide.csv", "u_t.dat",
+                 "efficiency_n.dat", "u_t.svg", "efficiency_n.svg"):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
 
 
@@ -129,6 +131,25 @@ def test_unreadable_config_is_a_clean_failure(tmp_path, capsys, kind):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(config) in err
     assert not (tmp_path / "x").exists()
+
+
+def test_non_finite_sweep_entry_is_a_clean_failure(tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_text("sweep_t_h = 1.2, inf\n")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: sweep_t_h") and err.count("\n") == 1
+    assert "finite" in err
+
+
+def test_refrigerator_run_notes_the_regime(tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_text("omega_h = 1.1\nt_h = 0.41\nn_cycles = 2\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "fridge")]) == 0
+    assert "note: the final cycle is not in the engine regime" in capsys.readouterr().out
+    config.write_text("n_cycles = 2\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "engine")]) == 0
+    assert "engine regime" not in capsys.readouterr().out
 
 
 def test_mode_conflict_is_a_clean_failure(tmp_path, capsys):

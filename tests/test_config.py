@@ -131,6 +131,12 @@ def test_sweep_list_parsing():
         parse_config("sweep_t_h = 1.2; 1.6\n")
 
 
+@pytest.mark.parametrize("raw", ["inf", "1.2, nan", "-inf, 1.6"])
+def test_non_finite_sweep_entry_rejected(raw):
+    with pytest.raises(ConfigError, match=r"line 2: sweep_t_h: value must be finite"):
+        parse_config(f"tau = 1\nsweep_t_h = {raw}\n")
+
+
 def test_missing_value_and_missing_equals_sign():
     with pytest.raises(ConfigError, match="empty value"):
         parse_config("tau =\n")
