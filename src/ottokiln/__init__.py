@@ -48,8 +48,7 @@ from .cycle import (
     pump_schedule,
     run_adiabatic,
     run_engine,
-    run_otto_cycle,
-    run_pump_cycle,
+    run_schedule,
 )
 from .analysis import (
     SweepPoint,

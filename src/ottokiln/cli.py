@@ -79,8 +79,11 @@ def _run_simulation(args, mode):
         write_svg_chart(out / "u_t.svg", trace.times, trace.energies,
                         "Internal energy over time", "t", "U")
         write_dat(out / "efficiency_n.dat", ["cycle", "efficiency"], (cycles, efficiencies))
-        write_svg_chart(out / "efficiency_n.svg", cycles, efficiencies,
-                        "Per-cycle efficiency", "cycle", "efficiency")
+        if np.isfinite(efficiencies).sum() >= 2:
+            write_svg_chart(out / "efficiency_n.svg", cycles, efficiencies,
+                            "Per-cycle efficiency", "cycle", "efficiency")
+        else:
+            print("note: efficiency_n.svg not drawn: fewer than two cycles have a finite efficiency")
 
     if trace.records:
         last = trace.final_record

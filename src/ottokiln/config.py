@@ -55,12 +55,6 @@ class EngineConfig:
     csv_levels: int = 8
     tail_tolerance: float = TAIL_TOLERANCE
 
-    @property
-    def cycle_time(self):
-        if self.mode == "pump":
-            return self.tau_bc + self.tau_cd + self.tau_db
-        return 4.0 * self.tau
-
     def validate(self):
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -125,7 +119,9 @@ def _parse_state_spec(key, raw, line):
             center = int(parts[1]) if len(parts) >= 2 else 2
             if len(parts) == 4:
                 return InitialStateSpec.gaussian(center, float(parts[2]), float(parts[3]))
-            # reference frequency/temperature filled in from omega_h/t_h later
+            if center < 0:
+                raise OttoKilnError(f"gaussian center must be >= 0, got {center}")
+            # reference frequency/temperature filled in from omega_h/t_h once validated
             return InitialStateSpec(kind="gaussian", center=center)
     except (ValueError, OttoKilnError) as exc:
         raise ConfigError(f"{key}: invalid state spec {raw!r} ({exc})", line) from exc
@@ -218,13 +214,12 @@ def parse_config(text, mode_override=None):
             )
         kwargs["mode"] = mode_override
 
-    config = EngineConfig(**kwargs)
-    config = replace(
+    config = EngineConfig(**kwargs).validate()
+    return replace(
         config,
         initial_state=_resolve_gaussian(config.initial_state, config.omega_h, config.t_h),
         pump_target=_resolve_gaussian(config.pump_target, config.omega_h, config.t_h),
     )
-    return config.validate()
 
 
 def load_config(path, mode_override=None):

@@ -1,20 +1,23 @@
 """Four-stroke cycles over the population ladder and their energy ledger.
 
-Stroke bookkeeping follows the first-law split dU = dQ + dW: bath contact
-at fixed frequency changes populations only (heat), frequency ramps with
-frozen populations change level energies only (work).  Per cycle:
+A cycle is a StrokeSchedule.  run_schedule walks its strokes and books what
+each stroke's routine returns, following the first-law split dU = dQ + dW:
+bath contact at fixed frequency changes populations only (heat), frequency
+ramps with frozen populations change level energies only (work).  With the
+stroke-boundary states A -> B -> C -> D -> A', the ledger is booked per
+stroke:
 
-    q_in  = omega_h * (<n>_B - <n>_A)        hot contact
+    q_in  = omega_h * (<n>_B - <n>_A)        hot isochore (at omega_h)
     w_out = (omega_h - omega_c) * <n>_B      expansion ramp
-    q_out = omega_c * (<n>_C - <n>_D)        cold contact
+    q_out = omega_c * (<n>_C - <n>_D)        cold isochore
     w_in  = (omega_h - omega_c) * <n>_D      compression ramp
     w_eff = w_out - w_in
 
-Pump cycles replace the hot contact by an instantaneous re-preparation of
-the populations; q_pump is the internal-energy jump it causes, while
-q_pump_gross is the full preparation energy of the target measured from the
-ground level (the externally supplied pump energy, used as the efficiency
-denominator).
+Pump cycles put a pump stroke in place of the hot isochore: an
+instantaneous re-preparation of the populations at omega_h.  It books
+q_pump = U_B - U_A, the internal-energy jump, and q_pump_gross = U_B, the
+full preparation energy of the target measured from the ground level (the
+externally supplied pump energy, used as the efficiency denominator).
 """
 
 import math
@@ -45,6 +48,13 @@ class IsochoricStroke:
     omega: float
     duration: float
 
+    @property
+    def omega_from(self):
+        """A bath stroke starts and ends at its own frequency."""
+        return self.omega
+
+    omega_to = omega_from
+
 
 @dataclass(frozen=True)
 class AdiabaticStroke:
@@ -55,9 +65,10 @@ class AdiabaticStroke:
 
 @dataclass(frozen=True)
 class PumpStroke:
-    """Instantaneous re-preparation of the populations (zero duration)."""
+    """Instantaneous re-preparation of the populations at the current frequency."""
 
     target: InitialStateSpec
+    duration = 0.0  # not a field: a pump takes no time
 
 
 @dataclass(frozen=True)
@@ -73,27 +84,24 @@ class StrokeSchedule:
             raise OttoKilnError(f"cycle_count must be >= 0, got {self.cycle_count}")
         boundaries = []
         for stroke in self.strokes:
-            if isinstance(stroke, IsochoricStroke):
-                if not stroke.duration > 0:
-                    raise OttoKilnError("isochoric stroke duration must be positive")
-                boundaries.append((stroke.omega, stroke.omega))
-            elif isinstance(stroke, AdiabaticStroke):
-                if not stroke.duration > 0:
-                    raise OttoKilnError("adiabatic stroke duration must be positive")
-                boundaries.append((stroke.omega_from, stroke.omega_to))
-            elif isinstance(stroke, PumpStroke):
+            if isinstance(stroke, PumpStroke):
                 continue
-            else:
+            if not isinstance(stroke, (IsochoricStroke, AdiabaticStroke)):
                 raise OttoKilnError(f"unknown stroke type {type(stroke).__name__}")
+            if not stroke.duration > 0:
+                raise OttoKilnError(f"{type(stroke).__name__} duration must be positive")
+            boundaries.append((stroke.omega_from, stroke.omega_to))
+        if not boundaries:
+            raise OttoKilnError("a schedule needs a bath or ramp stroke to set its frequency")
         for (_, end), (start, _) in zip(boundaries, boundaries[1:]):
             if not math.isclose(end, start, rel_tol=0.0, abs_tol=1e-12):
                 raise OttoKilnError(f"strokes disagree on frequency at a joint: {end} vs {start}")
-        if boundaries and not math.isclose(boundaries[-1][1], boundaries[0][0], abs_tol=1e-12):
+        if not math.isclose(boundaries[-1][1], boundaries[0][0], abs_tol=1e-12):
             raise OttoKilnError("schedule does not return to its starting frequency")
 
     @property
     def period(self):
-        return sum(getattr(s, "duration", 0.0) for s in self.strokes)
+        return sum(s.duration for s in self.strokes)
 
 
 def otto_schedule(omega_c, omega_h, bath_c, bath_h, tau, cycle_count):
@@ -159,7 +167,7 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class StrokeSegment:
-    """Trace fragment: cycle-local sample times, frequencies and populations."""
+    """Trace fragment: sample times, frequencies and populations of one stroke."""
 
     label: str
     times: np.ndarray
@@ -210,7 +218,7 @@ def run_adiabatic(dist, omega_from, omega_to, duration, samples=ADIABATIC_SAMPLE
     if samples < 2:
         raise OttoKilnError("a ramp needs at least two samples")
     times = np.linspace(0.0, duration, samples)
-    probs = np.broadcast_to(dist.probs, (samples, dist.n_max + 1)).copy()
+    probs = np.broadcast_to(dist.probs, (samples, dist.n_max + 1))  # read-only view
     work = (omega_to - omega_from) * mean_occupation(dist)
     return Trajectory(times=times, probs=probs, sample_stride=1), work
 
@@ -226,127 +234,15 @@ def pump_populations(dist, target, omega, tail_tolerance=TAIL_TOLERANCE):
     return new_dist, q_pump
 
 
-def _ramp_segment(label, dist, omega_from, omega_to, duration, t_offset, samples):
-    traj, _ = run_adiabatic(dist, omega_from, omega_to, duration, samples)
-    omegas = np.linspace(omega_from, omega_to, samples)
-    return StrokeSegment(label, traj.times + t_offset, omegas, traj.probs)
-
-
-def run_otto_cycle(dist_a, omega_c, omega_h, bath_c, bath_h, tau, dt=None,
-                   sample_stride=None, adiabatic_samples=ADIABATIC_SAMPLES,
-                   cycle_index=0, tail_tolerance=TAIL_TOLERANCE):
-    """One hot-contact / expansion / cold-contact / compression cycle.
-
-    The cycle starts at frequency omega_h in contact with the hot bath and
-    returns the ledger, the distribution handed to the next cycle, and the
-    sampled stroke segments (cycle-local times).
-    """
-    if not 0 < omega_c < omega_h:
-        raise OttoKilnError(f"need 0 < omega_c < omega_h, got {omega_c}, {omega_h}")
-    params_h = RateParams(OscillatorSpec(omega_h), bath_h)
-    params_c = RateParams(OscillatorSpec(omega_c), bath_c)
-
-    hot = evolve_isochoric(dist_a, params_h, tau, dt, sample_stride, tail_tolerance)
-    dist_b = hot.final
-    q_in = omega_h * (mean_occupation(dist_b) - mean_occupation(dist_a))
-
-    dist_c = dist_b  # frozen populations through the ramp
-    w_out = (omega_h - omega_c) * mean_occupation(dist_b)
-
-    cold = evolve_isochoric(dist_c, params_c, tau, dt, sample_stride, tail_tolerance)
-    dist_d = cold.final
-    q_out = omega_c * (mean_occupation(dist_c) - mean_occupation(dist_d))
-
-    dist_a_next = dist_d
-    w_in = (omega_h - omega_c) * mean_occupation(dist_d)
-
-    record = CycleRecord(
-        cycle_index=cycle_index,
-        kind="otto",
-        omega_c=omega_c,
-        omega_h=omega_h,
-        q_in=q_in,
-        q_out=q_out,
-        w_out=w_out,
-        w_in=w_in,
-        w_eff=w_out - w_in,
-        q_pump=0.0,
-        q_pump_gross=0.0,
-        dist_a=dist_a,
-        dist_b=dist_b,
-        dist_c=dist_c,
-        dist_d=dist_d,
-        dist_a_next=dist_a_next,
-    )
-    segments = (
-        StrokeSegment("hot_isochore", hot.times, np.full(len(hot), omega_h), hot.probs,
-                      max_drift=hot.max_drift),
-        _ramp_segment("expansion", dist_b, omega_h, omega_c, tau, tau, adiabatic_samples),
-        StrokeSegment("cold_isochore", cold.times + 2 * tau, np.full(len(cold), omega_c),
-                      cold.probs, max_drift=cold.max_drift),
-        _ramp_segment("compression", dist_d, omega_c, omega_h, tau, 3 * tau, adiabatic_samples),
-    )
-    return record, dist_a_next, segments
-
-
-def run_pump_cycle(dist_a, target, omega_c, omega_h, bath_c, tau_bc, tau_cd, tau_db,
-                   dt=None, sample_stride=None, adiabatic_samples=ADIABATIC_SAMPLES,
-                   cycle_index=0, tail_tolerance=TAIL_TOLERANCE):
-    """One pump / expansion / cold-contact / compression cycle in a single bath."""
-    if not 0 < omega_c < omega_h:
-        raise OttoKilnError(f"need 0 < omega_c < omega_h, got {omega_c}, {omega_h}")
-    params_c = RateParams(OscillatorSpec(omega_c), bath_c)
-
-    dist_b, q_pump = pump_populations(dist_a, target, omega_h, tail_tolerance)
-    q_pump_gross = internal_energy(dist_b, omega_h)
-
-    dist_c = dist_b
-    w_out = (omega_h - omega_c) * mean_occupation(dist_b)
-
-    cold = evolve_isochoric(dist_c, params_c, tau_cd, dt, sample_stride, tail_tolerance)
-    dist_d = cold.final
-    q_out = omega_c * (mean_occupation(dist_c) - mean_occupation(dist_d))
-
-    dist_a_next = dist_d
-    w_in = (omega_h - omega_c) * mean_occupation(dist_d)
-
-    record = CycleRecord(
-        cycle_index=cycle_index,
-        kind="pump",
-        omega_c=omega_c,
-        omega_h=omega_h,
-        q_in=0.0,
-        q_out=q_out,
-        w_out=w_out,
-        w_in=w_in,
-        w_eff=w_out - w_in,
-        q_pump=q_pump,
-        q_pump_gross=q_pump_gross,
-        dist_a=dist_a,
-        dist_b=dist_b,
-        dist_c=dist_c,
-        dist_d=dist_d,
-        dist_a_next=dist_a_next,
-    )
-    segments = (
-        _ramp_segment("expansion", dist_b, omega_h, omega_c, tau_bc, 0.0, adiabatic_samples),
-        StrokeSegment("cold_isochore", cold.times + tau_bc, np.full(len(cold), omega_c),
-                      cold.probs, max_drift=cold.max_drift),
-        _ramp_segment("compression", dist_d, omega_c, omega_h, tau_db, tau_bc + tau_cd, adiabatic_samples),
-    )
-    return record, dist_a_next, segments
-
-
-def _assemble_trace(trace, all_segments):
+def _assemble_trace(trace, segments):
     times, omegas, probs, labels = [], [], [], []
-    for cycle_start, segments in all_segments:
-        for segment in segments:
-            start = 1 if times else 0  # drop duplicated joint sample
-            times.append(segment.times[start:] + cycle_start)
-            omegas.append(segment.omegas[start:])
-            probs.append(segment.probs[start:])
-            labels.extend([segment.label] * (segment.times.shape[0] - start))
-            trace.max_step_drift = max(trace.max_step_drift, segment.max_drift)
+    for segment in segments:
+        start = 1 if times else 0  # drop duplicated joint sample
+        times.append(segment.times[start:])
+        omegas.append(segment.omegas[start:])
+        probs.append(segment.probs[start:])
+        labels.extend([segment.label] * (segment.times.shape[0] - start))
+        trace.max_step_drift = max(trace.max_step_drift, segment.max_drift)
     if not times:
         return trace
     trace.times = np.concatenate(times)
@@ -363,50 +259,92 @@ def _assemble_trace(trace, all_segments):
     return trace
 
 
-def run_engine(config):
-    """Chain config.n_cycles cycles, threading each cycle's end state into the next.
+def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
+    """Run schedule.cycle_count cycles of the schedule's strokes from dist.
 
-    Returns an EngineTrace with the sampled time series, one CycleRecord per
-    cycle, and the cyclostationarity metric (total-variation distance between
-    consecutive cycle-start distributions; first entry is NaN).
+    Each stroke books what its routine returns (see the module docstring):
+    an isochore its heat, to q_in at the schedule's top frequency and to
+    q_out elsewhere; a ramp the work run_adiabatic returns, to w_out going
+    down and w_in going up; a pump its internal-energy jump and gross pump
+    energy.  Returns an EngineTrace with the sampled time series, one
+    CycleRecord per cycle, and the cyclostationarity metric (total-variation
+    distance between consecutive cycle-start distributions; first entry NaN).
+    """
+    strokes = schedule.strokes
+    if len(strokes) != 4:
+        raise OttoKilnError(f"a cycle record books four strokes, the schedule has {len(strokes)}")
+    spans = [s for s in strokes if not isinstance(s, PumpStroke)]
+    omega_c = min(s.omega_from for s in spans)
+    omega_h = max(s.omega_from for s in spans)
+    kind = "pump" if len(spans) < len(strokes) else "otto"
+    period = schedule.period
+
+    trace = EngineTrace(mode=kind, n_max=dist.n_max, cycle_time=period)
+    segments = []
+    for k in range(schedule.cycle_count):
+        ledger = dict.fromkeys(("q_in", "q_out", "w_out", "w_in", "q_pump", "q_pump_gross"), 0.0)
+        states = [dist]
+        start, t, omega = k * period, 0.0, spans[-1].omega_to  # t: time into the cycle
+        for stroke in strokes:
+            if isinstance(stroke, PumpStroke):
+                dist, jump = pump_populations(dist, stroke.target, omega, tail_tolerance)
+                ledger["q_pump"] += jump
+                ledger["q_pump_gross"] += internal_energy(dist, omega)
+            elif isinstance(stroke, IsochoricStroke):
+                params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
+                traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
+                end = traj.final
+                heat = stroke.omega * (mean_occupation(end) - mean_occupation(dist))
+                hot = stroke.omega == omega_h
+                if hot:
+                    ledger["q_in"] += heat
+                else:
+                    ledger["q_out"] -= heat
+                segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
+                                              traj.times + t + start, np.full(len(traj), stroke.omega),
+                                              traj.probs, max_drift=traj.max_drift))
+                dist = end
+            else:
+                traj, work = run_adiabatic(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
+                expansion = stroke.omega_to < stroke.omega_from
+                if expansion:
+                    ledger["w_out"] -= work
+                else:
+                    ledger["w_in"] += work
+                segments.append(StrokeSegment("expansion" if expansion else "compression",
+                                              traj.times + t + start,
+                                              np.linspace(stroke.omega_from, stroke.omega_to, len(traj)),
+                                              traj.probs))
+                omega = stroke.omega_to
+            t += stroke.duration
+            states.append(dist)
+        trace.a_shift_tv.append(
+            total_variation(states[0], trace.records[-1].dist_a) if trace.records else math.nan
+        )
+        trace.records.append(CycleRecord(
+            cycle_index=k, kind=kind, omega_c=omega_c, omega_h=omega_h,
+            w_eff=ledger["w_out"] - ledger["w_in"], **ledger,
+            **dict(zip(("dist_a", "dist_b", "dist_c", "dist_d", "dist_a_next"), states)),
+        ))
+    return _assemble_trace(trace, segments)
+
+
+def run_engine(config):
+    """Run config.n_cycles cycles of the config's mode from its initial state.
+
+    Builds the start distribution and the otto or pump schedule, then hands
+    both to run_schedule.
     """
     mode = config.mode
     if mode not in ("otto", "pump"):
         raise OttoKilnError(f"run_engine handles otto and pump modes, not {mode!r}")
     bath_c = BathSpec(config.t_c, config.gamma0)
     dist = make_distribution(config.initial_state, config.n_max, config.tail_tolerance)
-
     if mode == "otto":
-        bath_h = BathSpec(config.t_h, config.gamma0)
-        schedule = otto_schedule(config.omega_c, config.omega_h, bath_c, bath_h,
-                                 config.tau, config.n_cycles)
+        schedule = otto_schedule(config.omega_c, config.omega_h, bath_c,
+                                 BathSpec(config.t_h, config.gamma0), config.tau, config.n_cycles)
     else:
         schedule = pump_schedule(config.pump_target, config.omega_c, config.omega_h,
                                  bath_c, config.tau_bc, config.tau_cd, config.tau_db,
                                  config.n_cycles)
-    period = schedule.period
-
-    trace = EngineTrace(mode=mode, n_max=config.n_max, cycle_time=period)
-    all_segments = []
-    previous_a = None
-    for k in range(config.n_cycles):
-        if mode == "otto":
-            record, dist, segments = run_otto_cycle(
-                dist, config.omega_c, config.omega_h, bath_c, bath_h, config.tau,
-                dt=config.dt, sample_stride=config.sample_stride,
-                cycle_index=k, tail_tolerance=config.tail_tolerance,
-            )
-        else:
-            record, dist, segments = run_pump_cycle(
-                dist, config.pump_target, config.omega_c, config.omega_h, bath_c,
-                config.tau_bc, config.tau_cd, config.tau_db,
-                dt=config.dt, sample_stride=config.sample_stride,
-                cycle_index=k, tail_tolerance=config.tail_tolerance,
-            )
-        trace.records.append(record)
-        trace.a_shift_tv.append(
-            math.nan if previous_a is None else total_variation(record.dist_a, previous_a)
-        )
-        previous_a = record.dist_a
-        all_segments.append((k * period, segments))
-    return _assemble_trace(trace, all_segments)
+    return run_schedule(dist, schedule, config.dt, config.sample_stride, config.tail_tolerance)

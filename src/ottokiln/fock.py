@@ -65,7 +65,7 @@ class FockDistribution:
         if probs.min() < 0.0:
             raise OttoKilnError(f"negative probability {probs.min()} at level {int(probs.argmin())}")
         total = probs.sum()
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:  # also rejects nan
             raise OttoKilnError(f"probabilities sum to {total!r}, not 1 within {_SUM_TOL}")
 
     @property
@@ -119,14 +119,14 @@ class InitialStateSpec:
     def gaussian(cls, center, omega_ref, temperature_ref):
         if center < 0:
             raise OttoKilnError(f"gaussian center must be >= 0, got {center}")
-        if not (omega_ref > 0 and temperature_ref > 0):
-            raise OttoKilnError("gaussian reference frequency and temperature must be positive")
+        if not (0 < omega_ref < np.inf and 0 < temperature_ref < np.inf):
+            raise OttoKilnError("gaussian reference frequency and temperature must be positive and finite")
         return cls(kind="gaussian", center=center, omega_ref=omega_ref, temperature_ref=temperature_ref)
 
     @classmethod
     def boltzmann(cls, omega, temperature):
-        if not (omega > 0 and temperature > 0):
-            raise OttoKilnError("boltzmann frequency and temperature must be positive")
+        if not (0 < omega < np.inf and 0 < temperature < np.inf):
+            raise OttoKilnError("boltzmann frequency and temperature must be positive and finite")
         return cls(kind="boltzmann", omega=omega, temperature=temperature)
 
     def describe(self):

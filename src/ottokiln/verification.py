@@ -6,12 +6,13 @@ suite but run standalone, without pytest.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bath import RateParams, evolve_isochoric, rate_derivative, stationary_distribution
-from .cycle import run_otto_cycle
+from .config import EngineConfig
+from .cycle import run_engine
 from .fock import BathSpec, FockDistribution, OscillatorSpec, entropy, internal_energy, total_variation
 from .oracle import propagate_matrix_exponential, rate_generator
 
@@ -131,10 +132,8 @@ def check_monotone_relaxation():
 
 
 def check_stroke_first_law():
-    bath_h = BathSpec(1.2, 0.5)
-    bath_c = BathSpec(0.4, 0.5)
-    ground = FockDistribution(np.eye(51)[0])
-    record, _, _ = run_otto_cycle(ground, 1.0, 1.5, bath_c, bath_h, 2.0)
+    # default working point (omega 1.0/1.5, t 0.4/1.2, tau 2) from the ground state
+    record = run_engine(replace(EngineConfig(), n_cycles=1)).final_record
     hot = internal_energy(record.dist_b, 1.5) - internal_energy(record.dist_a, 1.5) - record.q_in
     expansion = internal_energy(record.dist_c, 1.0) - internal_energy(record.dist_b, 1.5) + record.w_out
     cold = internal_energy(record.dist_d, 1.0) - internal_energy(record.dist_c, 1.0) + record.q_out

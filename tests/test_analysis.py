@@ -14,7 +14,8 @@ from ottokiln import (
     cycle_power,
     make_distribution,
     otto_limit,
-    run_otto_cycle,
+    otto_schedule,
+    run_schedule,
     stationary_distribution,
     sweep_efficiency_power,
 )
@@ -46,14 +47,16 @@ def test_limits():
 
 def test_efficiency_of_thermal_balance_cycle():
     start = stationary_distribution(1.0, 0.4, 50)
-    record, _, _ = run_otto_cycle(start, 1.0, 1.5, BathSpec(0.4, 0.5), BathSpec(1.2, 0.5), tau=20.0)
+    record = run_schedule(start, otto_schedule(1.0, 1.5, BathSpec(0.4, 0.5), BathSpec(1.2, 0.5),
+                                               20.0, 1)).final_record
     assert cycle_efficiency(record) == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert cycle_efficiency(record) == pytest.approx(W_EFF_BALANCE / Q_IN_BALANCE, abs=1e-6)
 
 
 def test_efficiency_negative_for_high_energy_start():
     start = make_distribution(InitialStateSpec.equal_lowest(3), 50)
-    record, _, _ = run_otto_cycle(start, 1.0, 1.5, BathSpec(0.4, 0.5), BathSpec(1.2, 0.5), tau=2.0)
+    record = run_schedule(start, otto_schedule(1.0, 1.5, BathSpec(0.4, 0.5), BathSpec(1.2, 0.5),
+                                               2.0, 1)).final_record
     assert cycle_efficiency(record) < 0.0
 
 

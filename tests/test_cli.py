@@ -166,3 +166,44 @@ def test_zero_cycles_run_writes_empty_series(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert read_csv(out / "cycles.csv") == []
     assert read_csv(out / "timeseries.csv") == []
+
+
+@pytest.mark.parametrize("command,text", [
+    ("simulate", "n_cycles = 1\n"),
+    ("pump", "pump_target = ground\nn_cycles = 3\n"),  # every efficiency is nan
+])
+def test_svg_run_with_too_few_finite_efficiencies_skips_only_that_chart(tmp_path, capsys, command, text):
+    config = tmp_path / "cfg.txt"
+    config.write_text(text)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out), "--svg"]) == 0
+    assert "note: efficiency_n.svg not drawn" in capsys.readouterr().out
+    assert not (out / "efficiency_n.svg").exists()
+    for name in ("timeseries.csv", "cycles.csv", "u_t.dat", "u_t.svg", "efficiency_n.dat"):
+        assert (out / name).exists(), name
+
+
+BAD_CONFIGS = {
+    "negative_gaussian_center": ("initial_state = gaussian:-1\n", "line 1: initial_state"),
+    "gaussian_with_bad_omega_h": ("omega_h = -1\ninitial_state = gaussian\n", "omega_h must be positive"),
+    "gaussian_with_bad_t_h": ("t_h = 0\npump_target = gaussian:2\n", "t_h must be positive"),
+    "infinite_boltzmann_frequency": ("initial_state = boltzmann:inf:1\n", "line 1: initial_state"),
+    "missing_file": (None, "cannot read config file"),
+    "inverted_sweep_bounds": ("sweep_ratio_min = 0.8\nsweep_ratio_max = 0.6\n", "sweep_ratio_min must be below"),
+    "infinite_sweep_t_h": ("sweep_t_h = inf\n", "line 1: sweep_t_h"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+@pytest.mark.parametrize("command", ["simulate", "pump", "sweep"])
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, command, case):
+    text, expected = BAD_CONFIGS[case]
+    config = tmp_path / "cfg.txt"
+    if text is not None:
+        config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert expected in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "x").exists()

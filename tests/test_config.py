@@ -1,9 +1,11 @@
 import csv
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ottokiln import ConfigError, EngineConfig, parse_config
 from ottokiln.cli import main
+from ottokiln.config import _ALL_KEYS, _FLOAT_KEYS, _INT_KEYS
 from ottokiln.fock import InitialStateSpec
 
 
@@ -170,3 +172,45 @@ def test_sweep_ratio_steps_without_bounds_sets_the_default_grid(tmp_path):
     with open(out / "sweep.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 2 * 7
+
+
+integers = st.integers(min_value=-3, max_value=60).map(str)
+numbers = st.one_of(integers, st.floats(min_value=-1.0, max_value=3.0).map(repr))
+state_specs = st.builds(
+    lambda kind, parts: ":".join([kind, *parts]),
+    st.sampled_from(["ground", "level", "equal_lowest", "gaussian", "boltzmann"]),
+    st.lists(numbers, max_size=3),
+)
+arbitrary = st.one_of(st.text(max_size=8), st.floats().map(repr))
+
+
+def plausible_value(key):
+    """Mostly well-typed values for the key, so that one bad value can meet valid others."""
+    if key in _FLOAT_KEYS:
+        typed = numbers
+    elif key in _INT_KEYS:
+        typed = integers
+    elif key in ("initial_state", "pump_target"):
+        typed = state_specs
+    elif key == "sweep_t_h":
+        typed = st.lists(numbers, min_size=1, max_size=3).map(", ".join)
+    else:
+        typed = st.sampled_from(["otto", "pump", "sweep", "balance", "finite"])
+    return st.tuples(st.just(key), st.one_of(typed, typed, typed, arbitrary))
+
+
+# the state keys are drawn more often: their specs have the richest grammar
+keys = st.sampled_from(sorted(_ALL_KEYS) + ["initial_state", "pump_target"] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(keys.flatmap(plausible_value), max_size=6, unique_by=lambda entry: entry[0]))
+def test_any_document_gives_a_validated_config_or_a_config_error(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries)
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert config.validate() is config
+    for spec in (config.initial_state, config.pump_target):
+        assert spec.kind != "gaussian" or spec.omega_ref > 0

@@ -22,8 +22,7 @@ from ottokiln import (
     pump_schedule,
     run_adiabatic,
     run_engine,
-    run_otto_cycle,
-    run_pump_cycle,
+    run_schedule,
     stationary_distribution,
     total_variation,
 )
@@ -51,6 +50,16 @@ def hot_bath():
     return BathSpec(1.2, 0.5)
 
 
+def otto_cycles(start, tau, cycles=1):
+    return run_schedule(start, otto_schedule(1.0, 1.5, cold_bath(), hot_bath(), tau, cycles)).records
+
+
+def pump_cycles(start, tau_cd, cycles=1):
+    schedule = pump_schedule(InitialStateSpec.single_level(1), 1.0, 1.5, cold_bath(),
+                             1.0, tau_cd, 1.0, cycles)
+    return run_schedule(start, schedule).records
+
+
 def test_adiabatic_ground_state_does_no_work():
     ground = make_distribution(InitialStateSpec.ground(), 30)
     _, work = run_adiabatic(ground, 1.0, 1.5, 2.0)
@@ -74,7 +83,8 @@ def test_adiabatic_entropy_constant_along_ramp():
 
 def test_otto_cycle_ledger_at_thermal_balance():
     start = stationary_distribution(1.0, 0.4, 50)  # cold-equilibrium populations at A
-    record, dist_next, _ = run_otto_cycle(start, 1.0, 1.5, cold_bath(), hot_bath(), tau=20.0)
+    [record] = otto_cycles(start, tau=20.0)
+    dist_next = record.dist_a_next
     for name, expected in LEDGER.items():
         assert getattr(record, name) == pytest.approx(expected, abs=1e-7), name
     assert record.q_in - record.q_out == pytest.approx(record.w_eff, abs=1e-9)
@@ -83,7 +93,8 @@ def test_otto_cycle_ledger_at_thermal_balance():
 
 def test_otto_cycle_endpoint_bookkeeping():
     ground = make_distribution(InitialStateSpec.ground(), 50)
-    record, dist_next, _ = run_otto_cycle(ground, 1.0, 1.5, cold_bath(), hot_bath(), tau=2.0)
+    record, following = otto_cycles(ground, tau=2.0, cycles=2)
+    dist_next = following.dist_a  # the state handed to the next cycle
     np.testing.assert_array_equal(record.dist_c.probs, record.dist_b.probs)
     np.testing.assert_array_equal(record.dist_a_next.probs, record.dist_d.probs)
     np.testing.assert_array_equal(dist_next.probs, record.dist_a_next.probs)
@@ -93,14 +104,14 @@ def test_otto_cycle_endpoint_bookkeeping():
 
 def test_high_energy_start_releases_heat_into_hot_bath():
     start = make_distribution(InitialStateSpec.equal_lowest(3), 50)
-    record, _, _ = run_otto_cycle(start, 1.0, 1.5, cold_bath(), hot_bath(), tau=2.0)
+    [record] = otto_cycles(start, tau=2.0)
     assert mean_occupation(start) > NBAR_HOT  # hotter than the bath's equilibrium
     assert record.q_in < 0.0
 
 
 def test_vanishing_contact_time_gives_vanishing_ledger():
     start = stationary_distribution(1.0, 0.4, 50)
-    record, _, _ = run_otto_cycle(start, 1.0, 1.5, cold_bath(), hot_bath(), tau=1e-3)
+    [record] = otto_cycles(start, tau=1e-3)
     assert abs(record.q_in) < 2e-3
     assert abs(record.q_out) < 2e-3
     assert abs(record.w_eff) < 2e-3
@@ -128,11 +139,7 @@ def test_pump_from_partially_relaxed_state():
 
 def test_pump_cycle_reaches_steady_ledger_with_complete_thermalization():
     dist = make_distribution(InitialStateSpec.ground(), 50)
-    target = InitialStateSpec.single_level(1)
-    record = None
-    for k in range(3):
-        record, dist, _ = run_pump_cycle(dist, target, 1.0, 1.5, cold_bath(),
-                                         tau_bc=1.0, tau_cd=16.0, tau_db=1.0, cycle_index=k)
+    record = pump_cycles(dist, tau_cd=16.0, cycles=3)[-1]
     assert record.w_out == pytest.approx(0.5, rel=1e-9)
     assert record.w_in == pytest.approx(0.5 * NBAR_COLD, abs=1e-7)
     assert record.w_eff == pytest.approx(PUMP_W_EFF, abs=1e-6)
@@ -143,15 +150,14 @@ def test_pump_cycle_reaches_steady_ledger_with_complete_thermalization():
 
 def test_pump_cycle_first_pump_charged_to_first_cycle():
     dist = make_distribution(InitialStateSpec.ground(), 50)
-    record, _, _ = run_pump_cycle(dist, InitialStateSpec.single_level(1), 1.0, 1.5,
-                                  cold_bath(), tau_bc=1.0, tau_cd=5.0, tau_db=1.0)
+    [record] = pump_cycles(dist, tau_cd=5.0)
     assert record.q_pump == pytest.approx(1.5, rel=1e-14)
 
 
 def test_pump_cycle_with_tiny_contact_returns_state_unchanged():
     dist = make_distribution(InitialStateSpec.single_level(1), 50)
-    record, dist_next, _ = run_pump_cycle(dist, InitialStateSpec.single_level(1), 1.0, 1.5,
-                                          cold_bath(), tau_bc=1.0, tau_cd=1e-4, tau_db=1.0)
+    [record] = pump_cycles(dist, tau_cd=1e-4)
+    dist_next = record.dist_a_next
     assert abs(record.w_eff) < 2e-4
     assert total_variation(dist_next, dist) < 2e-4
 
@@ -263,6 +269,8 @@ def test_schedules_validate_joints():
         )
     with pytest.raises(OttoKilnError, match="duration"):
         StrokeSchedule(strokes=(IsochoricStroke(cold_bath(), 1.0, 0.0),), cycle_count=1)
+    with pytest.raises(OttoKilnError, match="frequency"):
+        StrokeSchedule(strokes=(PumpStroke(InitialStateSpec.ground()),) * 4, cycle_count=1)
 
 
 def test_builtin_schedules_are_consistent():
@@ -274,6 +282,62 @@ def test_builtin_schedules_are_consistent():
 
 
 def test_invalid_frequency_order_rejected():
-    ground = make_distribution(InitialStateSpec.ground(), 20)
     with pytest.raises(OttoKilnError):
-        run_otto_cycle(ground, 1.5, 1.0, cold_bath(), hot_bath(), tau=1.0)
+        otto_schedule(1.5, 1.0, cold_bath(), hot_bath(), 1.0, 1)
+    with pytest.raises(OttoKilnError):
+        pump_schedule(InitialStateSpec.single_level(1), 1.5, 1.0, cold_bath(), 1.0, 1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("mode", ["otto", "pump"])
+@pytest.mark.parametrize("start", [InitialStateSpec.ground(), InitialStateSpec.equal_lowest(3),
+                                   InitialStateSpec.boltzmann(1.5, 0.6)])
+def test_schedule_books_the_module_ledger_per_stroke(mode, start):
+    omega_c, omega_h = 1.0, 1.5
+    if mode == "otto":
+        schedule = otto_schedule(omega_c, omega_h, cold_bath(), hot_bath(), 1.0, 3)
+    else:
+        schedule = pump_schedule(InitialStateSpec.gaussian(2, 1.5, 1.2), omega_c, omega_h,
+                                 cold_bath(), 0.3, 0.7, 0.1, 3)
+    trace = run_schedule(make_distribution(start, 50), schedule)
+    assert len(trace.records) == schedule.cycle_count
+    assert math.isnan(trace.a_shift_tv[0])
+    for k, (record, following) in enumerate(zip(trace.records, trace.records[1:]), start=1):
+        assert following.dist_a is record.dist_a_next
+        assert trace.a_shift_tv[k] == total_variation(following.dist_a, record.dist_a)
+    for r in trace.records:
+        assert (r.kind, r.omega_c, r.omega_h) == (mode, omega_c, omega_h)
+        n_a, n_b, n_c, n_d = (mean_occupation(d) for d in (r.dist_a, r.dist_b, r.dist_c, r.dist_d))
+        u_a, u_b = internal_energy(r.dist_a, omega_h), internal_energy(r.dist_b, omega_h)
+        # the formulas of the cycle module docstring, on the record's own states
+        assert r.w_out == (omega_h - omega_c) * n_b
+        assert r.q_out == omega_c * (n_c - n_d)
+        assert r.w_in == (omega_h - omega_c) * n_d
+        assert r.w_eff == r.w_out - r.w_in
+        if mode == "otto":
+            assert r.q_in == omega_h * (n_b - n_a)
+            assert r.q_pump == r.q_pump_gross == 0.0
+        else:
+            assert r.q_in == 0.0
+            assert r.q_pump == u_b - u_a
+            assert r.q_pump_gross == u_b
+        # first law per stroke: hot isochore or pump, expansion, cold isochore, compression
+        residuals = (
+            u_b - u_a - r.heat_source(),
+            internal_energy(r.dist_c, omega_c) - u_b + r.w_out,
+            internal_energy(r.dist_d, omega_c) - internal_energy(r.dist_c, omega_c) + r.q_out,
+            internal_energy(r.dist_a_next, omega_h) - internal_energy(r.dist_d, omega_c) - r.w_in,
+        )
+        assert max(map(abs, residuals)) <= 1e-9
+
+
+def test_schedule_of_other_than_four_strokes_rejected():
+    three = StrokeSchedule(
+        strokes=(
+            IsochoricStroke(hot_bath(), 1.5, 1.0),
+            AdiabaticStroke(1.5, 1.0, 1.0),
+            AdiabaticStroke(1.0, 1.5, 1.0),
+        ),
+        cycle_count=1,
+    )
+    with pytest.raises(OttoKilnError, match="four strokes"):
+        run_schedule(make_distribution(InitialStateSpec.ground(), 20), three)

@@ -104,6 +104,8 @@ def test_distribution_rejects_negative_entries():
 def test_distribution_rejects_bad_normalization():
     with pytest.raises(OttoKilnError, match="sum"):
         FockDistribution(np.array([0.6, 0.3]))
+    with pytest.raises(OttoKilnError, match="sum"):
+        FockDistribution(np.array([np.nan, 0.5]))
 
 
 def test_hot_boltzmann_needs_enough_levels():
@@ -123,5 +125,9 @@ def test_invalid_spec_parameters_rejected():
         InitialStateSpec.boltzmann(-1.0, 0.4)
     with pytest.raises(OttoKilnError):
         InitialStateSpec.gaussian(2, 1.5, -0.1)
+    with pytest.raises(OttoKilnError):
+        InitialStateSpec.boltzmann(np.inf, 0.4)
+    with pytest.raises(OttoKilnError):
+        InitialStateSpec.gaussian(2, 1.5, np.inf)
     with pytest.raises(OttoKilnError):
         OscillatorSpec(0.0)

@@ -21,8 +21,9 @@ from ottokiln import (
     entropy,
     internal_energy,
     make_distribution,
+    otto_schedule,
     rate_derivative,
-    run_otto_cycle,
+    run_schedule,
     stationary_distribution,
 )
 
@@ -115,10 +116,10 @@ def test_rate_derivative_conserves_probability(omega, temperature, gamma0, seed)
 )
 def test_cycle_ledger_closes_the_first_law(omega_c, ratio, t_c, t_gap, tau):
     omega_h = omega_c * ratio
-    record, _, _ = run_otto_cycle(
+    record = run_schedule(
         make_distribution(InitialStateSpec.ground(), 50),
-        omega_c, omega_h, BathSpec(t_c, 0.5), BathSpec(t_c * t_gap, 0.5), tau,
-    )
+        otto_schedule(omega_c, omega_h, BathSpec(t_c, 0.5), BathSpec(t_c * t_gap, 0.5), tau, 1),
+    ).final_record
     assert abs(record.first_law_residual()) <= 1e-9
     assert record.w_eff == record.w_out - record.w_in
     assert entropy(record.dist_b) == entropy(record.dist_c)
