@@ -51,6 +51,7 @@ from .cycle import (
     run_schedule,
 )
 from .analysis import (
+    Sweep,
     SweepPoint,
     carnot_limit,
     cycle_efficiency,

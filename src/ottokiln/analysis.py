@@ -1,10 +1,13 @@
 """Performance figures: efficiency, power, thermodynamic limits, sweeps.
 
 The efficiency-power sweep walks the frequency ratio omega_c/omega_h at
-fixed bath temperatures.  In the default "balance" mode each point assumes
-complete thermalization on both isochores, where the ledger is available in
-closed form (oracle module); the "finite" mode runs the stepped engine per
-point instead and flags non-converged runs.
+fixed bath temperatures and returns a Sweep: one numpy column per field,
+rows sorted by (t_h, ratio).  In the default "balance" mode each point
+assumes complete thermalization on both isochores, where the ledger is
+available in closed form; the whole grid is evaluated at once, bit for bit
+equal to the scalar oracle analytic_cycle_thermal_balance, which stays the
+cross-check and raises the error of the first invalid point.  The "finite"
+mode runs the stepped engine per point instead and flags non-converged runs.
 """
 
 import math
@@ -12,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bath import bose_einstein
 from .exceptions import OttoKilnError, UndefinedEfficiencyError
 from .oracle import analytic_cycle_thermal_balance
 from .cycle import run_engine
@@ -76,6 +80,40 @@ class SweepPoint:
     converged: bool = True
 
 
+SWEEP_COLUMNS = ("t_h", "ratio", "efficiency", "power", "converged")
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Sweep result as five equal-length columns, sorted by (t_h, ratio).
+
+    Iterating or indexing yields SweepPoint rows, so code that reads the
+    points one at a time reads a Sweep like a list of points.
+    """
+
+    t_h: np.ndarray
+    ratio: np.ndarray
+    efficiency: np.ndarray
+    power: np.ndarray
+    converged: np.ndarray
+
+    @classmethod
+    def sorted(cls, *columns):
+        """Columns in SWEEP_COLUMNS order, rows put in (t_h, ratio) order;
+        rows with equal keys keep their input order."""
+        order = np.lexsort((columns[1], columns[0]))
+        return cls(*(np.asarray(column)[order] for column in columns))
+
+    def __len__(self):
+        return self.t_h.shape[0]
+
+    def __iter__(self):
+        return map(SweepPoint, *(getattr(self, name).tolist() for name in SWEEP_COLUMNS))
+
+    def __getitem__(self, index):
+        return SweepPoint(*(getattr(self, name)[index].item() for name in SWEEP_COLUMNS))
+
+
 def default_ratio_grid(t_c, t_h, steps=99):
     """Uniform ratios on (t_c/t_h + 0.01, 0.99), avoiding both power zeros."""
     lo = t_c / t_h + 0.01
@@ -84,44 +122,79 @@ def default_ratio_grid(t_c, t_h, steps=99):
     return np.linspace(lo, 0.99, steps)
 
 
+def _require_ratio(ratio):
+    if not 0.0 < ratio < 1.0:
+        raise OttoKilnError(f"frequency ratio must lie in (0, 1), got {ratio}")
+
+
+def _balance_columns(omega_c, t_c, t_h, ratio, tau):
+    """Efficiency, power and converged columns of the fully thermalized cycle.
+
+    The closed-form ledger of analytic_cycle_thermal_balance over the whole
+    grid, with the same floating-point operations, so every value equals the
+    scalar ledger's bit for bit; n_h maps math.exp/math.expm1 over the grid
+    as bose_einstein does (numpy's exp differs from libm in the last bit).
+    ok marks the points the scalar ledger accepts.  If any is rejected, the
+    first in input order goes through the scalar ledger, which raises.
+    """
+    # the scalar ledger rejects every point unless bose_einstein(omega_c, t_c) is defined
+    scalar_ok = omega_c > 0.0 and t_c > 0.0 and omega_c / t_c > 0.0
+    n_c = bose_einstein(omega_c, t_c) if scalar_ok else math.nan
+    ok = (ratio > 0.0) & (ratio < 1.0) & scalar_ok
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        omega_h = omega_c / ratio
+        neg_x = np.where(ok, -(omega_h / t_h), -1.0).tolist()
+        expm1 = np.array(list(map(math.expm1, neg_x)))
+        n_h = np.array(list(map(math.exp, neg_x))) / -expm1
+    ok &= (omega_c < omega_h) & (expm1 != 0.0) & ~(n_h < n_c)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        _require_ratio(float(ratio[i]))
+        analytic_cycle_thermal_balance(omega_c, float(omega_h[i]), t_c, float(t_h[i]))
+    efficiency = 1.0 - omega_c / omega_h
+    power = (omega_h - omega_c) * (n_h - n_c) / (4.0 * tau)
+    return efficiency, power, np.ones(ratio.shape, dtype=bool)
+
+
 def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1.0,
                            mode="balance", engine_config=None, convergence_tv=1e-6,
                            ratio_steps=99):
-    """One SweepPoint per (t_h, ratio), ordered deterministically.
+    """Efficiency and power per (t_h, ratio) point, as a Sweep.
 
     ratio_grid=None uses the default grid of ratio_steps points per hot
     temperature.  Power is w_eff over the four-stroke cycle time 4*tau.
-    In "finite" mode the engine template engine_config is rerun per point
-    (its omega_c/omega_h, t_c/t_h are overridden) and points that fail the
-    cyclostationarity threshold are flagged converged=False.
+    "balance" mode evaluates the closed-form ledger over the whole grid at
+    once.  In "finite" mode the engine template engine_config is rerun per
+    point, in input order (its omega_c/omega_h, t_c/t_h are overridden), and
+    points that fail the cyclostationarity threshold are flagged
+    converged=False.
     """
     if mode not in ("balance", "finite"):
         raise OttoKilnError(f"unknown sweep mode {mode!r}")
     if mode == "finite" and engine_config is None:
         raise OttoKilnError("finite-time sweep needs an engine_config template")
 
-    jobs = []
+    t_h_parts, ratio_parts = [np.zeros(0)], [np.zeros(0)]
     for t_h in t_h_list:
         if not t_h > t_c:
             raise OttoKilnError(f"hot temperature {t_h} must exceed t_c={t_c}")
         grid = default_ratio_grid(t_c, t_h, ratio_steps) if ratio_grid is None else np.asarray(ratio_grid, dtype=float)
-        jobs.extend((float(t_h), float(r)) for r in grid)
+        ratio_parts.append(grid)
+        t_h_parts.append(np.full(grid.shape, float(t_h)))
+    t_h, ratio = np.concatenate(t_h_parts), np.concatenate(ratio_parts)
+    if mode == "balance":
+        return Sweep.sorted(t_h, ratio, *_balance_columns(omega_c, t_c, t_h, ratio, tau))
 
-    def solve(job):
-        t_h, ratio = job
-        if not 0.0 < ratio < 1.0:
-            raise OttoKilnError(f"frequency ratio must lie in (0, 1), got {ratio}")
-        omega_h = omega_c / ratio
-        if mode == "balance":
-            ledger = analytic_cycle_thermal_balance(omega_c, omega_h, t_c, t_h)
-            return SweepPoint(t_h, ratio, ledger.efficiency, ledger.w_eff / (4.0 * tau))
-        cfg = replace(engine_config, mode="otto", omega_c=omega_c, omega_h=omega_h,
-                      t_c=t_c, t_h=t_h, tau=tau)
+    efficiency, power, converged = [], [], []
+    for point_t_h, point_ratio in zip(t_h.tolist(), ratio.tolist()):
+        _require_ratio(point_ratio)
+        cfg = replace(engine_config, mode="otto", omega_c=omega_c, omega_h=omega_c / point_ratio,
+                      t_c=t_c, t_h=point_t_h, tau=tau)
         trace = run_engine(cfg)
         record = trace.final_record
-        return SweepPoint(t_h, ratio, efficiency_or_nan(record), cycle_power(record, trace.cycle_time),
-                          converged=trace.converged(convergence_tv))
-
-    points = [solve(job) for job in jobs]
-    points.sort(key=lambda p: (p.t_h, p.ratio))
-    return points
+        efficiency.append(efficiency_or_nan(record))
+        power.append(cycle_power(record, trace.cycle_time))
+        converged.append(trace.converged(convergence_tv))
+    return Sweep.sorted(t_h, ratio, np.array(efficiency, dtype=float),
+                        np.array(power, dtype=float), np.array(converged, dtype=bool))

@@ -111,6 +111,11 @@ def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
         dt = default_time_step(duration, params.gamma, n_max)
     if dt > duration:
         raise OttoKilnError(f"dt={dt} exceeds duration={duration}")
+    if not (dt > 0.0 and math.isfinite(duration / dt)):  # the default dt underflows near gamma0 = 1e306
+        raise IntegrationError(
+            f"a stroke of duration {duration} at dt={dt:.3e} has more steps than a float "
+            "can count; reduce gamma0 * tau or set dt"
+        )
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
     step = duration / n_steps
     if sample_stride is None:
@@ -123,6 +128,12 @@ def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
         raise IntegrationError(
             f"probability sum drifted beyond {_kernels.DRIFT_TOL:.0e} at step {bad_step} "
             f"(dt={step:.3e}); reduce the time step"
+        )
+    if status == _kernels.STATUS_TOO_LONG:
+        raise IntegrationError(
+            f"a guard tripped at step {bad_step:.4g} (drift {max_drift:.3g}, limit "
+            f"{_kernels.DRIFT_TOL:.0e}) of a stroke of {n_steps:.4g} steps (dt={step:.3e}), too many "
+            f"to rerun step by step (limit {_kernels.MAX_STEPWISE_STEPS}); reduce gamma0 * tau or set dt"
         )
     if status == _kernels.STATUS_NEGATIVE:
         raise IntegrationError(

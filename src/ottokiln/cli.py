@@ -20,6 +20,7 @@ from .config import EngineConfig, load_config
 from .cycle import run_engine
 from .exceptions import OttoKilnError
 from .output import (
+    fmt,
     write_cycles_csv,
     write_dat,
     write_svg_chart,
@@ -108,25 +109,24 @@ def _run_sweep(args):
                              config.sweep_ratio_steps)
     else:
         ratios = None
-    points = sweep_efficiency_power(
+    sweep = sweep_efficiency_power(
         config.t_c, config.sweep_t_h, ratios, config.tau,
         omega_c=config.omega_c, mode=config.sweep_mode, engine_config=config,
         ratio_steps=config.sweep_ratio_steps,
     )
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(out / "sweep.csv", points)
+    write_sweep_csv(out / "sweep.csv", sweep)
     if args.svg:
-        for t_h in dict.fromkeys(p.t_h for p in points):
-            series = [p for p in points if p.t_h == t_h]
-            tag = format(t_h, "g").replace(".", "p")
-            write_dat(out / f"eta_power_th{tag}.dat", ["power", "efficiency"],
-                      ([p.power for p in series], [p.efficiency for p in series]))
-            write_svg_chart(out / f"eta_power_th{tag}.svg",
-                            [p.power for p in series], [p.efficiency for p in series],
+        for t_h in np.unique(sweep.t_h).tolist():
+            series = sweep.t_h == t_h
+            power, efficiency = sweep.power[series], sweep.efficiency[series]
+            tag = fmt(t_h).replace(".", "p")  # %.12g: validate() keeps the t_h distinct at that precision
+            write_dat(out / f"eta_power_th{tag}.dat", ["power", "efficiency"], (power, efficiency))
+            write_svg_chart(out / f"eta_power_th{tag}.svg", power, efficiency,
                             f"Efficiency vs power (t_h = {t_h:g})", "power", "efficiency")
-    flagged = sum(not p.converged for p in points)
-    print(f"sweep: {len(points)} points ({config.sweep_mode} mode)"
+    flagged = int(np.count_nonzero(~sweep.converged))
+    print(f"sweep: {len(sweep)} points ({config.sweep_mode} mode)"
           + (f", {flagged} flagged non-converged" if flagged else ""))
     print(f"wrote {out / 'sweep.csv'}")
     return 0

@@ -91,6 +91,13 @@ class EngineConfig:
             for t_h in self.sweep_t_h:
                 if not t_h > self.t_c:
                     raise ConfigError(f"sweep_t_h entry {t_h} must exceed t_c={self.t_c}")
+            printed = ["%.12g" % t_h for t_h in self.sweep_t_h]  # as sweep.csv and the chart names print it
+            for i, text in enumerate(printed):
+                if text in printed[:i]:
+                    raise ConfigError(
+                        f"sweep_t_h entries {self.sweep_t_h[printed.index(text)]!r} and "
+                        f"{self.sweep_t_h[i]!r} both print as {text}; give each hot temperature once"
+                    )
         for name in ("sweep_ratio_min", "sweep_ratio_max"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:

@@ -72,9 +72,9 @@ def write_cycles_csv(path, trace):
     _write_table(path, header, columns)
 
 
-def write_sweep_csv(path, points):
+def write_sweep_csv(path, sweep):
     header = ["t_h", "ratio", "efficiency", "power"]
-    _write_table(path, header, [_format_column([getattr(p, name) for p in points]) for name in header])
+    _write_table(path, header, [_format_column(getattr(sweep, name)) for name in header])
 
 
 def write_dat(path, columns, series):

@@ -2,13 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ottokiln import (
     CycleRecord,
     EngineConfig,
     InitialStateSpec,
     OttoKilnError,
+    RefrigeratorRegimeError,
+    SweepPoint,
     UndefinedEfficiencyError,
+    analytic_cycle_thermal_balance,
     carnot_limit,
     cycle_efficiency,
     cycle_power,
@@ -154,3 +158,84 @@ def test_sweep_rejects_invalid_temperatures_and_ratios():
         sweep_efficiency_power(0.4, [0.3], tau=2.0)
     with pytest.raises(OttoKilnError):
         sweep_efficiency_power(0.4, [1.2], ratio_grid=[1.5], tau=2.0)
+
+
+def scalar_sweep(t_c, t_h_list, ratio_grid, tau, omega_c=1.0):
+    """The balance sweep one point at a time through the scalar oracle, as
+    the per-point path computed it: rows in input order, then sorted."""
+    rows = []
+    for t_h in t_h_list:
+        for ratio in ratio_grid:
+            if not 0.0 < ratio < 1.0:
+                raise OttoKilnError(f"frequency ratio must lie in (0, 1), got {ratio}")
+            ledger = analytic_cycle_thermal_balance(omega_c, omega_c / ratio, t_c, t_h)
+            rows.append((t_h, ratio, ledger.efficiency, ledger.w_eff / (4.0 * tau), True))
+    return sorted(rows, key=lambda row: row[:2])
+
+
+def rows_of(sweep):
+    return list(zip(sweep.t_h.tolist(), sweep.ratio.tolist(), sweep.efficiency.tolist(),
+                    sweep.power.tolist(), sweep.converged.tolist()))
+
+
+def test_balance_columns_equal_the_scalar_oracle_on_the_default_grid():
+    sweep = sweep_efficiency_power(0.4, [0.8, 1.2, 1.6, 2.0], tau=2.0)
+    assert len(sweep) == 4 * 99
+    for point in sweep:
+        ledger = analytic_cycle_thermal_balance(1.0, 1.0 / point.ratio, 0.4, point.t_h)
+        assert point.efficiency == ledger.efficiency
+        assert point.power == ledger.w_eff / (4.0 * 2.0)
+        assert point.converged is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_c=st.floats(min_value=0.05, max_value=3.0),
+       factors=st.lists(st.floats(min_value=1.05, max_value=20.0), min_size=1, max_size=4),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+       tau=st.floats(min_value=0.01, max_value=100.0),
+       omega_c=st.floats(min_value=0.1, max_value=10.0))
+def test_balance_columns_equal_the_scalar_oracle_on_drawn_grids(t_c, factors, fractions, tau, omega_c):
+    t_h_list = [t_c * f for f in factors]
+    lo = t_c / min(t_h_list) * (1.0 + 1e-9)  # ratios above every t_c/t_h run an engine
+    grid = [min(lo + (1.0 - lo) * f, float(np.nextafter(1.0, 0.0))) for f in fractions]
+    expected = scalar_sweep(t_c, t_h_list, grid, tau, omega_c)
+    sweep = sweep_efficiency_power(t_c, t_h_list, ratio_grid=grid, tau=tau, omega_c=omega_c)
+    assert rows_of(sweep) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_h_list=st.lists(st.sampled_from([0.9, 1.2, 1.6, 2.5]), min_size=1, max_size=5),
+       grid=st.lists(st.floats(min_value=-0.2, max_value=1.2), min_size=1, max_size=6))
+def test_balance_sweep_raises_like_the_scalar_oracle(t_h_list, grid):
+    try:
+        expected = scalar_sweep(0.4, t_h_list, grid, 2.0)
+    except OttoKilnError as exc:
+        with pytest.raises(type(exc)) as raised:
+            sweep_efficiency_power(0.4, t_h_list, ratio_grid=grid, tau=2.0)
+        assert str(raised.value) == str(exc)
+    else:
+        assert rows_of(sweep_efficiency_power(0.4, t_h_list, ratio_grid=grid, tau=2.0)) == expected
+
+
+def test_sweep_rows_sorted_for_shuffled_and_repeated_hot_temperatures():
+    t_h_list, grid = [1.6, 1.2, 1.6, 0.8], [0.9, 0.7, 0.8, 0.7]
+    sweep = sweep_efficiency_power(0.4, t_h_list, ratio_grid=grid, tau=2.0)
+    assert list(zip(sweep.t_h.tolist(), sweep.ratio.tolist())) == \
+        sorted((t_h, r) for t_h in t_h_list for r in grid)
+    assert rows_of(sweep) == scalar_sweep(0.4, t_h_list, grid, 2.0)
+    assert sweep[-1] == list(sweep)[-1] == SweepPoint(*rows_of(sweep)[-1])
+
+
+@pytest.mark.parametrize("grid,error,message", [
+    ([0.8, 1.5], OttoKilnError, "frequency ratio must lie in (0, 1), got 1.5"),
+    ([0.8, 0.2, 1.5], RefrigeratorRegimeError, "the cycle would run as a refrigerator"),
+    ([0.8, -0.1, 0.2], OttoKilnError, "frequency ratio must lie in (0, 1), got -0.1"),
+])
+def test_first_invalid_point_in_input_order_names_the_error(grid, error, message):
+    # t_c/t_h = 1/3: ratio 0.2 puts the point in the refrigerator regime
+    with pytest.raises(error) as raised:
+        sweep_efficiency_power(0.4, [1.2], ratio_grid=grid, tau=2.0)
+    assert message in str(raised.value)
+    with pytest.raises(error) as scalar:
+        scalar_sweep(0.4, [1.2], grid, 2.0)
+    assert str(raised.value) == str(scalar.value)

@@ -149,6 +149,20 @@ def test_unstable_step_is_rejected():
         evolve_isochoric(start, p, 10.0, dt=0.5)
 
 
+@pytest.mark.parametrize("gamma0,message", [
+    # R^stride at stride 8.9e6 drifts past DRIFT_TOL; the stepwise rerun
+    # would take 5.7e8 steps
+    (1e5, r"tripped at step \S+ \(drift \S+, limit 1e-10\) of a stroke of 5\.718e\+08 steps .* "
+          r"too many to rerun step by step \(limit 100000\); reduce gamma0 \* tau or set dt"),
+    # the default dt underflows to 0
+    (1e306, r"at dt=0\.000e\+00 has more steps than a float can count; reduce gamma0 \* tau or set dt"),
+])
+def test_stroke_too_long_to_step_is_rejected(gamma0, message):
+    start = make_distribution(InitialStateSpec.ground(), 50)
+    with pytest.raises(IntegrationError, match=message):
+        evolve_isochoric(start, params(1.5, 1.2, gamma0), 2.0)
+
+
 def test_dt_larger_than_duration_rejected():
     p = params(1.0, 0.4)
     start = make_distribution(InitialStateSpec.ground(), 20)

@@ -1,9 +1,14 @@
 import csv
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ottokiln
 from ottokiln.cli import main
 
 
@@ -194,10 +199,19 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_CONFIGS))
-@pytest.mark.parametrize("command", ["simulate", "pump", "sweep"])
+# configs only the sweep command reads in full; simulate and pump run them
+SWEEP_BAD_CONFIGS = {
+    "ratio_below_engine_window": ("sweep_ratio_min = 0.2\nsweep_ratio_max = 0.9\n",
+                                  "the cycle would run as a refrigerator"),
+    "duplicate_sweep_t_h": ("sweep_t_h = 1.2, 1.2\n", "sweep_t_h entries 1.2 and 1.2"),
+}
+BAD_INPUTS = [(command, case) for case in BAD_CONFIGS for command in ("simulate", "pump", "sweep")]
+BAD_INPUTS += [("sweep", case) for case in SWEEP_BAD_CONFIGS]
+
+
+@pytest.mark.parametrize("command,case", BAD_INPUTS, ids=[f"{c}-{k}" for c, k in BAD_INPUTS])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, command, case):
-    text, expected = BAD_CONFIGS[case]
+    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS}[case]
     config = tmp_path / "cfg.txt"
     if text is not None:
         config.write_text(text)
@@ -207,3 +221,42 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, command, case):
     assert expected in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("t_h,tags", [
+    ("0.8, 1.2, 1.6, 2.0", ["0p8", "1p2", "1p6", "2"]),
+    ("1.581649, 1.581651", ["1p581649", "1p581651"]),  # alike at 6 significant digits
+])
+def test_sweep_charts_hold_one_hot_temperature_each(tmp_path, t_h, tags):
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"sweep_t_h = {t_h}\nsweep_ratio_steps = 5\n"
+                      "sweep_ratio_min = 0.7\nsweep_ratio_max = 0.9\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--svg"]) == 0
+    assert sorted(p.name for p in out.glob("eta_power_th*")) == \
+        sorted(f"eta_power_th{tag}.{ext}" for tag in tags for ext in ("dat", "svg"))
+    rows = read_csv(out / "sweep.csv")
+    for tag in tags:
+        series = [f"{row['power']} {row['efficiency']}" for row in rows
+                  if row["t_h"] == tag.replace("p", ".")]
+        assert len(series) == 5
+        dat = (out / f"eta_power_th{tag}.dat").read_text().split("\n")
+        assert dat == ["# power efficiency", *series, ""]
+
+
+@pytest.mark.parametrize("gamma0", ["1e5", "1e300", "1e306"])
+def test_rate_too_fast_for_the_step_count_ends_in_one_error_line(tmp_path, gamma0):
+    # each run has a stroke of 6e8 or more steps, too many to rerun step by
+    # step when its sample-to-sample path trips a guard; the subprocess
+    # timeout turns an unbounded rerun into a failure instead of a stalled suite
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"gamma0 = {gamma0}\nn_cycles = 1\n")
+    src = str(Path(ottokiln.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ottokiln.cli", "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "x")],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "reduce gamma0 * tau or set dt" in done.stderr
+    assert "Traceback" not in done.stdout + done.stderr

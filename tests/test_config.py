@@ -139,6 +139,20 @@ def test_non_finite_sweep_entry_rejected(raw):
         parse_config(f"tau = 1\nsweep_t_h = {raw}\n")
 
 
+@pytest.mark.parametrize("raw,named", [
+    ("1.2, 1.2", "1.2 and 1.2"),
+    ("1.6, 1.581649, 1.5816490000001", "1.581649 and 1.5816490000001"),
+])
+def test_sweep_entries_printing_alike_rejected(raw, named):
+    with pytest.raises(ConfigError, match=f"sweep_t_h entries {named} both print as"):
+        parse_config(f"sweep_t_h = {raw}\n", mode_override="sweep")
+
+
+def test_sweep_entries_differing_in_the_seventh_digit_accepted():
+    config = parse_config("sweep_t_h = 1.581649, 1.581651\n", mode_override="sweep")
+    assert config.sweep_t_h == (1.581649, 1.581651)
+
+
 def test_missing_value_and_missing_equals_sign():
     with pytest.raises(ConfigError, match="empty value"):
         parse_config("tau =\n")

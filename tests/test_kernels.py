@@ -6,6 +6,7 @@ from ottokiln._kernels import (
     STATUS_DRIFT,
     STATUS_NEGATIVE,
     STATUS_OK,
+    STATUS_TOO_LONG,
     _evolve_stepwise,
     derivative,
     evolve_populations,
@@ -111,6 +112,18 @@ def test_guard_failure_names_the_first_bad_step_like_the_stepwise_loop(dt, offse
     ref_status, ref_bad, _, _, r = _stepwise(p0, dt, 50, 10)
     assert step_matrix_is_stable(r) == stable
     assert (status, bad_step) == (ref_status, ref_bad) == expect
+
+
+@pytest.mark.parametrize("cap,expect", [(49, (STATUS_TOO_LONG, 10)), (50, (STATUS_DRIFT, 1))])
+def test_tripped_stroke_longer_than_the_cap_is_not_rerun_stepwise(cap, expect, monkeypatch):
+    monkeypatch.setattr(_kernels, "MAX_STEPWISE_STEPS", cap)
+    if expect[0] == STATUS_TOO_LONG:
+        monkeypatch.setattr(_kernels, "_evolve_stepwise", _refuse)
+    p0 = np.zeros(51)
+    p0[0] = 1.0 + 1e-9  # off the simplex: the first sample, at step 10, trips
+    status, bad_step, max_drift, _ = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, 50, 10)
+    assert (status, bad_step) == expect
+    assert max_drift > _kernels.DRIFT_TOL
 
 
 def test_verify_grid_runs_on_the_sample_to_sample_path(monkeypatch):

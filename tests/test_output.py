@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ottokiln import EngineConfig, OttoKilnError, SweepPoint, run_engine, sweep_efficiency_power
-from ottokiln.analysis import cycle_power, efficiency_or_nan
+from ottokiln import EngineConfig, OttoKilnError, Sweep, run_engine, sweep_efficiency_power
+from ottokiln.analysis import SWEEP_COLUMNS, cycle_power, efficiency_or_nan
 from ottokiln.cycle import EngineTrace
 from ottokiln.output import (
     _format_column,
@@ -109,8 +109,10 @@ def test_cycles_and_dat_writers_match_per_value_rendering(tmp_path, trace):
 
 
 def test_sweep_writer_matches_per_value_rendering(tmp_path):
-    points = sweep_efficiency_power(0.4, [0.8, 1.6], ratio_steps=7)
-    points += [SweepPoint(2.0, 0.5, math.nan, -0.0), SweepPoint(2.0, 0.75, math.inf, 1e16)]
+    swept = sweep_efficiency_power(0.4, [0.8, 1.6], ratio_steps=7)
+    extra = [(2.0, 0.5, math.nan, -0.0, True), (2.0, 0.75, math.inf, 1e16, True)]
+    points = Sweep(*(np.concatenate([getattr(swept, name), column])
+                     for name, column in zip(SWEEP_COLUMNS, zip(*extra))))
     write_sweep_csv(tmp_path / "sweep.csv", points)
     rows = [[p.t_h, p.ratio, p.efficiency, p.power] for p in points]
     assert lines_of(tmp_path / "sweep.csv") == render("t_h,ratio,efficiency,power", rows)
