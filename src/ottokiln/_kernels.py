@@ -14,6 +14,10 @@ sample, followed by clamping and renormalization.  When R fails either check
 (an unstable dt), or a guard trips on a sample, the stroke reruns the stepwise
 loop, which reports the first bad step.  A tripped stroke longer than
 MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG instead.
+
+A run that records no samples can go further: stroke_map builds the whole
+stroke's map R^n_steps once, and apply_stroke_map applies it to a state with
+the same guard, once per repetition of the stroke.
 """
 
 import numpy as np
@@ -128,6 +132,24 @@ def _evolve_sampled(p, r, n_steps, stride, out):
             return status, k, max_drift
         out[idx] = p
     return STATUS_OK, n_steps, max_drift
+
+
+def stroke_map(gamma, boltz_factor, n_levels, dt, n_steps):
+    """Map of a whole stroke, R^n_steps, or None when R fails
+    step_matrix_is_stable."""
+    down, up = rate_coefficients(gamma, boltz_factor, n_levels)
+    r = rk4_step_matrix(down, up, float(dt))
+    if not step_matrix_is_stable(r):
+        return None
+    return np.linalg.matrix_power(r, int(n_steps))
+
+
+def apply_stroke_map(m, p0):
+    """One application of a stroke map, guarded like one sample of
+    _evolve_sampled.  Returns (status, max_drift, p)."""
+    p = m @ p0
+    status, max_drift = _guard(p, 0.0)
+    return status, max_drift, p
 
 
 def step_matrix_is_stable(r):

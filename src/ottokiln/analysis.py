@@ -7,7 +7,8 @@ assumes complete thermalization on both isochores, where the ledger is
 available in closed form; the whole grid is evaluated at once, bit for bit
 equal to the scalar oracle analytic_cycle_thermal_balance, which stays the
 cross-check and raises the error of the first invalid point.  The "finite"
-mode runs the stepped engine per point instead and flags non-converged runs.
+mode runs the stepped engine per point instead, ledger only (no samples, one
+map per bath stroke), and flags non-converged runs.
 """
 
 import math
@@ -191,7 +192,7 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
         _require_ratio(point_ratio)
         cfg = replace(engine_config, mode="otto", omega_c=omega_c, omega_h=omega_c / point_ratio,
                       t_c=t_c, t_h=point_t_h, tau=tau)
-        trace = run_engine(cfg)
+        trace = run_engine(cfg, ledger_only=True)
         record = trace.final_record
         efficiency.append(efficiency_or_nan(record))
         power.append(cycle_power(record, trace.cycle_time))

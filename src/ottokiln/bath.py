@@ -96,19 +96,14 @@ def default_time_step(duration, gamma, n_max):
     return min(duration / 1000.0, 1.0 / (40.0 * gamma * (n_max + 1)))
 
 
-def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
-                     tail_tolerance=TAIL_TOLERANCE):
-    """Evolve populations at fixed frequency for the given duration.
-
-    dt is an upper bound on the step; the actual step divides the duration
-    exactly.  Returns a Trajectory whose first/last samples are the initial
-    and final distributions.
-    """
+def stroke_steps(duration, gamma, n_max, dt=None):
+    """(n_steps, step) of a stroke: dt (default: default_time_step) is an
+    upper bound on the step, and the actual step divides the duration
+    exactly."""
     if not duration > 0:
         raise OttoKilnError(f"duration must be positive, got {duration}")
-    n_max = dist.n_max
     if dt is None:
-        dt = default_time_step(duration, params.gamma, n_max)
+        dt = default_time_step(duration, gamma, n_max)
     if dt > duration:
         raise OttoKilnError(f"dt={dt} exceeds duration={duration}")
     if not (dt > 0.0 and math.isfinite(duration / dt)):  # the default dt underflows near gamma0 = 1e306
@@ -117,7 +112,17 @@ def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
             "can count; reduce gamma0 * tau or set dt"
         )
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
-    step = duration / n_steps
+    return n_steps, duration / n_steps
+
+
+def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
+                     tail_tolerance=TAIL_TOLERANCE):
+    """Evolve populations at fixed frequency for the given duration.
+
+    The step count and step come from stroke_steps.  Returns a Trajectory
+    whose first/last samples are the initial and final distributions.
+    """
+    n_steps, step = stroke_steps(duration, params.gamma, dist.n_max, dt)
     if sample_stride is None:
         sample_stride = max(1, n_steps // 64)
 

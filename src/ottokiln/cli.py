@@ -124,7 +124,7 @@ def _run_sweep(args):
             tag = fmt(t_h).replace(".", "p")  # %.12g: validate() keeps the t_h distinct at that precision
             write_dat(out / f"eta_power_th{tag}.dat", ["power", "efficiency"], (power, efficiency))
             write_svg_chart(out / f"eta_power_th{tag}.svg", power, efficiency,
-                            f"Efficiency vs power (t_h = {t_h:g})", "power", "efficiency")
+                            f"Efficiency vs power (t_h = {fmt(t_h)})", "power", "efficiency")
     flagged = int(np.count_nonzero(~sweep.converged))
     print(f"sweep: {len(sweep)} points ({config.sweep_mode} mode)"
           + (f", {flagged} flagged non-converged" if flagged else ""))

@@ -28,6 +28,10 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
 _MODES = ("otto", "pump", "sweep")
 
+# Largest ladder truncation: the kernel holds dense (n_max + 1)^2 step
+# matrices, and the default dt shrinks as 1 / (n_max + 1).
+MAX_N_MAX = 1000
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -79,6 +83,12 @@ class EngineConfig:
             raise ConfigError(f"n_cycles must be >= 0, got {self.n_cycles}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max > MAX_N_MAX:
+            matrix_mb = 8 * (self.n_max + 1) ** 2 / 1e6
+            raise ConfigError(
+                f"n_max must be <= {MAX_N_MAX}, got {self.n_max}: one dense step matrix "
+                f"on {self.n_max + 1} levels would need {matrix_mb:,.0f} MB"
+            )
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ConfigError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.csv_levels < 1:

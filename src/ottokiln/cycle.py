@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import RateParams, Trajectory, evolve_isochoric
+from . import _kernels
+from .bath import RateParams, Trajectory, evolve_isochoric, stroke_steps
 from .exceptions import OttoKilnError
 from .fock import (
     BathSpec,
@@ -204,6 +205,15 @@ class EngineTrace:
         return self.records[-1]
 
 
+def _ramp_work(dist, omega_from, omega_to, duration):
+    """Work done on the oscillator by a ramp, (omega_to - omega_from) * <n>."""
+    if not (omega_from > 0 and omega_to > 0):
+        raise OttoKilnError("ramp frequencies must be positive")
+    if not duration > 0:
+        raise OttoKilnError(f"ramp duration must be positive, got {duration}")
+    return (omega_to - omega_from) * mean_occupation(dist)
+
+
 def run_adiabatic(dist, omega_from, omega_to, duration, samples=ADIABATIC_SAMPLES):
     """Frequency ramp with frozen populations.
 
@@ -211,15 +221,11 @@ def run_adiabatic(dist, omega_from, omega_to, duration, samples=ADIABATIC_SAMPLE
     (omega_to - omega_from) * <n>: positive for compression, negative for
     expansion.  Internal energy is linear in time along the ramp.
     """
-    if not (omega_from > 0 and omega_to > 0):
-        raise OttoKilnError("ramp frequencies must be positive")
-    if not duration > 0:
-        raise OttoKilnError(f"ramp duration must be positive, got {duration}")
+    work = _ramp_work(dist, omega_from, omega_to, duration)
     if samples < 2:
         raise OttoKilnError("a ramp needs at least two samples")
     times = np.linspace(0.0, duration, samples)
     probs = np.broadcast_to(dist.probs, (samples, dist.n_max + 1))  # read-only view
-    work = (omega_to - omega_from) * mean_occupation(dist)
     return Trajectory(times=times, probs=probs, sample_stride=1), work
 
 
@@ -232,6 +238,28 @@ def pump_populations(dist, target, omega, tail_tolerance=TAIL_TOLERANCE):
     new_dist = make_distribution(target, dist.n_max, tail_tolerance)
     q_pump = internal_energy(new_dist, omega) - internal_energy(dist, omega)
     return new_dist, q_pump
+
+
+def _mapped_isochore(dist, stroke, maps, dt, sample_stride, tail_tolerance):
+    """End state and drift of a bath stroke applied as one map.
+
+    The stroke's map R^n_steps is built at its first use and kept in maps.
+    Where R is unstable, or the application trips a guard, evolve_isochoric
+    runs the stroke instead: it raises the error a traced run raises, or
+    returns the state a traced run reaches.
+    """
+    if stroke not in maps:
+        params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
+        n_steps, step = stroke_steps(stroke.duration, params.gamma, dist.n_max, dt)
+        maps[stroke] = params, _kernels.stroke_map(params.gamma, params.boltz_factor,
+                                                   dist.n_max + 1, step, n_steps)
+    params, m = maps[stroke]
+    if m is not None:
+        status, drift, probs = _kernels.apply_stroke_map(m, dist.probs)
+        if status == _kernels.STATUS_OK:
+            return FockDistribution(probs, dist.n_max).require_tail(tail_tolerance), drift
+    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
+    return traj.final, traj.max_drift
 
 
 def _assemble_trace(trace, segments):
@@ -259,7 +287,8 @@ def _assemble_trace(trace, segments):
     return trace
 
 
-def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
+def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAIL_TOLERANCE,
+                 ledger_only=False):
     """Run schedule.cycle_count cycles of the schedule's strokes from dist.
 
     Each stroke books what its routine returns (see the module docstring):
@@ -269,6 +298,11 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
     energy.  Returns an EngineTrace with the sampled time series, one
     CycleRecord per cycle, and the cyclostationarity metric (total-variation
     distance between consecutive cycle-start distributions; first entry NaN).
+
+    ledger_only=True records no samples (the trace's series stay empty, and
+    sample_stride matters only where a stroke falls back): each bath stroke
+    is one map, built once per call and applied once per cycle (see
+    _mapped_isochore).
     """
     strokes = schedule.strokes
     if len(strokes) != 4:
@@ -280,7 +314,7 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
     period = schedule.period
 
     trace = EngineTrace(mode=kind, n_max=dist.n_max, cycle_time=period)
-    segments = []
+    segments, maps = [], {}
     for k in range(schedule.cycle_count):
         ledger = dict.fromkeys(("q_in", "q_out", "w_out", "w_in", "q_pump", "q_pump_gross"), 0.0)
         states = [dist]
@@ -291,30 +325,37 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
                 ledger["q_pump"] += jump
                 ledger["q_pump_gross"] += internal_energy(dist, omega)
             elif isinstance(stroke, IsochoricStroke):
-                params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
-                traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
-                end = traj.final
-                heat = stroke.omega * (mean_occupation(end) - mean_occupation(dist))
                 hot = stroke.omega == omega_h
+                if ledger_only:
+                    end, drift = _mapped_isochore(dist, stroke, maps, dt, sample_stride, tail_tolerance)
+                    trace.max_step_drift = max(trace.max_step_drift, drift)
+                else:
+                    params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
+                    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
+                    end = traj.final
+                    segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
+                                                  traj.times + t + start, np.full(len(traj), stroke.omega),
+                                                  traj.probs, max_drift=traj.max_drift))
+                heat = stroke.omega * (mean_occupation(end) - mean_occupation(dist))
                 if hot:
                     ledger["q_in"] += heat
                 else:
                     ledger["q_out"] -= heat
-                segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
-                                              traj.times + t + start, np.full(len(traj), stroke.omega),
-                                              traj.probs, max_drift=traj.max_drift))
                 dist = end
             else:
-                traj, work = run_adiabatic(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
                 expansion = stroke.omega_to < stroke.omega_from
+                if ledger_only:
+                    work = _ramp_work(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
+                else:
+                    traj, work = run_adiabatic(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
+                    segments.append(StrokeSegment("expansion" if expansion else "compression",
+                                                  traj.times + t + start,
+                                                  np.linspace(stroke.omega_from, stroke.omega_to, len(traj)),
+                                                  traj.probs))
                 if expansion:
                     ledger["w_out"] -= work
                 else:
                     ledger["w_in"] += work
-                segments.append(StrokeSegment("expansion" if expansion else "compression",
-                                              traj.times + t + start,
-                                              np.linspace(stroke.omega_from, stroke.omega_to, len(traj)),
-                                              traj.probs))
                 omega = stroke.omega_to
             t += stroke.duration
             states.append(dist)
@@ -326,14 +367,14 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
             w_eff=ledger["w_out"] - ledger["w_in"], **ledger,
             **dict(zip(("dist_a", "dist_b", "dist_c", "dist_d", "dist_a_next"), states)),
         ))
-    return _assemble_trace(trace, segments)
+    return trace if ledger_only else _assemble_trace(trace, segments)
 
 
-def run_engine(config):
+def run_engine(config, ledger_only=False):
     """Run config.n_cycles cycles of the config's mode from its initial state.
 
     Builds the start distribution and the otto or pump schedule, then hands
-    both to run_schedule.
+    both to run_schedule (ledger_only as there).
     """
     mode = config.mode
     if mode not in ("otto", "pump"):
@@ -347,4 +388,5 @@ def run_engine(config):
         schedule = pump_schedule(config.pump_target, config.omega_c, config.omega_h,
                                  bath_c, config.tau_bc, config.tau_cd, config.tau_db,
                                  config.n_cycles)
-    return run_schedule(dist, schedule, config.dt, config.sample_stride, config.tail_tolerance)
+    return run_schedule(dist, schedule, config.dt, config.sample_stride, config.tail_tolerance,
+                        ledger_only)

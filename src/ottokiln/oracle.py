@@ -24,10 +24,19 @@ def analytic_equilibrium_energy(omega, temperature):
 
 
 def analytic_equilibrium_entropy(omega, temperature):
-    """S = -ln(1-q) - q ln(q) / (1-q) with q = exp(-omega/T)."""
+    """S = -ln(1-q) - q ln(q) / (1-q) with q = exp(-omega/T).
+
+    S diverges as q -> 1; where q rounds to 1 (omega/T below about 1.1e-16)
+    an OttoKilnError is raised.
+    """
     q = math.exp(-omega / temperature)
     if q == 0.0:  # zero-temperature limit: pure ground level
         return 0.0
+    if q == 1.0:
+        raise OttoKilnError(
+            f"omega/T = {omega / temperature:.3g} is too small for the equilibrium entropy, "
+            "which diverges as omega/T -> 0"
+        )
     return -math.log1p(-q) - q * math.log(q) / (1.0 - q)
 
 

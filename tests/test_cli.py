@@ -196,6 +196,8 @@ BAD_CONFIGS = {
     "missing_file": (None, "cannot read config file"),
     "inverted_sweep_bounds": ("sweep_ratio_min = 0.8\nsweep_ratio_max = 0.6\n", "sweep_ratio_min must be below"),
     "infinite_sweep_t_h": ("sweep_t_h = inf\n", "line 1: sweep_t_h"),
+    # just above the bound: if the bound were lost, the run would still fit in memory
+    "n_max_above_bound": ("n_max = 1001\n", "n_max must be <= 1000"),
 }
 
 
@@ -242,6 +244,9 @@ def test_sweep_charts_hold_one_hot_temperature_each(tmp_path, t_h, tags):
         assert len(series) == 5
         dat = (out / f"eta_power_th{tag}.dat").read_text().split("\n")
         assert dat == ["# power efficiency", *series, ""]
+        # the title prints t_h as sweep.csv does, so alike-at-%g charts read apart
+        title = f">Efficiency vs power (t_h = {tag.replace('p', '.')})</text>"
+        assert title in (out / f"eta_power_th{tag}.svg").read_text()
 
 
 @pytest.mark.parametrize("gamma0", ["1e5", "1e300", "1e306"])

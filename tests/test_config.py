@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ottokiln import ConfigError, EngineConfig, parse_config
 from ottokiln.cli import main
-from ottokiln.config import _ALL_KEYS, _FLOAT_KEYS, _INT_KEYS
+from ottokiln.config import MAX_N_MAX, _ALL_KEYS, _FLOAT_KEYS, _INT_KEYS
 from ottokiln.fock import InitialStateSpec
 
 
@@ -164,6 +164,16 @@ def test_validate_catches_bad_defaults_combinations():
     config = EngineConfig(n_cycles=-1)
     with pytest.raises(ConfigError, match="n_cycles"):
         config.validate()
+
+
+def test_n_max_above_the_dense_matrix_bound_rejected():
+    # validation only: nothing is allocated for the rejected ladder
+    assert EngineConfig(n_max=MAX_N_MAX).validate().n_max == MAX_N_MAX
+    with pytest.raises(ConfigError, match=r"n_max must be <= 1000, got 50000: .* 50001 levels "
+                                          r"would need 20,001 MB"):
+        parse_config("n_max = 50000\n")
+    with pytest.raises(ConfigError, match=r"got 1001: .* would need 8 MB"):
+        EngineConfig(n_max=MAX_N_MAX + 1).validate()
 
 
 @pytest.mark.parametrize("bound", ["sweep_ratio_min = 0.5", "sweep_ratio_max = 0.9"])

@@ -4,15 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ottokiln.cycle
 from ottokiln import (
     AdiabaticStroke,
     BathSpec,
     EngineConfig,
     InitialStateSpec,
+    IntegrationError,
     IsochoricStroke,
     OttoKilnError,
     PumpStroke,
     StrokeSchedule,
+    UnderTruncationError,
     entropy,
     internal_energy,
     make_distribution,
@@ -24,8 +27,11 @@ from ottokiln import (
     run_engine,
     run_schedule,
     stationary_distribution,
+    sweep_efficiency_power,
     total_variation,
 )
+from ottokiln import _kernels
+from conftest import assert_same_ledgers
 
 NBAR_COLD = 0.08942548983385201
 NBAR_HOT = 0.4015511184930129
@@ -341,3 +347,108 @@ def test_schedule_of_other_than_four_strokes_rejected():
     )
     with pytest.raises(OttoKilnError, match="four strokes"):
         run_schedule(make_distribution(InitialStateSpec.ground(), 20), three)
+
+
+LEDGER_ONLY_CASES = [
+    ("otto", tau, start) for tau in (0.3, 2.0)
+    for start in (InitialStateSpec.ground(), InitialStateSpec.equal_lowest(3),
+                  InitialStateSpec.single_level(7))
+] + [("pump", 2.0, InitialStateSpec.equal_lowest(3))]
+
+
+def ledger_schedule(mode, tau, cycles):
+    if mode == "otto":
+        return otto_schedule(1.0, 1.5, cold_bath(), hot_bath(), tau, cycles)
+    return pump_schedule(InitialStateSpec.single_level(1), 1.0, 1.5, cold_bath(), 1.0, tau, 1.0, cycles)
+
+
+@pytest.mark.parametrize("mode,tau,start", LEDGER_ONLY_CASES,
+                         ids=[f"{m}-{t}-{s.describe()}" for m, t, s in LEDGER_ONLY_CASES])
+def test_ledger_only_run_books_the_traced_ledger(mode, tau, start):
+    dist = make_distribution(start, 50)
+    schedule = ledger_schedule(mode, tau, 8)
+    traced = run_schedule(dist, schedule)
+    ledger = run_schedule(dist, schedule, ledger_only=True)
+    assert_same_ledgers(traced, ledger, 1e-12)
+    assert ledger.times.size == ledger.probs.size == 0 and ledger.stroke_labels == []
+    assert (ledger.mode, ledger.cycle_time) == (traced.mode, traced.cycle_time)
+    # one map per stroke conserves probability far inside the guard
+    assert 0.0 < ledger.max_step_drift <= _kernels.DRIFT_TOL
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode,bath_strokes", [("otto", 2), ("pump", 1)])
+def test_ledger_only_run_builds_one_map_per_bath_stroke_per_call(monkeypatch, mode, bath_strokes):
+    maps = count_calls(monkeypatch, _kernels, "stroke_map")
+    applied = count_calls(monkeypatch, _kernels, "apply_stroke_map")
+    stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
+    dist = make_distribution(InitialStateSpec.ground(), 50)
+    schedule = ledger_schedule(mode, 1.0, 5)
+    for call in (1, 2):  # the maps live for one call
+        run_schedule(dist, schedule, ledger_only=True)
+        assert len(maps) == call * bath_strokes
+        assert len(applied) == call * bath_strokes * 5
+    assert stepped == []
+
+
+@pytest.mark.parametrize("broken", ["unstable_dt", "no_map", "guard_trips"])
+def test_ledger_only_stroke_falls_back_to_evolve_isochoric(monkeypatch, broken):
+    dist = make_distribution(InitialStateSpec.equal_lowest(3), 50)
+    schedule = ledger_schedule("otto", 1.0, 3)
+    # at dt = 0.02 both step matrices have negative entries, yet the stepwise loop never trips
+    dt = 0.02 if broken == "unstable_dt" else None
+    traced = run_schedule(dist, schedule, dt)
+    if broken == "no_map":
+        monkeypatch.setattr(_kernels, "stroke_map", lambda *args: None)
+    elif broken == "guard_trips":
+        monkeypatch.setattr(_kernels, "apply_stroke_map",
+                            lambda m, p: (_kernels.STATUS_DRIFT, 1.0, m @ p))
+    stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
+    ledger = run_schedule(dist, schedule, dt, ledger_only=True)
+    assert len(stepped) == 2 * 3
+    # the fallback is the traced run's own stroke routine: equal bit for bit
+    assert_same_ledgers(traced, ledger, 0.0)
+
+
+def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):
+    config = replace(EngineConfig(), n_cycles=3).validate()
+    stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
+    maps = count_calls(monkeypatch, _kernels, "stroke_map")
+    sweep = sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau,
+                                   mode="finite", engine_config=config)
+    assert len(sweep) == 4
+    assert stepped == [] and len(maps) == 2 * 4
+
+
+def test_unstable_dt_ends_the_finite_sweep_with_the_simulate_error():
+    # at dt = 0.03 the stepwise loop names step 55 as the first negative one
+    config = replace(EngineConfig(), dt=0.03).validate()
+    ratio = config.omega_c / config.omega_h
+    with pytest.raises(IntegrationError) as simulated:
+        run_engine(replace(config, omega_h=config.omega_c / ratio))
+    with pytest.raises(IntegrationError) as swept:
+        sweep_efficiency_power(config.t_c, [config.t_h], [ratio], config.tau,
+                               mode="finite", engine_config=config)
+    assert str(swept.value) == str(simulated.value)
+    assert "at step 55 " in str(swept.value)
+
+
+def test_ledger_only_run_checks_the_tail_like_the_traced_run():
+    dist = make_distribution(InitialStateSpec.ground(), 10)  # too short a ladder for the hot bath
+    schedule = ledger_schedule("otto", 2.0, 2)
+    with pytest.raises(UnderTruncationError) as traced:
+        run_schedule(dist, schedule)
+    with pytest.raises(UnderTruncationError) as ledger:
+        run_schedule(dist, schedule, ledger_only=True)
+    assert str(ledger.value) == str(traced.value)

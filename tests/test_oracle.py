@@ -98,6 +98,17 @@ def test_refrigerator_regime_is_flagged():
         analytic_cycle_thermal_balance(1.0, 4.0, 0.4, 1.2)
 
 
+def test_entropy_where_omega_over_t_is_unresolvable_is_a_package_error():
+    # exp(-omega/T) rounds to 1 below omega/T ~ 1.1e-16, where S diverges
+    with pytest.raises(OttoKilnError, match=r"omega/T = 2e-17"):
+        analytic_cycle_thermal_balance(1.0, 2.0, 0.4, 1e17)
+    with pytest.raises(OttoKilnError, match=r"omega/T = 1e-17"):
+        analytic_equilibrium_entropy(1.0, 1e17)
+    # above the limit S stays finite, near its high-temperature form 1 + ln(T/omega)
+    assert analytic_equilibrium_entropy(1.0, 1e8) == pytest.approx(1.0 + np.log(1e8), rel=1e-7)
+    assert np.isfinite(analytic_equilibrium_entropy(1.0, 1e15))
+
+
 def test_generator_columns_sum_to_zero():
     params = make_params(0.7, 0.3, 0.5)
     gen = rate_generator(params, 40)

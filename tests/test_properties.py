@@ -26,6 +26,7 @@ from ottokiln import (
     run_schedule,
     stationary_distribution,
 )
+from conftest import assert_same_ledgers
 
 finite = dict(allow_nan=False, allow_infinity=False)
 omegas = st.floats(min_value=0.3, max_value=3.0, **finite)
@@ -123,3 +124,21 @@ def test_cycle_ledger_closes_the_first_law(omega_c, ratio, t_c, t_gap, tau):
     assert abs(record.first_law_residual()) <= 1e-9
     assert record.w_eff == record.w_out - record.w_in
     assert entropy(record.dist_b) == entropy(record.dist_c)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    spec=st.sampled_from([InitialStateSpec.ground(), InitialStateSpec.equal_lowest(3),
+                          InitialStateSpec.single_level(7)]),
+    tau=st.floats(min_value=0.2, max_value=2.5, **finite),
+    gamma0=gammas,
+    t_h=st.floats(min_value=0.8, max_value=2.0, **finite),
+    window=st.floats(min_value=0.05, max_value=0.95, **finite),
+)
+def test_ledger_only_run_books_the_traced_ledger(spec, tau, gamma0, t_h, window):
+    # omega_c = 1, t_c = 0.4: the engine window is 1 < omega_h < t_h / 0.4
+    omega_h = 1.0 + window * (t_h / 0.4 - 1.0)
+    dist = make_distribution(spec, 50)
+    schedule = otto_schedule(1.0, omega_h, BathSpec(0.4, gamma0), BathSpec(t_h, gamma0), tau, 4)
+    assert_same_ledgers(run_schedule(dist, schedule),
+                        run_schedule(dist, schedule, ledger_only=True), 1e-12)
