@@ -18,7 +18,7 @@ import numpy as np
 
 from .bath import bose_einstein
 from .exceptions import OttoKilnError, UndefinedEfficiencyError
-from .oracle import analytic_cycle_thermal_balance
+from .oracle import analytic_cycle_thermal_balance, analytic_equilibrium_entropy
 from .cycle import run_engine
 
 Q_IN_EPSILON = 1e-12
@@ -138,16 +138,19 @@ def _balance_columns(omega_c, t_c, t_h, ratio, tau):
     ok marks the points the scalar ledger accepts.  If any is rejected, the
     first in input order goes through the scalar ledger, which raises.
     """
-    # the scalar ledger rejects every point unless bose_einstein(omega_c, t_c) is defined
-    scalar_ok = omega_c > 0.0 and t_c > 0.0 and omega_c / t_c > 0.0
-    n_c = bose_einstein(omega_c, t_c) if scalar_ok else math.nan
-    ok = (ratio > 0.0) & (ratio < 1.0) & scalar_ok
+    try:  # the scalar ledger rejects every point unless the cold-bath figures are defined
+        n_c = bose_einstein(omega_c, t_c)
+        analytic_equilibrium_entropy(omega_c, t_c)
+    except OttoKilnError:
+        n_c = math.nan
+    ok = (ratio > 0.0) & (ratio < 1.0) & math.isfinite(n_c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         omega_h = omega_c / ratio
         neg_x = np.where(ok, -(omega_h / t_h), -1.0).tolist()
-        expm1 = np.array(list(map(math.expm1, neg_x)))
-        n_h = np.array(list(map(math.exp, neg_x))) / -expm1
-    ok &= (omega_c < omega_h) & (expm1 != 0.0) & ~(n_h < n_c)
+        q_h = np.array(list(map(math.exp, neg_x)))
+        n_h = q_h / -np.array(list(map(math.expm1, neg_x)))
+    # where bose_einstein raises, n_h is not finite; where the hot entropy raises, q_h is 1
+    ok &= (omega_c < omega_h) & np.isfinite(n_h) & (q_h != 1.0) & ~(n_h < n_c)
     bad = np.flatnonzero(~ok)
     if bad.size:
         i = int(bad[0])

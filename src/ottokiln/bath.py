@@ -25,12 +25,19 @@ def bose_einstein(omega, temperature):
     """Equilibrium mean occupation 1 / (exp(omega/T) - 1).
 
     Evaluated as exp(-x) / (1 - exp(-x)), which is accurate for small x and
-    underflows cleanly to 0 in the frozen-bath limit x -> infinity.
+    underflows cleanly to 0 in the frozen-bath limit x -> infinity.  An x
+    that underflows to 0, or so close to it that 1/x overflows, has no finite
+    occupation and raises.
     """
     if not (omega > 0 and temperature > 0):
         raise OttoKilnError("bose_einstein requires positive frequency and temperature")
     x = omega / temperature
-    return math.exp(-x) / -math.expm1(-x)
+    n_be = math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
+    if not math.isfinite(n_be):
+        raise OttoKilnError(
+            f"omega/T = {omega!r}/{temperature!r} is too small for a finite bath occupation"
+        )
+    return n_be
 
 
 @dataclass(frozen=True)

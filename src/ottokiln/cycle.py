@@ -21,7 +21,7 @@ externally supplied pump energy, used as the efficiency denominator).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,6 +193,7 @@ class EngineTrace:
     records: list = field(default_factory=list)
     a_shift_tv: list = field(default_factory=list)
     max_step_drift: float = 0.0
+    repeat_from: int = None  # first cycle copied from its predecessor (see run_schedule)
 
     def converged(self, threshold=1e-6):
         return bool(self.a_shift_tv) and not math.isnan(self.a_shift_tv[-1]) \
@@ -303,6 +304,11 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
     sample_stride matters only where a stroke falls back): each bath stroke
     is one map, built once per call and applied once per cycle (see
     _mapped_isochore).
+
+    A cycle is a deterministic function of its start state.  Once a cycle
+    starts bitwise equal to its predecessor's start, it and every later
+    cycle repeat the predecessor bit for bit, so they are booked as copies
+    of it instead of being run (trace.repeat_from is the first copy's index).
     """
     strokes = schedule.strokes
     if len(strokes) != 4:
@@ -316,8 +322,12 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
     trace = EngineTrace(mode=kind, n_max=dist.n_max, cycle_time=period)
     segments, maps = [], {}
     for k in range(schedule.cycle_count):
+        if trace.records and np.array_equal(dist.probs, trace.records[-1].dist_a.probs):
+            _book_repeats(trace, segments, cycle_segments, k, schedule.cycle_count, period)
+            break
         ledger = dict.fromkeys(("q_in", "q_out", "w_out", "w_in", "q_pump", "q_pump_gross"), 0.0)
         states = [dist]
+        cycle_segments = []  # sample times relative to the cycle's start
         start, t, omega = k * period, 0.0, spans[-1].omega_to  # t: time into the cycle
         for stroke in strokes:
             if isinstance(stroke, PumpStroke):
@@ -333,9 +343,9 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
                     params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
                     traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
                     end = traj.final
-                    segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
-                                                  traj.times + t + start, np.full(len(traj), stroke.omega),
-                                                  traj.probs, max_drift=traj.max_drift))
+                    cycle_segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
+                                                        traj.times + t, np.full(len(traj), stroke.omega),
+                                                        traj.probs, max_drift=traj.max_drift))
                 heat = stroke.omega * (mean_occupation(end) - mean_occupation(dist))
                 if hot:
                     ledger["q_in"] += heat
@@ -348,10 +358,10 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
                     work = _ramp_work(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
                 else:
                     traj, work = run_adiabatic(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
-                    segments.append(StrokeSegment("expansion" if expansion else "compression",
-                                                  traj.times + t + start,
-                                                  np.linspace(stroke.omega_from, stroke.omega_to, len(traj)),
-                                                  traj.probs))
+                    cycle_segments.append(StrokeSegment("expansion" if expansion else "compression",
+                                                        traj.times + t,
+                                                        np.linspace(stroke.omega_from, stroke.omega_to, len(traj)),
+                                                        traj.probs))
                 if expansion:
                     ledger["w_out"] -= work
                 else:
@@ -367,7 +377,30 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
             w_eff=ledger["w_out"] - ledger["w_in"], **ledger,
             **dict(zip(("dist_a", "dist_b", "dist_c", "dist_d", "dist_a_next"), states)),
         ))
+        segments += _starting_at(cycle_segments, start)
     return trace if ledger_only else _assemble_trace(trace, segments)
+
+
+def _starting_at(cycle_segments, start):
+    """A cycle's segments, their cycle-relative times shifted to the cycle's start."""
+    return [replace(segment, times=segment.times + start) for segment in cycle_segments]
+
+
+def _book_repeats(trace, segments, cycle_segments, first, cycle_count, period):
+    """Book cycles first..cycle_count-1 as copies of the last run cycle.
+
+    The copies start and end in the current state (the last record's
+    dist_a_next), shift their start by a_shift_tv = 0.0, and reuse the last
+    cycle's population blocks; their sample times are the cycle-relative
+    times plus each copy's start, the same addition a run cycle makes.
+    """
+    last = trace.records[-1]
+    dist = last.dist_a_next
+    trace.repeat_from = first
+    for k in range(first, cycle_count):
+        trace.a_shift_tv.append(0.0)
+        trace.records.append(replace(last, cycle_index=k, dist_a=dist, dist_a_next=dist))
+        segments += _starting_at(cycle_segments, k * period)
 
 
 def run_engine(config, ledger_only=False):

@@ -2,7 +2,8 @@
 
 All numeric output is printed as "%.12g", with "-0" as "0", so repeated
 runs with the same configuration are byte-identical; each series is
-formatted in one block, one column at a time.  Undefined efficiencies are
+formatted in one block, one column at a time, and a time series'
+populations once per distinct row.  Undefined efficiencies are
 written as "nan", never as a large float.  SVG charts are rendered from the
 already-written numeric series and never feed back into them.
 """
@@ -35,6 +36,23 @@ def _format_column(values):
     return np.array(text, dtype=object)[where].tolist()
 
 
+def _format_rows(block):
+    """Each row of a 2-D block as its fmt() entries joined by commas.
+
+    Each distinct row (bit for bit, after -0.0 becomes 0.0) is formatted and
+    joined once: ramps repeat one population row for every sample, and
+    copied cycles repeat every row of the cycle they copy.
+    """
+    block = np.ascontiguousarray(block, dtype=float) + 0.0
+    if not block.shape[0]:
+        return []
+    rows = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel()
+    _, first, where = np.unique(rows, return_index=True, return_inverse=True)
+    entries = _format_column(block[first].ravel())
+    text = list(map(",".join, zip(*[iter(entries)] * block.shape[1])))  # one string per distinct row
+    return np.array(text, dtype=object)[where].tolist()
+
+
 def write_timeseries_csv(path, trace, csv_levels=8):
     """t, omega, U, S, stroke, total probability, first csv_levels populations."""
     k = min(csv_levels, trace.probs.shape[1]) if trace.probs.size else csv_levels
@@ -45,8 +63,7 @@ def write_timeseries_csv(path, trace, csv_levels=8):
         i = int(bad[0])
         raise OttoKilnError(f"trace row {i} carries probability sum {float(p_sum[i])!r}")
     columns = [_format_column(s) for s in (trace.times, trace.omegas, trace.energies, trace.entropies)]
-    columns += [trace.stroke_labels, _format_column(p_sum)]
-    columns += [_format_column(col) for col in trace.probs[:, :k].T]
+    columns += [trace.stroke_labels, _format_column(p_sum), _format_rows(trace.probs[:, :k])]
     _write_table(path, header, columns)
 
 
@@ -55,8 +72,7 @@ def write_wide_timeseries_csv(path, trace):
     n = trace.probs.shape[1] if trace.probs.size else 0
     header = ["t", "omega", "U", "S", "stroke"] + [f"P_{level}" for level in range(n)]
     columns = [_format_column(s) for s in (trace.times, trace.omegas, trace.energies, trace.entropies)]
-    columns += [trace.stroke_labels]
-    columns += [_format_column(col) for col in trace.probs.T]
+    columns += [trace.stroke_labels, _format_rows(trace.probs)]
     _write_table(path, header, columns)
 
 

@@ -239,3 +239,18 @@ def test_first_invalid_point_in_input_order_names_the_error(grid, error, message
     with pytest.raises(error) as scalar:
         scalar_sweep(0.4, [1.2], grid, 2.0)
     assert str(raised.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("omega_c,t_h,message", [
+    (1e-320, 1.2, "too small for a finite bath occupation"),  # n_c overflows
+    (1e-3, 1e306, "too small for a finite bath occupation"),  # n_h overflows at ratio 0.5
+    (1.0, 1e17, "too small for the equilibrium entropy"),     # n_h is finite, S_h is not
+])
+def test_unrepresentable_bath_figures_raise_like_the_scalar_oracle(omega_c, t_h, message):
+    grid = [0.5, 0.9]
+    with pytest.raises(OttoKilnError) as raised:
+        sweep_efficiency_power(0.4, [t_h], ratio_grid=grid, tau=2.0, omega_c=omega_c)
+    assert message in str(raised.value)
+    with pytest.raises(OttoKilnError) as scalar:
+        scalar_sweep(0.4, [t_h], grid, 2.0, omega_c)
+    assert str(raised.value) == str(scalar.value)

@@ -9,6 +9,7 @@ from ottokiln import (
     InitialStateSpec,
     IntegrationError,
     OscillatorSpec,
+    OttoKilnError,
     RateParams,
     bose_einstein,
     default_time_step,
@@ -37,6 +38,15 @@ def test_bose_einstein_values():
     assert bose_einstein(1.0, 0.4) == pytest.approx(NBAR_COLD, rel=1e-14)
     assert bose_einstein(1.5, 1.2) == pytest.approx(NBAR_HOT, rel=1e-14)
     assert bose_einstein(80.0, 0.1) == pytest.approx(0.0, abs=1e-300)
+
+
+@pytest.mark.parametrize("omega,temperature", [
+    (1e-300, 1e300),  # omega/T underflows to 0
+    (1e-320, 0.4),    # omega/T is subnormal and 1/x overflows
+])
+def test_bose_einstein_without_a_finite_occupation_raises(omega, temperature):
+    with pytest.raises(OttoKilnError, match="too small for a finite bath occupation"):
+        bose_einstein(omega, temperature)
 
 
 def test_rate_params_derived_quantities():

@@ -206,14 +206,22 @@ SWEEP_BAD_CONFIGS = {
     "ratio_below_engine_window": ("sweep_ratio_min = 0.2\nsweep_ratio_max = 0.9\n",
                                   "the cycle would run as a refrigerator"),
     "duplicate_sweep_t_h": ("sweep_t_h = 1.2, 1.2\n", "sweep_t_h entries 1.2 and 1.2"),
+    # omega_c / t_c is subnormal: the cold-bath occupation overflows
+    "bath_occupation_overflow": ("omega_c = 1e-320\n", "too small for a finite bath occupation"),
+}
+# configs only the pump command runs (simulate rejects t_c above t_h)
+PUMP_BAD_CONFIGS = {
+    "bath_occupation_underflow": ("omega_c = 1e-300\nt_c = 1e300\n",
+                                  "too small for a finite bath occupation"),
 }
 BAD_INPUTS = [(command, case) for case in BAD_CONFIGS for command in ("simulate", "pump", "sweep")]
 BAD_INPUTS += [("sweep", case) for case in SWEEP_BAD_CONFIGS]
+BAD_INPUTS += [("pump", case) for case in PUMP_BAD_CONFIGS]
 
 
 @pytest.mark.parametrize("command,case", BAD_INPUTS, ids=[f"{c}-{k}" for c, k in BAD_INPUTS])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, command, case):
-    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS}[case]
+    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS, **PUMP_BAD_CONFIGS}[case]
     config = tmp_path / "cfg.txt"
     if text is not None:
         config.write_text(text)

@@ -31,7 +31,7 @@ from ottokiln import (
     total_variation,
 )
 from ottokiln import _kernels
-from conftest import assert_same_ledgers
+from conftest import DIST_FIELDS, LEDGER_FIELDS, assert_same_ledgers
 
 NBAR_COLD = 0.08942548983385201
 NBAR_HOT = 0.4015511184930129
@@ -395,10 +395,14 @@ def test_ledger_only_run_builds_one_map_per_bath_stroke_per_call(monkeypatch, mo
     stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
     dist = make_distribution(InitialStateSpec.ground(), 50)
     schedule = ledger_schedule(mode, 1.0, 5)
+    # otto at tau = 1 never repeats a cycle start within 5 cycles; pump cycle 2
+    # starts where cycle 1 did, so cycles 2 to 4 are copies that apply no map
+    run_cycles = {"otto": 5, "pump": 2}[mode]
     for call in (1, 2):  # the maps live for one call
-        run_schedule(dist, schedule, ledger_only=True)
+        trace = run_schedule(dist, schedule, ledger_only=True)
+        assert trace.repeat_from == (None if mode == "otto" else 2)
         assert len(maps) == call * bath_strokes
-        assert len(applied) == call * bath_strokes * 5
+        assert len(applied) == call * bath_strokes * run_cycles
     assert stepped == []
 
 
@@ -452,3 +456,82 @@ def test_ledger_only_run_checks_the_tail_like_the_traced_run():
     with pytest.raises(UnderTruncationError) as ledger:
         run_schedule(dist, schedule, ledger_only=True)
     assert str(ledger.value) == str(traced.value)
+
+
+def run_one_cycle_per_call(dist, schedule, ledger_only):
+    """The schedule's cycles chained by hand, one cycle_count = 1 call each:
+    every cycle is run, none is copied."""
+    one = replace(schedule, cycle_count=1)
+    runs = []
+    for _ in range(schedule.cycle_count):
+        runs.append(run_schedule(dist, one, ledger_only=ledger_only))
+        dist = runs[-1].final_record.dist_a_next
+    return runs
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+REUSE_CASES = [  # (mode, tau, cycles, start, first copied cycle traced and ledger only)
+    ("otto", 2.0, 14, InitialStateSpec.ground(), (11, 12)),
+    ("otto", 0.3, 8, InitialStateSpec.equal_lowest(3), (None, None)),
+    ("pump", 5.0, 6, InitialStateSpec.single_level(7), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("ledger_only", [False, True], ids=["traced", "ledger_only"])
+@pytest.mark.parametrize("mode,tau,cycles,start,repeat_from", REUSE_CASES,
+                         ids=[f"{m}-{t}-{s.describe()}" for m, t, _, s, _ in REUSE_CASES])
+def test_run_equals_its_cycles_run_one_call_each(mode, tau, cycles, start, repeat_from, ledger_only):
+    dist = make_distribution(start, 50)
+    schedule = ledger_schedule(mode, tau, cycles)
+    trace = run_schedule(dist, schedule, ledger_only=ledger_only)
+    repeat_from = repeat_from[ledger_only]
+    runs = run_one_cycle_per_call(dist, schedule, ledger_only)
+    starts = [run.final_record.dist_a for run in runs]
+    repeats = [k for k in range(1, cycles) if np.array_equal(starts[k].probs, starts[k - 1].probs)]
+    assert trace.repeat_from == (repeats[0] if repeats else None) == repeat_from
+
+    assert len(trace.records) == cycles
+    for k, (record, run) in enumerate(zip(trace.records, runs)):
+        want = run.final_record
+        assert record.cycle_index == k
+        assert (record.kind, record.omega_c, record.omega_h) == (want.kind, want.omega_c, want.omega_h)
+        assert same_bits([getattr(record, name) for name in LEDGER_FIELDS],
+                         [getattr(want, name) for name in LEDGER_FIELDS])
+        for name in DIST_FIELDS:
+            assert same_bits(getattr(record, name).probs, getattr(want, name).probs), (k, name)
+    for record, following in zip(trace.records, trace.records[1:]):
+        assert following.dist_a is record.dist_a_next
+    shifts = [total_variation(b, a) for a, b in zip(starts, starts[1:])]
+    assert math.isnan(trace.a_shift_tv[0]) and same_bits(trace.a_shift_tv[1:], shifts)
+    if repeat_from is not None:
+        assert trace.a_shift_tv[repeat_from:] == [0.0] * (cycles - repeat_from)
+    assert trace.max_step_drift == max(run.max_step_drift for run in runs)
+
+    if ledger_only:
+        assert trace.times.size == trace.probs.size == 0 and trace.stroke_labels == []
+        return
+    # the joint sample between two cycles is kept once, as the later cycle's first row
+    # is dropped; each cycle's times are its cycle-relative times plus its start
+    for name in ("probs", "omegas", "energies", "entropies"):
+        want = np.concatenate([getattr(runs[0], name)] + [getattr(run, name)[1:] for run in runs[1:]])
+        if name != "energies":
+            assert same_bits(getattr(trace, name), want), name
+        else:  # probs @ levels over a longer block: BLAS may round a row in the last bit
+            np.testing.assert_allclose(getattr(trace, name), want, rtol=0.0, atol=1e-14)
+    times = np.concatenate([runs[0].times] + [run.times[1:] + k * schedule.period
+                                              for k, run in enumerate(runs) if k])
+    assert same_bits(trace.times, times)
+    assert trace.stroke_labels == runs[0].stroke_labels + [
+        label for run in runs[1:] for label in run.stroke_labels[1:]]
+
+
+def test_default_pump_run_copies_its_cycles_and_a_fast_otto_run_does_not():
+    # every pump stroke resets the populations, so cycle 2 starts where cycle 1 did
+    assert run_engine(replace(EngineConfig(), mode="pump")).repeat_from == 2
+    # at tau = 0.3 the cycle-start shift contracts by e^-0.6 per cycle: no exact repeat
+    trace = run_engine(replace(EngineConfig(), tau=0.3))
+    assert trace.repeat_from is None and trace.a_shift_tv[-1] > 0.0
