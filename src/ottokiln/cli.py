@@ -8,6 +8,7 @@ the same series.
 """
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import cycle_power, efficiency_or_nan, sweep_efficiency_power
+from .analysis import cycle_power, sweep_efficiency_power
 from .config import EngineConfig, load_config
 from .cycle import run_engine
 from .exceptions import OttoKilnError
 from .output import (
-    fmt,
+    TraceText,
+    sweep_text,
     write_cycles_csv,
     write_dat,
     write_svg_chart,
@@ -45,8 +47,8 @@ def _build_parser():
         ("verify", "run oracle-equivalence and invariant suites, print a pass/fail table"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, default=None, help="config file (defaults apply if omitted)")
-        if name != "verify":
+        if name != "verify":  # verify checks fixed cases
+            cmd.add_argument("--config", type=Path, default=None, help="config file (defaults apply if omitted)")
             cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
             cmd.add_argument("--svg", action="store_true", help="also render SVG charts and .dat twins")
         if name in ("simulate", "pump"):
@@ -63,28 +65,39 @@ def _load(args, mode_override):
     return load_config(args.config, mode_override=mode_override)
 
 
+@contextlib.contextmanager
+def _writing_into(out):
+    """Creates the --out directory; an OSError while creating it or writing
+    into it ends the command as an OttoKilnError naming the path."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise OttoKilnError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
+
+
 def _run_simulation(args, mode):
     config = _load(args, mode)
     trace = run_engine(config)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_timeseries_csv(out / "timeseries.csv", trace, config.csv_levels)
-    write_cycles_csv(out / "cycles.csv", trace)
-    if args.wide:
-        write_wide_timeseries_csv(out / "timeseries_wide.csv", trace)
-
-    efficiencies = [efficiency_or_nan(r) for r in trace.records]
-    if args.svg and trace.records:
-        cycles = [r.cycle_index + 1 for r in trace.records]
-        write_dat(out / "u_t.dat", ["t", "U"], (trace.times, trace.energies))
-        write_svg_chart(out / "u_t.svg", trace.times, trace.energies,
-                        "Internal energy over time", "t", "U")
-        write_dat(out / "efficiency_n.dat", ["cycle", "efficiency"], (cycles, efficiencies))
-        if np.isfinite(efficiencies).sum() >= 2:
-            write_svg_chart(out / "efficiency_n.svg", cycles, efficiencies,
-                            "Per-cycle efficiency", "cycle", "efficiency")
-        else:
-            print("note: efficiency_n.svg not drawn: fewer than two cycles have a finite efficiency")
+    text = TraceText(trace, config.csv_levels, wide=args.wide)
+    efficiencies = text.values["efficiency"]
+    with _writing_into(out):
+        write_timeseries_csv(out / "timeseries.csv", text)
+        write_cycles_csv(out / "cycles.csv", text)
+        if args.wide:
+            write_wide_timeseries_csv(out / "timeseries_wide.csv", text)
+        if args.svg and trace.records:
+            cycles = text.values["cycle"]
+            write_dat(out / "u_t.dat", text, ["t", "U"])
+            write_svg_chart(out / "u_t.svg", trace.times, trace.energies,
+                            "Internal energy over time", "t", "U")
+            write_dat(out / "efficiency_n.dat", text, ["cycle", "efficiency"])
+            if np.isfinite(efficiencies).sum() >= 2:
+                write_svg_chart(out / "efficiency_n.svg", cycles, efficiencies,
+                                "Per-cycle efficiency", "cycle", "efficiency")
+            else:
+                print("note: efficiency_n.svg not drawn: fewer than two cycles have a finite efficiency")
 
     if trace.records:
         last = trace.final_record
@@ -115,16 +128,19 @@ def _run_sweep(args):
         ratio_steps=config.sweep_ratio_steps,
     )
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(out / "sweep.csv", sweep)
-    if args.svg:
-        for t_h in np.unique(sweep.t_h).tolist():
-            series = sweep.t_h == t_h
-            power, efficiency = sweep.power[series], sweep.efficiency[series]
-            tag = fmt(t_h).replace(".", "p")  # %.12g: validate() keeps the t_h distinct at that precision
-            write_dat(out / f"eta_power_th{tag}.dat", ["power", "efficiency"], (power, efficiency))
-            write_svg_chart(out / f"eta_power_th{tag}.svg", power, efficiency,
-                            f"Efficiency vs power (t_h = {fmt(t_h)})", "power", "efficiency")
+    text = sweep_text(sweep)
+    with _writing_into(out):
+        write_sweep_csv(out / "sweep.csv", text)
+        if args.svg:
+            # rows are in (t_h, ratio) order, so each t_h is one contiguous block
+            _, starts = np.unique(sweep.t_h, return_index=True)
+            for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(sweep)]):
+                rows = slice(lo, hi)
+                t_h = text["t_h"][lo]  # %.12g: validate() keeps the t_h distinct at that precision
+                tag = t_h.replace(".", "p")
+                write_dat(out / f"eta_power_th{tag}.dat", text, ["power", "efficiency"], rows)
+                write_svg_chart(out / f"eta_power_th{tag}.svg", sweep.power[rows], sweep.efficiency[rows],
+                                f"Efficiency vs power (t_h = {t_h})", "power", "efficiency")
     flagged = int(np.count_nonzero(~sweep.converged))
     print(f"sweep: {len(sweep)} points ({config.sweep_mode} mode)"
           + (f", {flagged} flagged non-converged" if flagged else ""))

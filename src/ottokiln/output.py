@@ -1,11 +1,13 @@
 """File emission: CSVs, gnuplot-style .dat twins, and minimal SVG charts.
 
 All numeric output is printed as "%.12g", with "-0" as "0", so repeated
-runs with the same configuration are byte-identical; each series is
-formatted in one block, one column at a time, and a time series'
-populations once per distinct row.  Undefined efficiencies are
-written as "nan", never as a large float.  SVG charts are rendered from the
-already-written numeric series and never feed back into them.
+runs with the same configuration are byte-identical.  Each series of a
+command is formatted once, in one block, and every file that prints it
+reuses those strings: a CSV and its .dat twin, or the narrow and the wide
+time series.  A time series' populations are formatted once per distinct
+row.  Undefined efficiencies are written as "nan", never as a large float.
+SVG charts are rendered from the numeric series and never feed back into
+them.
 """
 
 import math
@@ -14,6 +16,10 @@ import numpy as np
 
 from .analysis import cycle_power, efficiency_or_nan
 from .exceptions import OttoKilnError
+
+CYCLE_COLUMNS = ("cycle", "q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump",
+                 "q_pump_gross", "efficiency", "power", "a_shift_tv")
+SWEEP_CSV_COLUMNS = ("t_h", "ratio", "efficiency", "power")
 
 
 def fmt(value):
@@ -36,66 +42,111 @@ def _format_column(values):
     return np.array(text, dtype=object)[where].tolist()
 
 
-def _format_rows(block):
-    """Each row of a 2-D block as its fmt() entries joined by commas.
+class SeriesText:
+    """Named series of one command as fmt() prints them.
 
-    Each distinct row (bit for bit, after -0.0 becomes 0.0) is formatted and
-    joined once: ramps repeat one population row for every sample, and
-    copied cycles repeat every row of the cycle they copy.
+    Each series is formatted at its first use, inside the writer of the
+    first file that prints it; every later file reuses the same strings.
     """
-    block = np.ascontiguousarray(block, dtype=float) + 0.0
-    if not block.shape[0]:
-        return []
-    rows = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel()
-    _, first, where = np.unique(rows, return_index=True, return_inverse=True)
-    entries = _format_column(block[first].ravel())
-    text = list(map(",".join, zip(*[iter(entries)] * block.shape[1])))  # one string per distinct row
-    return np.array(text, dtype=object)[where].tolist()
+
+    def __init__(self, values):
+        self.values = values  # name -> numbers
+        self._text = {}
+
+    def __getitem__(self, name):
+        text = self._text.get(name)
+        if text is None:
+            text = self._text[name] = _format_column(self.values[name])
+        return text
 
 
-def write_timeseries_csv(path, trace, csv_levels=8):
+def sweep_text(sweep):
+    """The sweep.csv columns of a Sweep, shared with its eta_power .dat twins."""
+    return SeriesText({name: getattr(sweep, name) for name in SWEEP_CSV_COLUMNS})
+
+
+class TraceText(SeriesText):
+    """The series of one engine run: time series and cycle ledger columns,
+    and the population rows.
+
+    The populations are formatted once per distinct row (bit for bit, after
+    -0.0 becomes 0.0): ramps repeat one population row for every sample, and
+    copied cycles repeat every row of the cycle they copy.  Each distinct row
+    holds every level when the wide file is written, else the csv_levels the
+    narrow file prints; narrower rows are prefixes of the same entries.
+    """
+
+    def __init__(self, trace, csv_levels=8, wide=False):
+        records = trace.records
+        super().__init__({
+            "t": trace.times, "omega": trace.omegas, "U": trace.energies, "S": trace.entropies,
+            "cycle": [r.cycle_index + 1 for r in records],
+            **{name: [getattr(r, name) for r in records] for name in CYCLE_COLUMNS[1:8]},
+            "efficiency": [efficiency_or_nan(r) for r in records],
+            "power": [cycle_power(r, trace.cycle_time) for r in records],
+            "a_shift_tv": trace.a_shift_tv,
+        })
+        self.trace = trace
+        self.levels = trace.probs.shape[1] if trace.probs.size else 0
+        self.csv_levels = min(csv_levels, self.levels) if self.levels else csv_levels
+        self._row_levels = self.levels if wide else self.csv_levels
+        self._rows = None  # (distinct rows joined by commas, row -> distinct row)
+
+    def population_rows(self, levels):
+        """Each trace row's first `levels` populations, joined by commas."""
+        if not self.levels:
+            return []
+        if levels > self._row_levels:
+            raise ValueError(f"{levels} population levels asked, {self._row_levels} formatted")
+        if self._rows is None:
+            block = np.ascontiguousarray(self.trace.probs[:, :self._row_levels], dtype=float) + 0.0
+            rows = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel()
+            _, first, where = np.unique(rows, return_index=True, return_inverse=True)
+            entries = _format_column(block[first].ravel())
+            # only the joined rows are kept: every entry as its own string would
+            # hold several times their memory until the last file is written
+            self._rows = list(map(",".join, zip(*[iter(entries)] * block.shape[1]))), where
+        text, where = self._rows
+        if levels < self._row_levels:
+            text = [",".join(row.split(",", levels)[:levels]) for row in text]
+        return np.array(text, dtype=object)[where].tolist()
+
+
+def write_timeseries_csv(path, text):
     """t, omega, U, S, stroke, total probability, first csv_levels populations."""
-    k = min(csv_levels, trace.probs.shape[1]) if trace.probs.size else csv_levels
+    trace, k = text.trace, text.csv_levels
     header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{n}" for n in range(k)]
     p_sum = trace.probs.sum(axis=1)
     bad = np.flatnonzero(abs(p_sum - 1.0) > 1e-9)
     if bad.size:
         i = int(bad[0])
         raise OttoKilnError(f"trace row {i} carries probability sum {float(p_sum[i])!r}")
-    columns = [_format_column(s) for s in (trace.times, trace.omegas, trace.energies, trace.entropies)]
-    columns += [trace.stroke_labels, _format_column(p_sum), _format_rows(trace.probs[:, :k])]
+    columns = [text[name] for name in ("t", "omega", "U", "S")]
+    columns += [trace.stroke_labels, _format_column(p_sum), text.population_rows(k)]
     _write_table(path, header, columns)
 
 
-def write_wide_timeseries_csv(path, trace):
+def write_wide_timeseries_csv(path, text):
     """Full-distribution twin of the time series (every ladder level)."""
-    n = trace.probs.shape[1] if trace.probs.size else 0
+    n = text.levels
     header = ["t", "omega", "U", "S", "stroke"] + [f"P_{level}" for level in range(n)]
-    columns = [_format_column(s) for s in (trace.times, trace.omegas, trace.energies, trace.entropies)]
-    columns += [trace.stroke_labels, _format_rows(trace.probs)]
+    columns = [text[name] for name in ("t", "omega", "U", "S")]
+    columns += [text.trace.stroke_labels, text.population_rows(n)]
     _write_table(path, header, columns)
 
 
-def write_cycles_csv(path, trace):
-    header = ["cycle", "q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump",
-              "q_pump_gross", "efficiency", "power", "a_shift_tv"]
-    records = trace.records
-    columns = [_format_column([r.cycle_index + 1 for r in records])]
-    columns += [_format_column([getattr(r, name) for r in records]) for name in header[1:8]]
-    columns += [_format_column([efficiency_or_nan(r) for r in records]),
-                _format_column([cycle_power(r, trace.cycle_time) for r in records]),
-                _format_column(trace.a_shift_tv)]
-    _write_table(path, header, columns)
+def write_cycles_csv(path, text):
+    _write_table(path, CYCLE_COLUMNS, [text[name] for name in CYCLE_COLUMNS])
 
 
-def write_sweep_csv(path, sweep):
-    header = ["t_h", "ratio", "efficiency", "power"]
-    _write_table(path, header, [_format_column(getattr(sweep, name)) for name in header])
+def write_sweep_csv(path, text):
+    _write_table(path, SWEEP_CSV_COLUMNS, [text[name] for name in SWEEP_CSV_COLUMNS])
 
 
-def write_dat(path, columns, series):
-    """Whitespace-separated twin of a chart's series for gnuplot-style tools."""
-    _write_table(path, ["#", *columns], [_format_column(s) for s in series], sep=" ")
+def write_dat(path, text, columns, rows=slice(None)):
+    """Whitespace-separated twin of a chart's series for gnuplot-style tools:
+    the given rows of the named columns of a SeriesText."""
+    _write_table(path, ["#", *columns], [text[name][rows] for name in columns], sep=" ")
 
 
 def _write_table(path, header, columns, sep=","):

@@ -273,3 +273,71 @@ def test_rate_too_fast_for_the_step_count_ends_in_one_error_line(tmp_path, gamma
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "reduce gamma0 * tau or set dt" in done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+
+
+def columns_of(path, sep=","):
+    """Header and data lines of a written table, each split into its fields."""
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""
+    return [line.split(sep) for line in lines[:-1]]
+
+
+@pytest.mark.parametrize("command,text", [
+    ("simulate", "n_cycles = 3\n"),
+    ("pump", "n_cycles = 3\n"),
+    ("simulate", "n_cycles = 0\n"),
+    ("pump", "csv_levels = 8\nn_max = 4\nn_cycles = 3\nt_h = 0.15\nt_c = 0.1\n"
+             "pump_target = level:2\ninitial_state = level:1\n"),
+], ids=["simulate", "pump", "zero_cycles", "csv_levels_above_ladder"])
+def test_dat_twins_and_narrow_series_print_the_csv_strings(tmp_path, command, text):
+    config = tmp_path / "cfg.txt"
+    config.write_text(text)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out), "--svg", "--wide"]) == 0
+    narrow = columns_of(out / "timeseries.csv")
+    wide = columns_of(out / "timeseries_wide.csv")
+    cycles = columns_of(out / "cycles.csv")
+    levels = [name for name in narrow[0] if name.startswith("P_")]
+    assert len(narrow) == len(wide)
+    for narrow_row, wide_row in zip(narrow[1:], wide[1:]):
+        assert narrow_row[:5] == wide_row[:5]  # t, omega, U, S, stroke
+        assert narrow_row[6:] == wide_row[5:5 + len(levels)]
+    if len(cycles) == 1:  # no cycles: no .dat twins, and the headers keep their shapes
+        assert not list(out.glob("*.dat"))
+        assert levels == [f"P_{n}" for n in range(8)] and wide[0] == ["t", "omega", "U", "S", "stroke"]
+        return
+    assert len(narrow) > 1
+    if "n_max = 4" in text:
+        assert levels == [f"P_{n}" for n in range(5)] and wide[0][5:] == levels
+    assert columns_of(out / "u_t.dat", " ") == [["#", "t", "U"]] + [[row[0], row[2]] for row in narrow[1:]]
+    assert columns_of(out / "efficiency_n.dat", " ") == \
+        [["#", "cycle", "efficiency"]] + [[row[0], row[8]] for row in cycles[1:]]
+
+
+@pytest.mark.parametrize("command", ["simulate", "pump", "sweep"])
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "output_is_a_directory"])
+def test_unwritable_out_ends_in_one_error_line(tmp_path, capsys, command, case):
+    config = tmp_path / "cfg.txt"
+    config.write_text("n_cycles = 1\nsweep_t_h = 1.2\nsweep_ratio_steps = 3\n")
+    out = tmp_path / "out"
+    if case == "out_is_a_file":
+        out.write_text("")
+        named = out
+    elif case == "out_under_a_file":
+        (tmp_path / "file").write_text("")
+        out = named = tmp_path / "file" / "out"
+    else:
+        named = out / ("sweep.csv" if command == "sweep" else "timeseries.csv")
+        named.mkdir(parents=True)
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(named) in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_takes_no_config(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--config", "x"])
+    assert exited.value.code != 0
+    assert "--config" in capsys.readouterr().err

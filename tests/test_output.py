@@ -15,8 +15,10 @@ from ottokiln import EngineConfig, OttoKilnError, Sweep, run_engine, sweep_effic
 from ottokiln.analysis import SWEEP_COLUMNS, cycle_power, efficiency_or_nan
 from ottokiln.cycle import EngineTrace
 from ottokiln.output import (
+    TraceText,
     _format_column,
     fmt,
+    sweep_text,
     write_cycles_csv,
     write_dat,
     write_svg_chart,
@@ -64,7 +66,7 @@ def test_probability_guard_names_the_first_bad_row(tmp_path):
                         probs=probs, stroke_labels=["hot_isochore"] * 4)
     expected = f"trace row 2 carries probability sum {float(probs[2].sum())!r}"
     with pytest.raises(OttoKilnError, match=re.escape(expected)):
-        write_timeseries_csv(tmp_path / "ts.csv", trace)
+        write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
     assert not (tmp_path / "ts.csv").exists()
 
 
@@ -85,13 +87,16 @@ def test_timeseries_writers_match_per_value_rendering(tmp_path, trace):
              trace.stroke_labels[i], float(trace.probs[i].sum()), *trace.probs[i, :k]]
             for i in range(trace.times.shape[0])]
     header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{j}" for j in range(k)]
-    write_timeseries_csv(tmp_path / "ts.csv", trace)
+    write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
+    assert lines_of(tmp_path / "ts.csv") == render(",".join(header), rows)
+    text = TraceText(trace, wide=True)  # narrow rows are prefixes of the wide rows
+    write_timeseries_csv(tmp_path / "ts.csv", text)
     assert lines_of(tmp_path / "ts.csv") == render(",".join(header), rows)
 
     rows = [[trace.times[i], trace.omegas[i], trace.energies[i], trace.entropies[i],
              trace.stroke_labels[i], *trace.probs[i]] for i in range(trace.times.shape[0])]
     header = ["t", "omega", "U", "S", "stroke"] + [f"P_{j}" for j in range(n)]
-    write_wide_timeseries_csv(tmp_path / "wide.csv", trace)
+    write_wide_timeseries_csv(tmp_path / "wide.csv", text)
     assert lines_of(tmp_path / "wide.csv") == render(",".join(header), rows)
 
 
@@ -100,10 +105,11 @@ def test_cycles_and_dat_writers_match_per_value_rendering(tmp_path, trace):
              r.q_pump_gross, efficiency_or_nan(r), cycle_power(r, trace.cycle_time), shift]
             for r, shift in zip(trace.records, trace.a_shift_tv)]
     header = "cycle,q_in,q_out,w_out,w_in,w_eff,q_pump,q_pump_gross,efficiency,power,a_shift_tv"
-    write_cycles_csv(tmp_path / "cycles.csv", trace)
+    text = TraceText(trace)
+    write_cycles_csv(tmp_path / "cycles.csv", text)
     assert lines_of(tmp_path / "cycles.csv") == render(header, rows)
 
-    write_dat(tmp_path / "u_t.dat", ["t", "U"], (trace.times, trace.energies))
+    write_dat(tmp_path / "u_t.dat", text, ["t", "U"])
     expected = render("# t U", zip(trace.times, trace.energies), sep=" ")
     assert lines_of(tmp_path / "u_t.dat") == expected
 
@@ -113,7 +119,7 @@ def test_sweep_writer_matches_per_value_rendering(tmp_path):
     extra = [(2.0, 0.5, math.nan, -0.0, True), (2.0, 0.75, math.inf, 1e16, True)]
     points = Sweep(*(np.concatenate([getattr(swept, name), column])
                      for name, column in zip(SWEEP_COLUMNS, zip(*extra))))
-    write_sweep_csv(tmp_path / "sweep.csv", points)
+    write_sweep_csv(tmp_path / "sweep.csv", sweep_text(points))
     rows = [[p.t_h, p.ratio, p.efficiency, p.power] for p in points]
     assert lines_of(tmp_path / "sweep.csv") == render("t_h,ratio,efficiency,power", rows)
 
