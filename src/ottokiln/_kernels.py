@@ -10,10 +10,11 @@ number of samples, not the number of steps.
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
 keeps every step positive and conserving.  The drift check stays, made per
-sample, followed by clamping and renormalization.  When R fails either check
-(an unstable dt), or a guard trips on a sample, the stroke reruns the stepwise
-loop, which reports the first bad step.  A tripped stroke longer than
-MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG instead.
+sample, followed by clamping and renormalization: one sum and one min per
+sample, and a second sum only when an entry is <= 0.  When R fails either
+check (an unstable dt), or a guard trips on a sample, the stroke reruns the
+stepwise loop, which reports the first bad step.  A tripped stroke longer
+than MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG instead.
 
 A run that records no samples can go further: stroke_map builds the whole
 stroke's map R^n_steps once, and apply_stroke_map applies it to a state with
@@ -26,8 +27,8 @@ import numpy as np
 DRIFT_TOL = 1e-10
 NEG_FLOOR = 1e-12
 # Longest stroke the stepwise loop reruns after a guard trips on a sample; it
-# costs about 19 us per step at 51 levels (2-core x86 box, numpy 2.4,
-# OpenBLAS), so this bounds the rerun near 2 s.
+# costs about 8 us per step at 51 levels (2-core x86 box, numpy 2.4,
+# OpenBLAS), so this bounds the rerun near 1 s.
 MAX_STEPWISE_STEPS = 100_000
 
 # Kernel status codes.
@@ -74,28 +75,40 @@ def generator_matrix(down, up):
 
 
 def rk4_step_matrix(down, up, dt):
-    """One-step update matrix of the classical fourth-order scheme."""
+    """One-step update matrix of the classical fourth-order scheme.
+
+    A rate too large for dt overflows R to inf/nan without a warning; such an
+    R fails step_matrix_is_stable and its first step trips a guard."""
     a = generator_matrix(down, up) * dt
     n = a.shape[0]
     r = np.eye(n) + a
     term = a
-    for k in (2.0, 3.0, 4.0):
-        term = term @ a / k
-        r += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (2.0, 3.0, 4.0):
+            term = term @ a / k
+            r += term
     return r
 
 
 def _guard(p, max_drift):
     """Drift and negativity checks on one state, then clamp and renormalize
-    it in place.  Returns (status, max_drift)."""
-    drift = abs(p.sum() - 1.0)
+    it in place.  Returns (status, max_drift).
+
+    One sum and one min: the clamp can change p only when an entry is <= 0
+    (it turns -0.0 into 0.0), so only then is the sum taken again.  A NaN
+    state fails the drift check."""
+    total = float(np.add.reduce(p))
+    drift = abs(total - 1.0)
     max_drift = max(max_drift, drift)
-    if drift > DRIFT_TOL:
+    if not drift <= DRIFT_TOL:
         return STATUS_DRIFT, max_drift
-    if p.min() < -NEG_FLOOR:
+    low = np.minimum.reduce(p)
+    if low < -NEG_FLOOR:
         return STATUS_NEGATIVE, max_drift
-    np.clip(p, 0.0, None, out=p)
-    p /= p.sum()
+    if low <= 0.0:
+        np.maximum(p, 0.0, out=p)
+        total = np.add.reduce(p)
+    p /= total
     return STATUS_OK, max_drift
 
 
@@ -116,7 +129,8 @@ def _evolve_stepwise(p, r, n_steps, stride, out):
 
 
 def _evolve_sampled(p, r, n_steps, stride, out):
-    """Jump from sample to sample with R^stride; guards checked per sample."""
+    """Jump from sample to sample with R^stride, each jump written straight
+    into its output row; guards checked per sample."""
     out[0] = p
     max_drift = 0.0
     gaps = [stride] * (n_steps // stride)
@@ -125,12 +139,11 @@ def _evolve_sampled(p, r, n_steps, stride, out):
     jumps = {gap: np.linalg.matrix_power(r, gap) for gap in set(gaps)}
     k = 0
     for idx, gap in enumerate(gaps, start=1):
-        p = jumps[gap] @ p
+        p = np.matmul(jumps[gap], p, out=out[idx])
         k += gap
         status, max_drift = _guard(p, max_drift)
         if status != STATUS_OK:
             return status, k, max_drift
-        out[idx] = p
     return STATUS_OK, n_steps, max_drift
 
 

@@ -66,7 +66,7 @@ class FockDistribution:
             raise OttoKilnError(f"negative probability {probs.min()} at level {int(probs.argmin())}")
         total = probs.sum()
         if not abs(total - 1.0) <= _SUM_TOL:  # also rejects nan
-            raise OttoKilnError(f"probabilities sum to {total!r}, not 1 within {_SUM_TOL}")
+            raise OttoKilnError(f"probabilities sum to {float(total)!r}, not 1 within {_SUM_TOL}")
 
     @property
     def tail_mass(self):

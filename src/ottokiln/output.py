@@ -117,7 +117,7 @@ def write_timeseries_csv(path, text):
     trace, k = text.trace, text.csv_levels
     header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{n}" for n in range(k)]
     p_sum = trace.probs.sum(axis=1)
-    bad = np.flatnonzero(abs(p_sum - 1.0) > 1e-9)
+    bad = np.flatnonzero(~(abs(p_sum - 1.0) <= 1e-9))  # a nan sum is bad too
     if bad.size:
         i = int(bad[0])
         raise OttoKilnError(f"trace row {i} carries probability sum {float(p_sum[i])!r}")

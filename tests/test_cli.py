@@ -275,6 +275,22 @@ def test_rate_too_fast_for_the_step_count_ends_in_one_error_line(tmp_path, gamma
     assert "Traceback" not in done.stdout + done.stderr
 
 
+def test_nan_state_ends_at_its_first_step_in_one_error_line(tmp_path):
+    # R overflows at this rate, so the stroke runs step by step from a state
+    # that turns NaN at step 1; the drift guard must stop it there, without
+    # numpy warnings (a subprocess, because pytest captures them in-process)
+    config = tmp_path / "cfg.txt"
+    config.write_text("gamma0 = 1e300\ndt = 1e-6\nn_cycles = 1\n")
+    src = str(Path(ottokiln.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ottokiln.cli", "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "x")],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "drifted beyond 1e-10 at step 1 " in done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+
 def columns_of(path, sep=","):
     """Header and data lines of a written table, each split into its fields."""
     lines = path.read_text().split("\n")

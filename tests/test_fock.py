@@ -108,6 +108,11 @@ def test_distribution_rejects_bad_normalization():
         FockDistribution(np.array([np.nan, 0.5]))
 
 
+
+def test_nan_sum_message_reads_nan():
+    with pytest.raises(OttoKilnError, match=r"^probabilities sum to nan, not 1 within "):
+        FockDistribution(np.array([np.nan, 0.5]))
+
 def test_hot_boltzmann_needs_enough_levels():
     with pytest.raises(UnderTruncationError):
         make_distribution(InitialStateSpec.boltzmann(0.2, 2.0), 10)

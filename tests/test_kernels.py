@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ottokiln import _kernels
 from ottokiln._kernels import (
+    DRIFT_TOL,
+    NEG_FLOOR,
     STATUS_DRIFT,
     STATUS_NEGATIVE,
     STATUS_OK,
@@ -16,6 +19,7 @@ from ottokiln._kernels import (
     sample_count,
     sample_steps,
     step_matrix_is_stable,
+    stroke_map,
 )
 from ottokiln.verification import run_all_checks
 
@@ -129,3 +133,136 @@ def test_tripped_stroke_longer_than_the_cap_is_not_rerun_stepwise(cap, expect, m
 def test_verify_grid_runs_on_the_sample_to_sample_path(monkeypatch):
     monkeypatch.setattr(_kernels, "_evolve_stepwise", _refuse)
     assert all(result.passed for result in run_all_checks())
+
+
+def _four_reduction_guard(p, max_drift):
+    """The guard before the two-reduction rewrite, kept as the reference: a
+    sum, a min, np.clip and a second sum on every sample."""
+    drift = abs(p.sum() - 1.0)
+    max_drift = max(max_drift, drift)
+    if drift > DRIFT_TOL:
+        return STATUS_DRIFT, max_drift
+    if p.min() < -NEG_FLOOR:
+        return STATUS_NEGATIVE, max_drift
+    np.clip(p, 0.0, None, out=p)
+    p /= p.sum()
+    return STATUS_OK, max_drift
+
+
+def _four_reduction_sampled(p, r, n_steps, stride, out):
+    """The sample-to-sample loop before the rewrite: each jump is a new array,
+    guarded by the reference guard, then copied into its output row."""
+    out[0] = p
+    max_drift = 0.0
+    gaps = [stride] * (n_steps // stride)
+    if n_steps % stride:
+        gaps.append(n_steps % stride)
+    jumps = {gap: np.linalg.matrix_power(r, gap) for gap in set(gaps)}
+    k = 0
+    for idx, gap in enumerate(gaps, start=1):
+        p = jumps[gap] @ p
+        k += gap
+        status, max_drift = _four_reduction_guard(p, max_drift)
+        if status != STATUS_OK:
+            return status, k, max_drift
+        out[idx] = p
+    return STATUS_OK, n_steps, max_drift
+
+
+ENTRY_EDITS = st.sampled_from(["zero", "negative_zero",
+                               "negative_inside_floor", "negative_below_floor"])
+
+
+@st.composite
+def guard_states(draw):
+    """Simplex vectors with exact zeros, -0.0 and negative entries written in,
+    then scaled off the simplex or given a NaN now and then."""
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)))
+    for i, edit in draw(st.lists(st.tuples(st.integers(0, p.size - 1), ENTRY_EDITS), max_size=4)):
+        if edit == "zero":
+            p[i] = 0.0
+        elif edit == "negative_zero":
+            p[i] = -0.0
+        elif edit == "negative_inside_floor":
+            p[i] = -draw(st.floats(0.0, 1.0)) * NEG_FLOOR
+        else:
+            p[i] = -draw(st.floats(1.0, 1e6, exclude_min=True)) * NEG_FLOOR
+    total = p.sum()
+    if total > 0.0:
+        p /= total
+    p *= draw(st.sampled_from([1.0, 1.0, 1.0, 1.0 + 0.5 * DRIFT_TOL,
+                               1.0 + 2 * DRIFT_TOL, 1.0 - 2 * DRIFT_TOL]))
+    if draw(st.integers(0, 9)) == 0:
+        p[draw(st.integers(0, p.size - 1))] = np.nan
+    return p
+
+
+@settings(max_examples=500, deadline=None)
+@given(guard_states(), st.sampled_from([0.0, 1e-15, 0.5 * DRIFT_TOL, 2 * DRIFT_TOL]))
+@example(np.array([1.0, -0.0, 0.0]), 0.0)           # only zeros clamped: -0.0 becomes 0.0
+@example(np.array([1.0 + 1e-13, -1e-13]), 0.0)       # a negative entry inside the floor
+@example(np.array([1.0, -1e-11]), 0.0)               # below the floor
+@example(np.array([0.5, 0.5 + 1e-9]), 0.0)           # drift beyond DRIFT_TOL
+@example(np.array([np.nan, 0.5]), 0.0)
+@example(np.array([np.inf, -np.inf]), 0.0)           # a NaN sum from non-NaN entries
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_two_reduction_guard_matches_the_four_reduction_guard(state, max_drift):
+    p, ref = state.copy(), state.copy()
+    status, got_drift = _kernels._guard(p, max_drift)
+    want = _four_reduction_guard(ref, max_drift)
+    if np.isnan(state.sum()):
+        # the one intended difference: the reference passes a NaN state (its
+        # drift test is false for NaN) and fills it with NaN; the guard trips
+        # and leaves the state as it was
+        assert (status, got_drift) == (STATUS_DRIFT, want[1])
+        ref = state
+    else:
+        assert (status, got_drift) == want
+    assert p.tobytes() == ref.tobytes()
+    assert np.array_equal(np.signbit(p), np.signbit(ref))
+
+
+@pytest.mark.parametrize("start", ["random", "ground"])
+@pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (10, 50), (1, 1), (2857, 44)])
+def test_samples_equal_the_four_reduction_path_bit_for_bit(n_steps, stride, start, monkeypatch):
+    # a ground start leaves exact zeros above the first few levels after a
+    # short jump, so the clamp branch is taken too
+    p0 = np.zeros(51)
+    p0[0] = 1.0
+    if start == "random":
+        p0 = np.random.default_rng(n_steps).random(51)
+        p0 /= p0.sum()
+    status, bad_step, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 7e-4,
+                                                              n_steps, stride)
+    monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
+    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+    want = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, n_steps, stride)
+    assert (status, bad_step, max_drift) == want[:3]
+    assert status == STATUS_OK
+    assert samples.tobytes() == want[3].tobytes()
+
+
+def test_stepwise_loop_and_stroke_maps_equal_the_four_reduction_guard_bit_for_bit(monkeypatch):
+    p0 = np.zeros(51)
+    p0[0] = 1.0
+    got = _stepwise(p0, 7e-4, 2857, 44)
+    m = stroke_map(GAMMA, BOLTZ, 51, 7e-4, 2857)
+    mapped = _kernels.apply_stroke_map(m, p0)
+    monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
+    want = _stepwise(p0, 7e-4, 2857, 44)
+    assert got[:3] == want[:3]
+    assert got[3].tobytes() == want[3].tobytes()
+    want_mapped = _kernels.apply_stroke_map(m, p0)
+    assert mapped[0] == STATUS_OK
+    assert mapped[:2] == want_mapped[:2]
+    assert mapped[2].tobytes() == want_mapped[2].tobytes()
+
+
+def test_nan_state_trips_the_drift_guard_at_the_first_step():
+    # a rate far too large for dt overflows R to inf/nan: not a stable matrix,
+    # so the stepwise loop runs and stops at step 1 instead of stepping NaNs
+    p0 = np.zeros(51)
+    p0[0] = 1.0
+    with np.errstate(all="raise"):
+        status, bad_step, _, _ = evolve_populations(p0, 1e300, BOLTZ, 1e-6, 2_000_000, 1000)
+    assert (status, bad_step) == (STATUS_DRIFT, 1)

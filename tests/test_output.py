@@ -70,6 +70,16 @@ def test_probability_guard_names_the_first_bad_row(tmp_path):
     assert not (tmp_path / "ts.csv").exists()
 
 
+
+def test_probability_guard_rejects_a_nan_row(tmp_path):
+    probs = np.array([[1.0, 0.0], [np.nan, 0.5], [0.5, 0.5]])
+    trace = EngineTrace(mode="otto", n_max=1, cycle_time=1.0, times=np.arange(3.0),
+                        omegas=np.ones(3), energies=probs[:, 1], entropies=np.zeros(3),
+                        probs=probs, stroke_labels=["hot_isochore"] * 3)
+    with pytest.raises(OttoKilnError, match=re.escape("trace row 1 carries probability sum nan")):
+        write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
+    assert not (tmp_path / "ts.csv").exists()
+
 @pytest.fixture(scope="module", params=["simulate", "pump", "empty"])
 def trace(request):
     config = {
