@@ -31,6 +31,11 @@ _MODES = ("otto", "pump", "sweep")
 # Largest ladder truncation: the kernel holds dense (n_max + 1)^2 step
 # matrices, and the default dt shrinks as 1 / (n_max + 1).
 MAX_N_MAX = 1000
+# Most points of one sweep (sweep_ratio_steps times the sweep_t_h entries).
+# A balance sweep with --svg peaks at about 230 bytes per point (measured:
+# its columns, formatted text and chart), so the cap holds it near 230 MB.
+MAX_SWEEP_POINTS = 1_000_000
+SWEEP_POINT_BYTES = 230
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,13 @@ class EngineConfig:
             raise ConfigError(f"sweep_mode must be 'balance' or 'finite', got {self.sweep_mode!r}")
         if self.sweep_ratio_steps < 2:
             raise ConfigError(f"sweep_ratio_steps must be >= 2, got {self.sweep_ratio_steps}")
+        points = self.sweep_ratio_steps * len(self.sweep_t_h)
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"a sweep must have at most {MAX_SWEEP_POINTS:,} points, got {points:,} "
+                f"({self.sweep_ratio_steps:,} ratios x {len(self.sweep_t_h)} hot temperatures): "
+                f"it would need about {points * SWEEP_POINT_BYTES / 1e6:,.0f} MB"
+            )
         if self.mode == "sweep":
             for t_h in self.sweep_t_h:
                 if not t_h > self.t_c:

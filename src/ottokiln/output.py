@@ -8,9 +8,24 @@ time series.  A time series' populations are formatted once per distinct
 row.  Undefined efficiencies are written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
+
+Long columns are printed by numpy kernels that reproduce Python's "%.12g"
+(and the "%.2f" of the chart polylines) byte for byte, in blocks of 8192
+values.  A value's decimal exponent comes from log10; the value times a
+correctly rounded power of ten, rounded to an integer, is its 12-digit
+mantissa, within 2.3e-4 of the exact one.  Digit tables turn the mantissa
+into uint32 words of four characters, with zero bytes for the leading and
+trailing zeros that %g drops; the blanks are deleted from the block in one
+pass.  Values whose mantissa lies within 1e-3 of a rounding tie (pixels:
+1e-6), and zero, nan, inf and |x| outside [1e-280, 1e280] are printed by %
+itself, as are whole columns shorter than the measured crossover (512
+values; 128 pixels), where the kernels' fixed cost exceeds that of %.
 """
 
+import functools
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,6 +35,8 @@ from .exceptions import OttoKilnError
 CYCLE_COLUMNS = ("cycle", "q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump",
                  "q_pump_gross", "efficiency", "power", "a_shift_tv")
 SWEEP_CSV_COLUMNS = ("t_h", "ratio", "efficiency", "power")
+# rows per write: about 0.25 MB of text for the widest time series (51 levels)
+_WRITE_ROWS = 256
 
 
 def fmt(value):
@@ -30,6 +47,186 @@ def fmt(value):
     return format(value, ".12g")
 
 
+_EXP_MIN, _EXP_MAX = -300, 300  # exponents of the pow10 and exponent tables
+_FIXED_ROW = _EXP_MAX - _EXP_MIN + 1  # the row of .exponent for fixed notation
+
+
+def _ascii_words(codes):
+    """Rows of ASCII codes, four per word, as uint32 words whose bytes in
+    memory read each row in order, on either byte order."""
+    return np.ascontiguousarray(codes, dtype=np.uint8).view(np.uint32)
+
+
+def _text_words(strings):
+    """Equal-length ASCII strings as rows of _ascii_words."""
+    data = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+    return _ascii_words(data.reshape(len(strings), -1))
+
+
+@functools.cache
+def _tables():
+    """Lookup tables of the formatting kernels, built at their first use:
+    a fresh interpreter takes a few milliseconds for them, which commands
+    that print only short columns never pay."""
+    pair = np.arange(100)
+    pair = np.stack([pair // 10, pair % 10], axis=1) + ord("0")  # "00".."99"
+    chars = np.concatenate(np.broadcast_arrays(pair[:, None], pair[None, :]), axis=2).reshape(10000, 4)
+    zero = chars == ord("0")
+    leading = np.logical_and.accumulate(zero, axis=1)  # all four for 0
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    units = leading.copy()
+    units[:, 3] = False  # keeps the "0" of 0
+    digits = _ascii_words(chars).ravel()
+    # whole digits at offset 0 without leading zeros, 10000 every digit,
+    # 20000 without leading zeros but "0" for 0
+    whole = np.concatenate([_ascii_words(np.where(leading, 0, chars)).ravel(), digits,
+                            _ascii_words(np.where(units, 0, chars)).ravel()])
+    # fraction digits at offset 0 without trailing zeros, 10000 every digit
+    fraction = np.concatenate([_ascii_words(np.where(trailing, 0, chars)).ravel(), digits])
+    # "." and three fraction digits at offset 0 without trailing zeros (and
+    # without the point if all three are), 1000 every digit
+    point = chars[:1000].copy()
+    point[:, 0] = ord(".")
+    blank = trailing[:1000].copy()
+    blank[:, 0] = blank[:, 1]
+    point = np.concatenate([_ascii_words(np.where(blank, 0, point)).ravel(), _ascii_words(point).ravel()])
+    # "e-05\n" .. "e+280\n" in two words, then "\n" alone for fixed notation
+    exponent = _text_words([("e%+03d\n" % e).ljust(8, "\0") for e in range(_EXP_MIN, _EXP_MAX + 1)]
+                           + ["\0\0\0\0\n\0\0\0"])
+    # correctly rounded powers of ten: float() rounds a decimal exactly
+    pow10 = np.array([float("1e%d" % k) for k in range(_EXP_MIN, _EXP_MAX + 1)])
+    # "." and the cents of %.2f, then "," after x and " " after y
+    cents_x = _text_words([".%02d," % c for c in range(100)]).ravel()
+    cents_y = _text_words([".%02d " % c for c in range(100)]).ravel()
+    tables = SimpleNamespace(whole=whole, fraction=fraction, point=point, exponent=exponent,
+                             pow10=pow10, cents_x=cents_x, cents_y=cents_y)
+    for table in vars(tables).values():
+        table.flags.writeable = False
+    return tables
+
+
+# Inputs shorter than these take the % path whole: below them the kernels'
+# fixed cost of some 60 numpy calls per block exceeds that of % (measured).
+_G12_MIN_SIZE = 512
+_POLYLINE_MIN_SIZE = 128
+# values per kernel block: keeps each block's temporaries under 1 MB
+_BLOCK = 8192
+# Distance of the scaled mantissa from a rounding tie below which % decides.
+# The %.12g mantissa below 1e12 is the value times a correctly rounded power
+# of ten, rounded: two relative errors of at most 2**-53 each, so it lies
+# within 2.3e-4 of the exact one; the %.2f cents below 1e8 are rounded once,
+# within 1.2e-8.
+_G12_TIE_MARGIN = 1e-3
+_POLYLINE_TIE_MARGIN = 1e-6
+
+
+def _patch_records(records, values, fallback, text_format):
+    """Write text_format % v into the records of the fallback values."""
+    index = np.flatnonzero(fallback)
+    if index.size:
+        width = records.itemsize * records.shape[1]
+        records[index] = _text_words([(text_format % v).ljust(width, "\0") for v in values[index].tolist()])
+
+
+def _g12_records(x):
+    """%.12g of each value and a newline, as nine uint32 words per value with
+    zero bytes for blanks: sign, 12 whole digits, "." and 15 fraction digits
+    (the last four shared with the exponent), exponent and newline."""
+    t = _tables()
+    a = np.abs(x)
+    fallback = ~((a >= 1e-280) & (a <= 1e280))  # zero, nan, inf, the far range
+    a[fallback] = 1.0
+    # The decimal exponent e from log10 puts the 12-digit mantissa in
+    # [1e11, 1e12).  log10 errs by far less than 1e-13, so next to a power of
+    # ten, where e may be one off, the mantissa lies within 0.05 of 1e11 or
+    # 1e12 and rounds to it; the carry below turns 1e12 into 1e11.
+    e = np.floor(np.log10(a)).astype(np.int64)
+    scaled = a * t.pow10[11 - e - _EXP_MIN]
+    m = np.rint(scaled)
+    fallback |= np.abs(scaled - m) > 0.5 - _G12_TIE_MARGIN
+    carry = m == 1e12  # 999999999999.5 and up round to the next power of ten
+    m[carry] = 1e11
+    e += carry
+
+    scientific = (e < -4) | (e >= 12)
+    point = np.where(scientific, 0, e)  # digits before the point, minus one
+    # exact in floats: every operand is an integer below 2**53
+    q = t.pow10[11 - point - _EXP_MIN]
+    whole = np.floor(m / q)
+    fraction = ((m - whole * q) * t.pow10[point + 4 - _EXP_MIN]).astype(np.int64)  # 15 digits
+    whole = whole.astype(np.int64)
+
+    records = np.empty((x.size, 9), dtype=np.uint32)
+    records[:, 0] = (x < 0).view(np.uint8) * np.uint8(ord("-"))
+    top = whole // 10 ** 8
+    rest = whole - top * 10 ** 8
+    middle = rest // 10000
+    rest -= middle * 10000
+    records[:, 1] = t.whole.take(top)
+    records[:, 2] = t.whole.take(middle + 10000 * np.minimum(top, 1))
+    records[:, 3] = t.whole.take(rest + 20000 - 10000 * np.minimum(top + middle, 1))
+    f0 = fraction // 10 ** 12
+    rest = fraction - f0 * 10 ** 12
+    records[:, 4] = t.point.take(f0 + 1000 * np.minimum(rest, 1))
+    f1 = rest // 10 ** 8
+    rest -= f1 * 10 ** 8
+    records[:, 5] = t.fraction.take(f1 + 10000 * np.minimum(rest, 1))
+    f2 = rest // 10000
+    rest -= f2 * 10000
+    records[:, 6] = t.fraction.take(f2 + 10000 * np.minimum(rest, 1))
+    exponent = t.exponent.take(np.where(scientific, e - _EXP_MIN, _FIXED_ROW), axis=0)
+    # a scientific mantissa has 11 fraction digits: its last group is blank
+    records[:, 7] = t.fraction.take(rest) | exponent[:, 0]
+    records[:, 8] = exponent[:, 1]
+    _patch_records(records, x, fallback, "%.12g\n")
+    return records
+
+
+def _polyline_records(pixels):
+    """%.2f of each pixel in [+0, 1e6), "," after x and " " after y, as three
+    uint32 words per pixel with zero bytes for blanks."""
+    t = _tables()
+    scaled = pixels * 100.0
+    m = np.rint(scaled)
+    fallback = np.abs(scaled - m) > 0.5 - _POLYLINE_TIE_MARGIN
+    m = m.astype(np.int64)
+    whole = m // 100
+    cents = m - whole * 100
+    top = whole // 10000
+    records = np.empty((pixels.size, 3), dtype=np.uint32)
+    records[:, 0] = t.whole.take(top)
+    records[:, 1] = t.whole.take(whole - top * 10000 + 20000 - 10000 * np.minimum(top, 1))
+    records[0::2, 2] = t.cents_x.take(cents[0::2])
+    records[1::2, 2] = t.cents_y.take(cents[1::2])
+    _patch_records(records[0::2], pixels[0::2], fallback[0::2], "%.2f,")
+    _patch_records(records[1::2], pixels[1::2], fallback[1::2], "%.2f ")
+    return records
+
+
+def _compact(records_of, values):
+    """The records of values, block by block, with their blanks dropped."""
+    return b"".join(records_of(values[i:i + _BLOCK]).tobytes().translate(None, b"\0")
+                    for i in range(0, values.size, _BLOCK))
+
+
+def _format_g12(values):
+    """The lines of ("%.12g\\n" * n) % tuple(values), without the newlines."""
+    if values.size < _G12_MIN_SIZE:
+        text = ("%.12g\n" * values.size) % tuple(values.tolist())
+    else:
+        text = _compact(_g12_records, values).decode("ascii")
+    return text.split("\n")[:-1]
+
+
+def _format_polyline(pixels):
+    """The points of a polyline, " ".join(["%.2f,%.2f"] * n) % tuple(pixels),
+    for the pixels x0, y0, x1, y1, ..."""
+    in_range = ~np.signbit(pixels) & (pixels < 1e6)  # % prints -0.0 as "-0.00"
+    if pixels.size < _POLYLINE_MIN_SIZE or not in_range.all():
+        return " ".join(["%.2f,%.2f"] * (pixels.size // 2)) % tuple(pixels.tolist())
+    return _compact(_polyline_records, pixels)[:-1].decode("ascii")  # _BLOCK is even
+
+
 def _format_column(values):
     """One series as fmt() prints it, one string per entry.
 
@@ -38,8 +235,7 @@ def _format_column(values):
     """
     col = np.asarray(values, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
     distinct, where = np.unique(col, return_inverse=True)
-    text = (("%.12g\n" * distinct.size) % tuple(distinct.tolist())).split("\n")[:-1]
-    return np.array(text, dtype=object)[where].tolist()
+    return np.array(_format_g12(distinct), dtype=object)[where].tolist()
 
 
 class SeriesText:
@@ -150,12 +346,18 @@ def write_dat(path, text, columns, rows=slice(None)):
 
 
 def _write_table(path, header, columns, sep=","):
-    """The header line, then one line per row of the formatted columns."""
-    lines = [sep.join(header)]
-    lines += map(sep.join, zip(*columns))
-    lines.append("")  # ends the text with a newline without copying it
+    """The header line, then one line per row of the formatted columns.
+
+    Rows are joined and written _WRITE_ROWS at a time, so that the text of
+    a large file is never held whole, let alone once as lines, once joined
+    and once encoded.
+    """
+    lines = map(sep.join, zip(*columns))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines))
+        handle.write(sep.join(header) + "\n")
+        while block := list(itertools.islice(lines, _WRITE_ROWS)):
+            block.append("")  # ends the block with a newline without copying it
+            handle.write("\n".join(block))
 
 
 def write_svg_chart(path, x, y, title, x_label, y_label, width=720, height=420):
@@ -182,7 +384,7 @@ def write_svg_chart(path, x, y, title, x_label, y_label, width=720, height=420):
         return pad_t + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     pixels = np.column_stack((sx(x), sy(y))).ravel()  # x0, y0, x1, y1, ...
-    points = " ".join(["%.2f,%.2f"] * x.size) % tuple(pixels.tolist())
+    points = _format_polyline(pixels)
     tick_labels = []
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)

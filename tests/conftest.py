@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ottokiln import BathSpec, FockDistribution, InitialStateSpec, make_distribution
+
+# `pytest --hypothesis-profile ci`: more examples for the tests that take the
+# profile's count (those without their own max_examples), no deadline
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

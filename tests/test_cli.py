@@ -198,6 +198,8 @@ BAD_CONFIGS = {
     "infinite_sweep_t_h": ("sweep_t_h = inf\n", "line 1: sweep_t_h"),
     # just above the bound: if the bound were lost, the run would still fit in memory
     "n_max_above_bound": ("n_max = 1001\n", "n_max must be <= 1000"),
+    # a 72.8 TiB ratio grid: without the bound the sweep ends in a MemoryError
+    "sweep_points_above_bound": ("sweep_ratio_steps = 10000000000000\n", "a sweep must have at most"),
 }
 
 
@@ -208,6 +210,11 @@ SWEEP_BAD_CONFIGS = {
     "duplicate_sweep_t_h": ("sweep_t_h = 1.2, 1.2\n", "sweep_t_h entries 1.2 and 1.2"),
     # omega_c / t_c is subnormal: the cold-bath occupation overflows
     "bath_occupation_overflow": ("omega_c = 1e-320\n", "too small for a finite bath occupation"),
+    "bounded_sweep_points_above_bound": (
+        "sweep_ratio_min = 0.6\nsweep_ratio_max = 0.9\nsweep_ratio_steps = 10000000000000\n",
+        "a sweep must have at most"),
+    "finite_sweep_points_above_bound": ("sweep_mode = finite\nsweep_ratio_steps = 10000000000000\n",
+                                        "a sweep must have at most"),
 }
 # configs only the pump command runs (simulate rejects t_c above t_h)
 PUMP_BAD_CONFIGS = {

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ottokiln import ConfigError, EngineConfig, parse_config
 from ottokiln.cli import main
-from ottokiln.config import MAX_N_MAX, _ALL_KEYS, _FLOAT_KEYS, _INT_KEYS
+from ottokiln.config import MAX_N_MAX, MAX_SWEEP_POINTS, _ALL_KEYS, _FLOAT_KEYS, _INT_KEYS
 from ottokiln.fock import InitialStateSpec
 
 
@@ -174,6 +174,17 @@ def test_n_max_above_the_dense_matrix_bound_rejected():
         parse_config("n_max = 50000\n")
     with pytest.raises(ConfigError, match=r"got 1001: .* would need 8 MB"):
         EngineConfig(n_max=MAX_N_MAX + 1).validate()
+
+
+def test_sweep_points_above_the_memory_bound_rejected():
+    # validation only: no ratio grid is built for the rejected sweep
+    config = EngineConfig(sweep_t_h=(1.2,), sweep_ratio_steps=MAX_SWEEP_POINTS).validate()
+    assert config.sweep_ratio_steps == MAX_SWEEP_POINTS
+    with pytest.raises(ConfigError, match=r"at most 1,000,000 points, got 1,000,002 \(500,001 ratios "
+                                          r"x 2 hot temperatures\): it would need about 230 MB"):
+        EngineConfig(sweep_t_h=(1.2, 1.6), sweep_ratio_steps=500_001).validate()
+    with pytest.raises(ConfigError, match=r"got 40,000,000,000,000 .* about 9,200,000,000 MB"):
+        parse_config("sweep_ratio_steps = 10000000000000\n")
 
 
 @pytest.mark.parametrize("bound", ["sweep_ratio_min = 0.5", "sweep_ratio_max = 0.9"])
