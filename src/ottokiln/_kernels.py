@@ -5,7 +5,8 @@ birth-death generator G is the matrix ``R = I + A + A^2/2 + A^3/6 + A^4/24``
 with ``A = dt * G``.  A stroke builds R once and jumps from recorded sample
 to recorded sample with the precomputed power ``R^stride`` (plus one
 ``R^(n_steps % stride)`` for a ragged last gap), so its cost scales with the
-number of samples, not the number of steps.
+number of samples, not the number of steps.  A StepMatrix holds R and its
+powers: a caller that repeats a stroke passes the same one to every call.
 
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
@@ -16,9 +17,8 @@ check (an unstable dt), or a guard trips on a sample, the stroke reruns the
 stepwise loop, which reports the first bad step.  A tripped stroke longer
 than MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG instead.
 
-A run that records no samples can go further: stroke_map builds the whole
-stroke's map R^n_steps once, and apply_stroke_map applies it to a state with
-the same guard, once per repetition of the stroke.
+A caller that needs only the end state asks for stride = n_steps (one jump
+R^n_steps), and with rerun=False gets a tripped guard back at once instead.
 """
 
 import numpy as np
@@ -128,41 +128,20 @@ def _evolve_stepwise(p, r, n_steps, stride, out):
     return STATUS_OK, n_steps, max_drift
 
 
-def _evolve_sampled(p, r, n_steps, stride, out):
+def _evolve_sampled(p, step_matrix, n_steps, stride, out):
     """Jump from sample to sample with R^stride, each jump written straight
     into its output row; guards checked per sample."""
     out[0] = p
     max_drift = 0.0
-    gaps = [stride] * (n_steps // stride)
-    if n_steps % stride:
-        gaps.append(n_steps % stride)
-    jumps = {gap: np.linalg.matrix_power(r, gap) for gap in set(gaps)}
     k = 0
-    for idx, gap in enumerate(gaps, start=1):
-        p = np.matmul(jumps[gap], p, out=out[idx])
+    for idx in range(1, out.shape[0]):
+        gap = min(stride, n_steps - k)
+        p = np.matmul(step_matrix[gap], p, out=out[idx])
         k += gap
         status, max_drift = _guard(p, max_drift)
         if status != STATUS_OK:
             return status, k, max_drift
     return STATUS_OK, n_steps, max_drift
-
-
-def stroke_map(gamma, boltz_factor, n_levels, dt, n_steps):
-    """Map of a whole stroke, R^n_steps, or None when R fails
-    step_matrix_is_stable."""
-    down, up = rate_coefficients(gamma, boltz_factor, n_levels)
-    r = rk4_step_matrix(down, up, float(dt))
-    if not step_matrix_is_stable(r):
-        return None
-    return np.linalg.matrix_power(r, int(n_steps))
-
-
-def apply_stroke_map(m, p0):
-    """One application of a stroke map, guarded like one sample of
-    _evolve_sampled.  Returns (status, max_drift, p)."""
-    p = m @ p0
-    status, max_drift = _guard(p, 0.0)
-    return status, max_drift, p
 
 
 def step_matrix_is_stable(r):
@@ -171,23 +150,32 @@ def step_matrix_is_stable(r):
     return r.min() >= 0.0 and np.abs(r.sum(axis=0) - 1.0).max() <= DRIFT_TOL
 
 
+class StepMatrix(dict):
+    """A stroke's step matrix R, whether it passes step_matrix_is_stable, and
+    its powers: step_matrix[gap] is R^gap, built at its first use."""
+
+    def __init__(self, gamma, boltz_factor, n_levels, dt):
+        down, up = rate_coefficients(gamma, boltz_factor, n_levels)
+        self.r = rk4_step_matrix(down, up, float(dt))
+        self.stable = step_matrix_is_stable(self.r)
+
+    def __missing__(self, gap):
+        jump = self[gap] = np.linalg.matrix_power(self.r, gap)
+        return jump
+
+
 def sample_count(n_steps, stride):
     """Number of rows recorded by evolve_populations (endpoints always kept)."""
-    n_rec = n_steps // stride + 1
-    if n_steps % stride != 0:
-        n_rec += 1
-    return n_rec
+    return -(-n_steps // stride) + 1
 
 
 def sample_steps(n_steps, stride):
     """Step indices recorded by evolve_populations."""
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.asarray(steps, dtype=np.int64)
+    return np.append(np.arange(0, n_steps, stride, dtype=np.int64), n_steps)
 
 
-def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride):
+def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride, step_matrix=None,
+                       rerun=True):
     """Step the population vector n_steps times, recording every stride-th state.
 
     Returns (status, bad_step, max_drift, samples): samples has sample_count
@@ -195,19 +183,20 @@ def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride):
     |sum - 1| seen at a guard before renormalization (per sample on the
     sample-to-sample path, per step on the stepwise fallback).  On
     STATUS_TOO_LONG, bad_step is the step of the sample that tripped.
+
+    step_matrix is the stroke's StepMatrix, built here when None.  With
+    rerun=False, a guard that trips on a sample returns its status at once.
     """
-    p0 = np.ascontiguousarray(p0, dtype=np.float64)
-    down, up = rate_coefficients(gamma, boltz_factor, p0.shape[0])
-    r = rk4_step_matrix(down, up, float(dt))
-    n_steps, stride = int(n_steps), int(stride)
-    out = np.empty((sample_count(n_steps, stride), p0.shape[0]))
-    if step_matrix_is_stable(r):
-        status, bad_step, max_drift = _evolve_sampled(p0, r, n_steps, stride, out)
-        if status == STATUS_OK:
+    if step_matrix is None:
+        step_matrix = StepMatrix(gamma, boltz_factor, len(p0), dt)
+    out = np.empty((sample_count(n_steps, stride), len(p0)))
+    if step_matrix.stable:
+        status, bad_step, max_drift = _evolve_sampled(p0, step_matrix, n_steps, stride, out)
+        if status == STATUS_OK or not rerun:
             return status, bad_step, max_drift, out
         if n_steps > MAX_STEPWISE_STEPS:
             return STATUS_TOO_LONG, bad_step, max_drift, out
     # an unstable step matrix, or a guard tripped on a sample: the stepwise
     # loop decides, and names the first bad step
-    status, bad_step, max_drift = _evolve_stepwise(p0, r, n_steps, stride, out)
+    status, bad_step, max_drift = _evolve_stepwise(p0, step_matrix.r, n_steps, stride, out)
     return status, bad_step, max_drift, out

@@ -57,8 +57,8 @@ class RateParams:
         n_be = bose_einstein(self.osc.omega, self.bath.temperature)
         object.__setattr__(self, "gamma", self.bath.gamma0 * (n_be + 1.0))
         object.__setattr__(self, "boltz_factor", math.exp(-self.osc.omega / self.bath.temperature))
-        if not self.gamma > self.bath.gamma0:
-            raise OttoKilnError("derived gamma must exceed gamma0")
+        if not self.gamma >= self.bath.gamma0:  # equal where n_BE < 1e-16 (omega/T > 36.7)
+            raise OttoKilnError("derived gamma must not fall below gamma0")
         if not 0.0 < self.boltz_factor < 1.0:
             raise OttoKilnError("detailed-balance factor must lie in (0, 1)")
 
@@ -123,18 +123,19 @@ def stroke_steps(duration, gamma, n_max, dt=None):
 
 
 def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
-                     tail_tolerance=TAIL_TOLERANCE):
+                     tail_tolerance=TAIL_TOLERANCE, step_matrix=None):
     """Evolve populations at fixed frequency for the given duration.
 
-    The step count and step come from stroke_steps.  Returns a Trajectory
-    whose first/last samples are the initial and final distributions.
+    The step count and step come from stroke_steps; step_matrix is the
+    stroke's _kernels.StepMatrix, built per call when None.  Returns a
+    Trajectory whose first/last samples are the initial and final states.
     """
     n_steps, step = stroke_steps(duration, params.gamma, dist.n_max, dt)
     if sample_stride is None:
         sample_stride = max(1, n_steps // 64)
 
     status, bad_step, max_drift, samples = _kernels.evolve_populations(
-        dist.probs, params.gamma, params.boltz_factor, step, n_steps, sample_stride,
+        dist.probs, params.gamma, params.boltz_factor, step, n_steps, sample_stride, step_matrix,
     )
     if status == _kernels.STATUS_DRIFT:
         raise IntegrationError(

@@ -28,8 +28,10 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
 _MODES = ("otto", "pump", "sweep")
 
-# Largest ladder truncation: the kernel holds dense (n_max + 1)^2 step
-# matrices, and the default dt shrinks as 1 / (n_max + 1).
+# Largest ladder truncation: the default dt shrinks as 1 / (n_max + 1), and a
+# run keeps each bath stroke's dense (n_max + 1)^2 step matrix R and the
+# powers of R it jumps with until it ends: 8 MB each at n_max = 1000, R and
+# up to three powers per bath stroke.
 MAX_N_MAX = 1000
 # Most points of one sweep (sweep_ratio_steps times the sweep_t_h entries).
 # A balance sweep with --svg peaks at about 230 bytes per point (measured:

@@ -241,25 +241,28 @@ def pump_populations(dist, target, omega, tail_tolerance=TAIL_TOLERANCE):
     return new_dist, q_pump
 
 
-def _mapped_isochore(dist, stroke, maps, dt, sample_stride, tail_tolerance):
-    """End state and drift of a bath stroke applied as one map.
-
-    The stroke's map R^n_steps is built at its first use and kept in maps.
-    Where R is unstable, or the application trips a guard, evolve_isochoric
-    runs the stroke instead: it raises the error a traced run raises, or
-    returns the state a traced run reaches.
-    """
-    if stroke not in maps:
+def _bath_stroke(cache, index, stroke, n_max, dt):
+    """(params, n_steps, step, step_matrix) of the schedule's bath stroke at
+    index: built at its first use (RateParams, stroke_steps, StepMatrix)."""
+    if index not in cache:
         params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
-        n_steps, step = stroke_steps(stroke.duration, params.gamma, dist.n_max, dt)
-        maps[stroke] = params, _kernels.stroke_map(params.gamma, params.boltz_factor,
-                                                   dist.n_max + 1, step, n_steps)
-    params, m = maps[stroke]
-    if m is not None:
-        status, drift, probs = _kernels.apply_stroke_map(m, dist.probs)
-        if status == _kernels.STATUS_OK:
-            return FockDistribution(probs, dist.n_max).require_tail(tail_tolerance), drift
-    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
+        n_steps, step = stroke_steps(stroke.duration, params.gamma, n_max, dt)
+        cache[index] = (params, n_steps, step,
+                        _kernels.StepMatrix(params.gamma, params.boltz_factor, n_max + 1, step))
+    return cache[index]
+
+
+def _jumped_isochore(dist, stroke, cached, dt, sample_stride, tail_tolerance):
+    """End state and drift of a bath stroke propagated by one jump R^n_steps.
+    Where a guard trips, evolve_isochoric runs the stroke instead (at
+    sample_stride, then step by step): it raises the error a traced run
+    raises, or returns the state a traced run reaches."""
+    params, n_steps, step, step_matrix = cached
+    status, _, drift, samples = _kernels.evolve_populations(
+        dist.probs, params.gamma, params.boltz_factor, step, n_steps, n_steps, step_matrix, rerun=False)
+    if status == _kernels.STATUS_OK:
+        return FockDistribution(samples[-1], dist.n_max).require_tail(tail_tolerance), drift
+    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance, step_matrix)
     return traj.final, traj.max_drift
 
 
@@ -300,10 +303,10 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
     CycleRecord per cycle, and the cyclostationarity metric (total-variation
     distance between consecutive cycle-start distributions; first entry NaN).
 
-    ledger_only=True records no samples (the trace's series stay empty, and
-    sample_stride matters only where a stroke falls back): each bath stroke
-    is one map, built once per call and applied once per cycle (see
-    _mapped_isochore).
+    Each bath stroke's step matrix R, its powers and its step count are built
+    once per call (_bath_stroke).  ledger_only=True records no samples (the
+    trace's series stay empty): each bath stroke is one jump R^n_steps, and
+    sample_stride matters only where it trips a guard (_jumped_isochore).
 
     A cycle is a deterministic function of its start state.  Once a cycle
     starts bitwise equal to its predecessor's start, it and every later
@@ -320,7 +323,7 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
     period = schedule.period
 
     trace = EngineTrace(mode=kind, n_max=dist.n_max, cycle_time=period)
-    segments, maps = [], {}
+    segments, bath_strokes = [], {}
     for k in range(schedule.cycle_count):
         if trace.records and np.array_equal(dist.probs, trace.records[-1].dist_a.probs):
             _book_repeats(trace, segments, cycle_segments, k, schedule.cycle_count, period)
@@ -329,19 +332,21 @@ def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAI
         states = [dist]
         cycle_segments = []  # sample times relative to the cycle's start
         start, t, omega = k * period, 0.0, spans[-1].omega_to  # t: time into the cycle
-        for stroke in strokes:
+        for index, stroke in enumerate(strokes):
             if isinstance(stroke, PumpStroke):
                 dist, jump = pump_populations(dist, stroke.target, omega, tail_tolerance)
                 ledger["q_pump"] += jump
                 ledger["q_pump_gross"] += internal_energy(dist, omega)
             elif isinstance(stroke, IsochoricStroke):
                 hot = stroke.omega == omega_h
+                cached = _bath_stroke(bath_strokes, index, stroke, dist.n_max, dt)
                 if ledger_only:
-                    end, drift = _mapped_isochore(dist, stroke, maps, dt, sample_stride, tail_tolerance)
+                    end, drift = _jumped_isochore(dist, stroke, cached, dt, sample_stride, tail_tolerance)
                     trace.max_step_drift = max(trace.max_step_drift, drift)
                 else:
-                    params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
-                    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance)
+                    params, _, _, step_matrix = cached
+                    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride,
+                                            tail_tolerance, step_matrix)
                     end = traj.final
                     cycle_segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
                                                         traj.times + t, np.full(len(traj), stroke.omega),

@@ -57,6 +57,13 @@ def test_rate_params_derived_quantities():
     assert 0.0 < p.boltz_factor < 1.0
 
 
+def test_rate_params_accept_a_bath_too_cold_to_raise_gamma():
+    # omega/T = 50: n_BE = 1.9e-22, so gamma0 * (n_BE + 1) rounds to gamma0
+    p = params(1.0, 0.02, 0.5)
+    assert p.gamma == p.bath.gamma0
+    assert 0.0 < p.boltz_factor < 1.0
+
+
 def test_derivative_vanishes_at_matching_thermal_state():
     p = params(1.0, 0.4)
     fixed = stationary_distribution(1.0, 0.4, 50)

@@ -71,6 +71,18 @@ def test_pump_subcommand_matches_saturation_figure(tmp_path):
     assert float(cycles[-1]["q_pump"]) == pytest.approx(1.3566586610668954, abs=1e-6)
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", ""),
+    ("pump", ""),
+    ("sweep", "sweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 2\n"),
+], ids=["simulate", "pump", "finite_sweep"])
+def test_cold_bath_near_zero_temperature_runs(tmp_path, command, extra):
+    # t_c = 0.02 puts omega_c / t_c at 50, where gamma0 * (n_BE + 1) rounds to gamma0
+    config = tmp_path / "cfg.txt"
+    config.write_text("t_c = 0.02\nn_cycles = 3\n" + extra)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+
+
 def test_sweep_subcommand_writes_expected_columns(tmp_path):
     out = tmp_path / "sweep"
     config = tmp_path / "cfg.txt"

@@ -12,10 +12,13 @@ from ottokiln import (
     InitialStateSpec,
     IntegrationError,
     IsochoricStroke,
+    OscillatorSpec,
     OttoKilnError,
     PumpStroke,
+    RateParams,
     StrokeSchedule,
     UnderTruncationError,
+    analytic_cycle_thermal_balance,
     entropy,
     internal_energy,
     make_distribution,
@@ -187,6 +190,15 @@ def test_engine_single_cycle_from_cold_equilibrium_matches_analytic_ledger():
     record = trace.final_record
     for name, expected in LEDGER.items():
         assert getattr(record, name) == pytest.approx(expected, abs=1e-7), name
+
+
+def test_engine_against_a_bath_near_zero_temperature_reaches_the_analytic_ledger():
+    # t_c = 0.02: n_BE(omega_c, t_c) = 1.9e-22, so the cold bath's gamma is gamma0
+    config = replace(EngineConfig(), t_c=0.02, tau=20.0, n_cycles=4)
+    record = run_engine(config).final_record
+    expected = analytic_cycle_thermal_balance(config.omega_c, config.omega_h, config.t_c, config.t_h)
+    for name in ("q_in", "q_out", "w_out", "w_in", "w_eff"):
+        assert abs(getattr(record, name) - getattr(expected, name)) <= 1e-8, name
 
 
 def test_engine_zero_cycles_is_empty():
@@ -372,7 +384,7 @@ def test_ledger_only_run_books_the_traced_ledger(mode, tau, start):
     assert_same_ledgers(traced, ledger, 1e-12)
     assert ledger.times.size == ledger.probs.size == 0 and ledger.stroke_labels == []
     assert (ledger.mode, ledger.cycle_time) == (traced.mode, traced.cycle_time)
-    # one map per stroke conserves probability far inside the guard
+    # one jump R^n_steps per stroke conserves probability far inside the guard
     assert 0.0 < ledger.max_step_drift <= _kernels.DRIFT_TOL
 
 
@@ -388,51 +400,95 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+@pytest.mark.parametrize("ledger_only", [False, True], ids=["traced", "ledger_only"])
 @pytest.mark.parametrize("mode,bath_strokes", [("otto", 2), ("pump", 1)])
-def test_ledger_only_run_builds_one_map_per_bath_stroke_per_call(monkeypatch, mode, bath_strokes):
-    maps = count_calls(monkeypatch, _kernels, "stroke_map")
-    applied = count_calls(monkeypatch, _kernels, "apply_stroke_map")
+def test_run_builds_one_step_matrix_per_bath_stroke_per_call(monkeypatch, mode, bath_strokes,
+                                                            ledger_only):
+    built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
+    propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
     stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
     dist = make_distribution(InitialStateSpec.ground(), 50)
     schedule = ledger_schedule(mode, 1.0, 5)
     # otto at tau = 1 never repeats a cycle start within 5 cycles; pump cycle 2
-    # starts where cycle 1 did, so cycles 2 to 4 are copies that apply no map
+    # starts where cycle 1 did, so cycles 2 to 4 are copies that run no stroke
     run_cycles = {"otto": 5, "pump": 2}[mode]
-    for call in (1, 2):  # the maps live for one call
-        trace = run_schedule(dist, schedule, ledger_only=True)
+    for call in (1, 2):  # the step matrices live for one call
+        trace = run_schedule(dist, schedule, ledger_only=ledger_only)
         assert trace.repeat_from == (None if mode == "otto" else 2)
-        assert len(maps) == call * bath_strokes
-        assert len(applied) == call * bath_strokes * run_cycles
-    assert stepped == []
+        assert len(built) == call * bath_strokes
+        assert len(propagated) == call * bath_strokes * run_cycles
+        # traced strokes run evolve_isochoric; ledger-only ones never do
+        assert len(stepped) == (0 if ledger_only else call * bath_strokes * run_cycles)
+    if ledger_only:  # one jump R^n_steps per stroke: two rows, start and end
+        assert all(args[4] == args[5] for args in propagated)
 
 
-@pytest.mark.parametrize("broken", ["unstable_dt", "no_map", "guard_trips"])
-def test_ledger_only_stroke_falls_back_to_evolve_isochoric(monkeypatch, broken):
+def _tripped_jump(original):
+    """_evolve_sampled with every whole-stroke jump (stride >= n_steps)
+    reported as a drift trip."""
+    def sampled(p, step_matrix, n_steps, stride, out):
+        if stride >= n_steps:
+            return _kernels.STATUS_DRIFT, n_steps, 1.0
+        return original(p, step_matrix, n_steps, stride, out)
+    return sampled
+
+
+@pytest.mark.parametrize("broken", ["unstable_dt", "unstable_matrix", "jump_trips"])
+def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broken):
     dist = make_distribution(InitialStateSpec.equal_lowest(3), 50)
     schedule = ledger_schedule("otto", 1.0, 3)
     # at dt = 0.02 both step matrices have negative entries, yet the stepwise loop never trips
     dt = 0.02 if broken == "unstable_dt" else None
+    if broken == "unstable_matrix":  # both runs step one step at a time
+        monkeypatch.setattr(_kernels, "step_matrix_is_stable", lambda r: False)
     traced = run_schedule(dist, schedule, dt)
-    if broken == "no_map":
-        monkeypatch.setattr(_kernels, "stroke_map", lambda *args: None)
-    elif broken == "guard_trips":
-        monkeypatch.setattr(_kernels, "apply_stroke_map",
-                            lambda m, p: (_kernels.STATUS_DRIFT, 1.0, m @ p))
+    if broken == "jump_trips":
+        monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
+    sampled = count_calls(monkeypatch, _kernels, "_evolve_sampled")
+    stepwise = count_calls(monkeypatch, _kernels, "_evolve_stepwise")
     stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
     ledger = run_schedule(dist, schedule, dt, ledger_only=True)
-    assert len(stepped) == 2 * 3
-    # the fallback is the traced run's own stroke routine: equal bit for bit
+    if broken == "jump_trips":  # each stroke's jump trips, then it reruns at the default stride
+        runs = [(args[2], args[3]) for args in sampled]
+        assert len(runs) == 2 * 2 * 3
+        assert all(stride == n_steps for n_steps, stride in runs[::2])
+        assert all(stride == max(1, n_steps // 64) for n_steps, stride in runs[1::2])
+        assert len(stepped) == 2 * 3 and stepwise == []
+    else:  # the ledger-only call steps one step at a time, as the traced stroke does
+        assert sampled == [] and len(stepwise) == 2 * 3 and stepped == []
+    # the ledger-only stroke takes the traced stroke's path: equal bit for bit
     assert_same_ledgers(traced, ledger, 0.0)
+
+
+def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
+    # gamma0 = 50, tau = 20: 2,859,165 steps per hot stroke; one jump
+    # R^n_steps drifts 1.4e-10, beyond DRIFT_TOL, while the 64 jumps of the
+    # default stride drift 2.3e-12.  The stroke is too long to rerun step by
+    # step, so without the rerun at the sample stride the run would end in
+    # STATUS_TOO_LONG.
+    hot, cold = BathSpec(1.2, 50.0), BathSpec(0.4, 50.0)
+    dist = make_distribution(InitialStateSpec.ground(), 50)
+    schedule = otto_schedule(1.0, 1.5, cold, hot, 20.0, 2)
+    params = RateParams(OscillatorSpec(1.5), hot)
+    n_steps, step = ottokiln.cycle.stroke_steps(20.0, params.gamma, 50, None)
+    assert n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
+    jumped = _kernels.evolve_populations(dist.probs, params.gamma, params.boltz_factor,
+                                         step, n_steps, n_steps)
+    assert jumped[0] == _kernels.STATUS_TOO_LONG
+    traced = run_schedule(dist, schedule)
+    ledger = run_schedule(dist, schedule, ledger_only=True)
+    assert_same_ledgers(traced, ledger, 0.0)
+    assert ledger.max_step_drift == traced.max_step_drift <= _kernels.DRIFT_TOL
 
 
 def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):
     config = replace(EngineConfig(), n_cycles=3).validate()
     stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
-    maps = count_calls(monkeypatch, _kernels, "stroke_map")
+    built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
     sweep = sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau,
                                    mode="finite", engine_config=config)
     assert len(sweep) == 4
-    assert stepped == [] and len(maps) == 2 * 4
+    assert stepped == [] and len(built) == 2 * 4
 
 
 def test_unstable_dt_ends_the_finite_sweep_with_the_simulate_error():

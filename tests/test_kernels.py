@@ -10,6 +10,7 @@ from ottokiln._kernels import (
     STATUS_NEGATIVE,
     STATUS_OK,
     STATUS_TOO_LONG,
+    StepMatrix,
     _evolve_stepwise,
     derivative,
     evolve_populations,
@@ -19,7 +20,6 @@ from ottokiln._kernels import (
     sample_count,
     sample_steps,
     step_matrix_is_stable,
-    stroke_map,
 )
 from ottokiln.verification import run_all_checks
 
@@ -149,7 +149,7 @@ def _four_reduction_guard(p, max_drift):
     return STATUS_OK, max_drift
 
 
-def _four_reduction_sampled(p, r, n_steps, stride, out):
+def _four_reduction_sampled(p, step_matrix, n_steps, stride, out):
     """The sample-to-sample loop before the rewrite: each jump is a new array,
     guarded by the reference guard, then copied into its output row."""
     out[0] = p
@@ -157,7 +157,7 @@ def _four_reduction_sampled(p, r, n_steps, stride, out):
     gaps = [stride] * (n_steps // stride)
     if n_steps % stride:
         gaps.append(n_steps % stride)
-    jumps = {gap: np.linalg.matrix_power(r, gap) for gap in set(gaps)}
+    jumps = {gap: np.linalg.matrix_power(step_matrix.r, gap) for gap in set(gaps)}
     k = 0
     for idx, gap in enumerate(gaps, start=1):
         p = jumps[gap] @ p
@@ -242,20 +242,20 @@ def test_samples_equal_the_four_reduction_path_bit_for_bit(n_steps, stride, star
     assert samples.tobytes() == want[3].tobytes()
 
 
-def test_stepwise_loop_and_stroke_maps_equal_the_four_reduction_guard_bit_for_bit(monkeypatch):
+def test_stepwise_loop_and_whole_stroke_jump_equal_the_four_reduction_guard_bit_for_bit(monkeypatch):
     p0 = np.zeros(51)
     p0[0] = 1.0
     got = _stepwise(p0, 7e-4, 2857, 44)
-    m = stroke_map(GAMMA, BOLTZ, 51, 7e-4, 2857)
-    mapped = _kernels.apply_stroke_map(m, p0)
+    jumped = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, 2857, 2857)
     monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
     want = _stepwise(p0, 7e-4, 2857, 44)
     assert got[:3] == want[:3]
     assert got[3].tobytes() == want[3].tobytes()
-    want_mapped = _kernels.apply_stroke_map(m, p0)
-    assert mapped[0] == STATUS_OK
-    assert mapped[:2] == want_mapped[:2]
-    assert mapped[2].tobytes() == want_mapped[2].tobytes()
+    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+    want_jumped = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, 2857, 2857)
+    assert jumped[0] == STATUS_OK
+    assert jumped[:3] == want_jumped[:3]
+    assert jumped[3].tobytes() == want_jumped[3].tobytes()
 
 
 def test_nan_state_trips_the_drift_guard_at_the_first_step():
