@@ -37,18 +37,12 @@ from .bath import (
     stationary_distribution,
 )
 from .cycle import (
-    AdiabaticStroke,
     CycleRecord,
     EngineTrace,
-    IsochoricStroke,
-    PumpStroke,
-    StrokeSchedule,
-    otto_schedule,
     pump_populations,
-    pump_schedule,
     run_adiabatic,
+    run_cycles,
     run_engine,
-    run_schedule,
 )
 from .analysis import (
     Sweep,

@@ -59,8 +59,8 @@ class RateParams:
         object.__setattr__(self, "boltz_factor", math.exp(-self.osc.omega / self.bath.temperature))
         if not self.gamma >= self.bath.gamma0:  # equal where n_BE < 1e-16 (omega/T > 36.7)
             raise OttoKilnError("derived gamma must not fall below gamma0")
-        if not 0.0 < self.boltz_factor < 1.0:
-            raise OttoKilnError("detailed-balance factor must lie in (0, 1)")
+        if not 0.0 <= self.boltz_factor < 1.0:  # 0 where exp(-omega/T) underflows (omega/T > 745)
+            raise OttoKilnError("detailed-balance factor must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,8 @@ class EngineConfig:
             raise ConfigError(f"t_c must be below t_h, got {self.t_c} >= {self.t_h}")
         if self.n_cycles < 0:
             raise ConfigError(f"n_cycles must be >= 0, got {self.n_cycles}")
+        if self.mode == "sweep" and self.sweep_mode == "finite" and self.n_cycles < 1:
+            raise ConfigError(f"n_cycles must be >= 1 for a finite sweep, got {self.n_cycles}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.n_max > MAX_N_MAX:

@@ -1,23 +1,27 @@
 """Four-stroke cycles over the population ladder and their energy ledger.
 
-A cycle is a StrokeSchedule.  run_schedule walks its strokes and books what
-each stroke's routine returns, following the first-law split dU = dQ + dW:
-bath contact at fixed frequency changes populations only (heat), frequency
-ramps with frozen populations change level energies only (work).  With the
-stroke-boundary states A -> B -> C -> D -> A', the ledger is booked per
-stroke:
+run_cycles runs the two cycles of the engine straight from an EngineConfig.
+The otto cycle is hot contact at omega_h, expansion, cold contact at
+omega_c and compression, tau each.  The pump cycle puts a pump in place of
+the hot contact, an instantaneous re-preparation of the populations at
+omega_h, and then takes tau_bc, tau_cd and tau_db for the other three.
+
+The ledger follows the first-law split dU = dQ + dW: bath contact at fixed
+frequency changes populations only (heat), frequency ramps with frozen
+populations change level energies only (work).  With the stroke-boundary
+states A -> B -> C -> D -> A', where the ramps give <n>_C = <n>_B and
+<n>_A' = <n>_D, a cycle books
 
     q_in  = omega_h * (<n>_B - <n>_A)        hot isochore (at omega_h)
     w_out = (omega_h - omega_c) * <n>_B      expansion ramp
-    q_out = omega_c * (<n>_C - <n>_D)        cold isochore
+    q_out = omega_c * (<n>_B - <n>_D)        cold isochore
     w_in  = (omega_h - omega_c) * <n>_D      compression ramp
     w_eff = w_out - w_in
 
-Pump cycles put a pump stroke in place of the hot isochore: an
-instantaneous re-preparation of the populations at omega_h.  It books
-q_pump = U_B - U_A, the internal-energy jump, and q_pump_gross = U_B, the
-full preparation energy of the target measured from the ground level (the
-externally supplied pump energy, used as the efficiency denominator).
+A pump cycle books q_in = 0 and instead q_pump = U_B - U_A, the
+internal-energy jump, and q_pump_gross = U_B, the full preparation energy
+of the target measured from the ground level (the externally supplied pump
+energy, used as the efficiency denominator).
 """
 
 import math
@@ -31,7 +35,6 @@ from .exceptions import OttoKilnError
 from .fock import (
     BathSpec,
     FockDistribution,
-    InitialStateSpec,
     OscillatorSpec,
     make_distribution,
     internal_energy,
@@ -41,98 +44,6 @@ from .fock import (
 )
 
 ADIABATIC_SAMPLES = 64
-
-
-@dataclass(frozen=True)
-class IsochoricStroke:
-    bath: BathSpec
-    omega: float
-    duration: float
-
-    @property
-    def omega_from(self):
-        """A bath stroke starts and ends at its own frequency."""
-        return self.omega
-
-    omega_to = omega_from
-
-
-@dataclass(frozen=True)
-class AdiabaticStroke:
-    omega_from: float
-    omega_to: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class PumpStroke:
-    """Instantaneous re-preparation of the populations at the current frequency."""
-
-    target: InitialStateSpec
-    duration = 0.0  # not a field: a pump takes no time
-
-
-@dataclass(frozen=True)
-class StrokeSchedule:
-    """One cycle's ordered strokes, repeated cycle_count times."""
-
-    strokes: tuple
-    cycle_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "strokes", tuple(self.strokes))
-        if self.cycle_count < 0:
-            raise OttoKilnError(f"cycle_count must be >= 0, got {self.cycle_count}")
-        boundaries = []
-        for stroke in self.strokes:
-            if isinstance(stroke, PumpStroke):
-                continue
-            if not isinstance(stroke, (IsochoricStroke, AdiabaticStroke)):
-                raise OttoKilnError(f"unknown stroke type {type(stroke).__name__}")
-            if not stroke.duration > 0:
-                raise OttoKilnError(f"{type(stroke).__name__} duration must be positive")
-            boundaries.append((stroke.omega_from, stroke.omega_to))
-        if not boundaries:
-            raise OttoKilnError("a schedule needs a bath or ramp stroke to set its frequency")
-        for (_, end), (start, _) in zip(boundaries, boundaries[1:]):
-            if not math.isclose(end, start, rel_tol=0.0, abs_tol=1e-12):
-                raise OttoKilnError(f"strokes disagree on frequency at a joint: {end} vs {start}")
-        if not math.isclose(boundaries[-1][1], boundaries[0][0], abs_tol=1e-12):
-            raise OttoKilnError("schedule does not return to its starting frequency")
-
-    @property
-    def period(self):
-        return sum(s.duration for s in self.strokes)
-
-
-def otto_schedule(omega_c, omega_h, bath_c, bath_h, tau, cycle_count):
-    """Hot contact at omega_h, expansion, cold contact at omega_c, compression."""
-    if not 0 < omega_c < omega_h:
-        raise OttoKilnError(f"need 0 < omega_c < omega_h, got {omega_c}, {omega_h}")
-    return StrokeSchedule(
-        strokes=(
-            IsochoricStroke(bath_h, omega_h, tau),
-            AdiabaticStroke(omega_h, omega_c, tau),
-            IsochoricStroke(bath_c, omega_c, tau),
-            AdiabaticStroke(omega_c, omega_h, tau),
-        ),
-        cycle_count=cycle_count,
-    )
-
-
-def pump_schedule(target, omega_c, omega_h, bath_c, tau_bc, tau_cd, tau_db, cycle_count):
-    """Pump at omega_h, expansion, cold contact, compression back to omega_h."""
-    if not 0 < omega_c < omega_h:
-        raise OttoKilnError(f"need 0 < omega_c < omega_h, got {omega_c}, {omega_h}")
-    return StrokeSchedule(
-        strokes=(
-            PumpStroke(target),
-            AdiabaticStroke(omega_h, omega_c, tau_bc),
-            IsochoricStroke(bath_c, omega_c, tau_cd),
-            AdiabaticStroke(omega_c, omega_h, tau_db),
-        ),
-        cycle_count=cycle_count,
-    )
 
 
 @dataclass(frozen=True)
@@ -174,7 +85,6 @@ class StrokeSegment:
     times: np.ndarray
     omegas: np.ndarray
     probs: np.ndarray
-    max_drift: float = 0.0
 
 
 @dataclass
@@ -193,7 +103,7 @@ class EngineTrace:
     records: list = field(default_factory=list)
     a_shift_tv: list = field(default_factory=list)
     max_step_drift: float = 0.0
-    repeat_from: int = None  # first cycle copied from its predecessor (see run_schedule)
+    repeat_from: int = None  # first cycle copied from its predecessor (see run_cycles)
 
     def converged(self, threshold=1e-6):
         return bool(self.a_shift_tv) and not math.isnan(self.a_shift_tv[-1]) \
@@ -206,15 +116,6 @@ class EngineTrace:
         return self.records[-1]
 
 
-def _ramp_work(dist, omega_from, omega_to, duration):
-    """Work done on the oscillator by a ramp, (omega_to - omega_from) * <n>."""
-    if not (omega_from > 0 and omega_to > 0):
-        raise OttoKilnError("ramp frequencies must be positive")
-    if not duration > 0:
-        raise OttoKilnError(f"ramp duration must be positive, got {duration}")
-    return (omega_to - omega_from) * mean_occupation(dist)
-
-
 def run_adiabatic(dist, omega_from, omega_to, duration, samples=ADIABATIC_SAMPLES):
     """Frequency ramp with frozen populations.
 
@@ -222,11 +123,15 @@ def run_adiabatic(dist, omega_from, omega_to, duration, samples=ADIABATIC_SAMPLE
     (omega_to - omega_from) * <n>: positive for compression, negative for
     expansion.  Internal energy is linear in time along the ramp.
     """
-    work = _ramp_work(dist, omega_from, omega_to, duration)
+    if not (omega_from > 0 and omega_to > 0):
+        raise OttoKilnError("ramp frequencies must be positive")
+    if not duration > 0:
+        raise OttoKilnError(f"ramp duration must be positive, got {duration}")
     if samples < 2:
         raise OttoKilnError("a ramp needs at least two samples")
     times = np.linspace(0.0, duration, samples)
     probs = np.broadcast_to(dist.probs, (samples, dist.n_max + 1))  # read-only view
+    work = (omega_to - omega_from) * mean_occupation(dist)
     return Trajectory(times=times, probs=probs, sample_stride=1), work
 
 
@@ -241,29 +146,53 @@ def pump_populations(dist, target, omega, tail_tolerance=TAIL_TOLERANCE):
     return new_dist, q_pump
 
 
-def _bath_stroke(cache, index, stroke, n_max, dt):
-    """(params, n_steps, step, step_matrix) of the schedule's bath stroke at
-    index: built at its first use (RateParams, stroke_steps, StepMatrix)."""
-    if index not in cache:
-        params = RateParams(OscillatorSpec(stroke.omega), stroke.bath)
-        n_steps, step = stroke_steps(stroke.duration, params.gamma, n_max, dt)
-        cache[index] = (params, n_steps, step,
-                        _kernels.StepMatrix(params.gamma, params.boltz_factor, n_max + 1, step))
-    return cache[index]
+class _Contact:
+    """A bath stroke of one run of config: the oscillator at omega against
+    the bath at temperature for duration.  Its RateParams, step count and
+    StepMatrix are built at its first use and kept for the run."""
+
+    def __init__(self, label, omega, temperature, duration, config):
+        self.label, self.omega, self.duration, self.config = label, omega, duration, config
+        self.bath = BathSpec(temperature, config.gamma0)
+        self.coupling = None
+
+    def run(self, dist, segments, t):
+        """(end state, drift) of the stroke from dist.
+
+        A traced run (segments a list) appends the stroke's samples, their
+        times shifted by t.  A ledger-only run (segments None) propagates by
+        one jump R^n_steps; where a guard trips, evolve_isochoric runs the
+        stroke instead (at sample_stride, then step by step): it raises the
+        error a traced run raises, or returns the state a traced run reaches.
+        """
+        config = self.config
+        if self.coupling is None:
+            params = RateParams(OscillatorSpec(self.omega), self.bath)
+            n_steps, step = stroke_steps(self.duration, params.gamma, dist.n_max, config.dt)
+            self.coupling = (params, n_steps, step,
+                             _kernels.StepMatrix(params.gamma, params.boltz_factor, dist.n_max + 1, step))
+        params, n_steps, step, step_matrix = self.coupling
+        if segments is None:
+            status, _, drift, samples = _kernels.evolve_populations(
+                dist.probs, params.gamma, params.boltz_factor, step, n_steps, n_steps, step_matrix,
+                rerun=False)
+            if status == _kernels.STATUS_OK:
+                return FockDistribution(samples[-1], dist.n_max).require_tail(config.tail_tolerance), drift
+        traj = evolve_isochoric(dist, params, self.duration, config.dt, config.sample_stride,
+                                config.tail_tolerance, step_matrix)
+        if segments is not None:
+            segments.append(StrokeSegment(self.label, traj.times + t, np.full(len(traj), self.omega),
+                                          traj.probs))
+        return traj.final, traj.max_drift
 
 
-def _jumped_isochore(dist, stroke, cached, dt, sample_stride, tail_tolerance):
-    """End state and drift of a bath stroke propagated by one jump R^n_steps.
-    Where a guard trips, evolve_isochoric runs the stroke instead (at
-    sample_stride, then step by step): it raises the error a traced run
-    raises, or returns the state a traced run reaches."""
-    params, n_steps, step, step_matrix = cached
-    status, _, drift, samples = _kernels.evolve_populations(
-        dist.probs, params.gamma, params.boltz_factor, step, n_steps, n_steps, step_matrix, rerun=False)
-    if status == _kernels.STATUS_OK:
-        return FockDistribution(samples[-1], dist.n_max).require_tail(tail_tolerance), drift
-    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride, tail_tolerance, step_matrix)
-    return traj.final, traj.max_drift
+def _ramp(dist, label, omega_from, omega_to, duration, segments, t):
+    """A traced run's samples of a frequency ramp; a ledger-only run
+    (segments None) records nothing, as the populations stay frozen."""
+    if segments is not None:
+        traj, _ = run_adiabatic(dist, omega_from, omega_to, duration)
+        segments.append(StrokeSegment(label, traj.times + t,
+                                      np.linspace(omega_from, omega_to, len(traj)), traj.probs))
 
 
 def _assemble_trace(trace, segments):
@@ -274,7 +203,6 @@ def _assemble_trace(trace, segments):
         omegas.append(segment.omegas[start:])
         probs.append(segment.probs[start:])
         labels.extend([segment.label] * (segment.times.shape[0] - start))
-        trace.max_step_drift = max(trace.max_step_drift, segment.max_drift)
     if not times:
         return trace
     trace.times = np.concatenate(times)
@@ -291,98 +219,71 @@ def _assemble_trace(trace, segments):
     return trace
 
 
-def run_schedule(dist, schedule, dt=None, sample_stride=None, tail_tolerance=TAIL_TOLERANCE,
-                 ledger_only=False):
-    """Run schedule.cycle_count cycles of the schedule's strokes from dist.
+def run_cycles(dist, config, ledger_only=False):
+    """Run config.n_cycles cycles of config.mode ("otto" or "pump") from dist.
 
-    Each stroke books what its routine returns (see the module docstring):
-    an isochore its heat, to q_in at the schedule's top frequency and to
-    q_out elsewhere; a ramp the work run_adiabatic returns, to w_out going
-    down and w_in going up; a pump its internal-energy jump and gross pump
-    energy.  Returns an EngineTrace with the sampled time series, one
+    dist sets the ladder; config.n_max and config.initial_state are read
+    only by run_engine.  Books each cycle's ledger by the module docstring's
+    formulas.  Returns an EngineTrace with the sampled time series, one
     CycleRecord per cycle, and the cyclostationarity metric (total-variation
     distance between consecutive cycle-start distributions; first entry NaN).
 
-    Each bath stroke's step matrix R, its powers and its step count are built
-    once per call (_bath_stroke).  ledger_only=True records no samples (the
-    trace's series stay empty): each bath stroke is one jump R^n_steps, and
-    sample_stride matters only where it trips a guard (_jumped_isochore).
+    ledger_only=True records no samples (the trace's series stay empty):
+    each bath stroke is one jump R^n_steps, ramps do nothing, and
+    sample_stride matters only where a jump trips a guard (_Contact.run).
 
     A cycle is a deterministic function of its start state.  Once a cycle
     starts bitwise equal to its predecessor's start, it and every later
     cycle repeat the predecessor bit for bit, so they are booked as copies
     of it instead of being run (trace.repeat_from is the first copy's index).
     """
-    strokes = schedule.strokes
-    if len(strokes) != 4:
-        raise OttoKilnError(f"a cycle record books four strokes, the schedule has {len(strokes)}")
-    spans = [s for s in strokes if not isinstance(s, PumpStroke)]
-    omega_c = min(s.omega_from for s in spans)
-    omega_h = max(s.omega_from for s in spans)
-    kind = "pump" if len(spans) < len(strokes) else "otto"
-    period = schedule.period
+    config.validate()
+    kind, omega_c, omega_h = config.mode, config.omega_c, config.omega_h
+    if kind not in ("otto", "pump"):
+        raise OttoKilnError(f"run_cycles handles otto and pump modes, not {kind!r}")
+    if kind == "otto":
+        durations = (config.tau,) * 4
+        hot = _Contact("hot_isochore", omega_h, config.t_h, config.tau, config)
+    else:
+        durations = (0.0, config.tau_bc, config.tau_cd, config.tau_db)  # the pump takes no time
+    cold = _Contact("cold_isochore", omega_c, config.t_c, durations[2], config)
+    t_b = durations[0]  # cycle-relative start of the expansion, cold contact and compression
+    t_c = t_b + durations[1]
+    t_d = t_c + durations[2]
+    period = sum(durations)
 
     trace = EngineTrace(mode=kind, n_max=dist.n_max, cycle_time=period)
-    segments, bath_strokes = [], {}
-    for k in range(schedule.cycle_count):
+    segments = []
+    for k in range(config.n_cycles):
         if trace.records and np.array_equal(dist.probs, trace.records[-1].dist_a.probs):
-            _book_repeats(trace, segments, cycle_segments, k, schedule.cycle_count, period)
+            _book_repeats(trace, segments, cycle_segments, k, config.n_cycles, period)
             break
-        ledger = dict.fromkeys(("q_in", "q_out", "w_out", "w_in", "q_pump", "q_pump_gross"), 0.0)
-        states = [dist]
-        cycle_segments = []  # sample times relative to the cycle's start
-        start, t, omega = k * period, 0.0, spans[-1].omega_to  # t: time into the cycle
-        for index, stroke in enumerate(strokes):
-            if isinstance(stroke, PumpStroke):
-                dist, jump = pump_populations(dist, stroke.target, omega, tail_tolerance)
-                ledger["q_pump"] += jump
-                ledger["q_pump_gross"] += internal_energy(dist, omega)
-            elif isinstance(stroke, IsochoricStroke):
-                hot = stroke.omega == omega_h
-                cached = _bath_stroke(bath_strokes, index, stroke, dist.n_max, dt)
-                if ledger_only:
-                    end, drift = _jumped_isochore(dist, stroke, cached, dt, sample_stride, tail_tolerance)
-                    trace.max_step_drift = max(trace.max_step_drift, drift)
-                else:
-                    params, _, _, step_matrix = cached
-                    traj = evolve_isochoric(dist, params, stroke.duration, dt, sample_stride,
-                                            tail_tolerance, step_matrix)
-                    end = traj.final
-                    cycle_segments.append(StrokeSegment("hot_isochore" if hot else "cold_isochore",
-                                                        traj.times + t, np.full(len(traj), stroke.omega),
-                                                        traj.probs, max_drift=traj.max_drift))
-                heat = stroke.omega * (mean_occupation(end) - mean_occupation(dist))
-                if hot:
-                    ledger["q_in"] += heat
-                else:
-                    ledger["q_out"] -= heat
-                dist = end
-            else:
-                expansion = stroke.omega_to < stroke.omega_from
-                if ledger_only:
-                    work = _ramp_work(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
-                else:
-                    traj, work = run_adiabatic(dist, stroke.omega_from, stroke.omega_to, stroke.duration)
-                    cycle_segments.append(StrokeSegment("expansion" if expansion else "compression",
-                                                        traj.times + t,
-                                                        np.linspace(stroke.omega_from, stroke.omega_to, len(traj)),
-                                                        traj.probs))
-                if expansion:
-                    ledger["w_out"] -= work
-                else:
-                    ledger["w_in"] += work
-                omega = stroke.omega_to
-            t += stroke.duration
-            states.append(dist)
-        trace.a_shift_tv.append(
-            total_variation(states[0], trace.records[-1].dist_a) if trace.records else math.nan
-        )
+        a = dist
+        cycle_segments = None if ledger_only else []  # sample times relative to the cycle's start
+        if kind == "otto":
+            b, drift = hot.run(a, cycle_segments, 0.0)
+            trace.max_step_drift = max(trace.max_step_drift, drift)
+            n_b = mean_occupation(b)
+            q_in, q_pump, q_pump_gross = omega_h * (n_b - mean_occupation(a)), 0.0, 0.0
+        else:
+            b, q_pump = pump_populations(a, config.pump_target, omega_h, config.tail_tolerance)
+            n_b = mean_occupation(b)
+            q_in, q_pump_gross = 0.0, omega_h * n_b  # U_B, as internal_energy computes it
+        _ramp(b, "expansion", omega_h, omega_c, durations[1], cycle_segments, t_b)
+        dist, drift = cold.run(b, cycle_segments, t_c)
+        trace.max_step_drift = max(trace.max_step_drift, drift)
+        _ramp(dist, "compression", omega_c, omega_h, durations[3], cycle_segments, t_d)
+        n_d = mean_occupation(dist)
+        w_out, w_in = (omega_h - omega_c) * n_b, (omega_h - omega_c) * n_d
+        trace.a_shift_tv.append(total_variation(a, trace.records[-1].dist_a) if trace.records else math.nan)
         trace.records.append(CycleRecord(
             cycle_index=k, kind=kind, omega_c=omega_c, omega_h=omega_h,
-            w_eff=ledger["w_out"] - ledger["w_in"], **ledger,
-            **dict(zip(("dist_a", "dist_b", "dist_c", "dist_d", "dist_a_next"), states)),
+            q_in=q_in, q_out=omega_c * (n_b - n_d), w_out=w_out, w_in=w_in, w_eff=w_out - w_in,
+            q_pump=q_pump, q_pump_gross=q_pump_gross,
+            dist_a=a, dist_b=b, dist_c=b, dist_d=dist, dist_a_next=dist,
         ))
-        segments += _starting_at(cycle_segments, start)
+        if not ledger_only:
+            segments += _starting_at(cycle_segments, k * period)
     return trace if ledger_only else _assemble_trace(trace, segments)
 
 
@@ -405,26 +306,12 @@ def _book_repeats(trace, segments, cycle_segments, first, cycle_count, period):
     for k in range(first, cycle_count):
         trace.a_shift_tv.append(0.0)
         trace.records.append(replace(last, cycle_index=k, dist_a=dist, dist_a_next=dist))
-        segments += _starting_at(cycle_segments, k * period)
+        if cycle_segments is not None:
+            segments += _starting_at(cycle_segments, k * period)
 
 
 def run_engine(config, ledger_only=False):
-    """Run config.n_cycles cycles of the config's mode from its initial state.
-
-    Builds the start distribution and the otto or pump schedule, then hands
-    both to run_schedule (ledger_only as there).
-    """
-    mode = config.mode
-    if mode not in ("otto", "pump"):
-        raise OttoKilnError(f"run_engine handles otto and pump modes, not {mode!r}")
-    bath_c = BathSpec(config.t_c, config.gamma0)
+    """Run config.n_cycles cycles of the config's mode from its initial state
+    (run_cycles from the start distribution, ledger_only as there)."""
     dist = make_distribution(config.initial_state, config.n_max, config.tail_tolerance)
-    if mode == "otto":
-        schedule = otto_schedule(config.omega_c, config.omega_h, bath_c,
-                                 BathSpec(config.t_h, config.gamma0), config.tau, config.n_cycles)
-    else:
-        schedule = pump_schedule(config.pump_target, config.omega_c, config.omega_h,
-                                 bath_c, config.tau_bc, config.tau_cd, config.tau_db,
-                                 config.n_cycles)
-    return run_schedule(dist, schedule, config.dt, config.sample_stride, config.tail_tolerance,
-                        ledger_only)
+    return run_cycles(dist, config, ledger_only)

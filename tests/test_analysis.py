@@ -18,13 +18,11 @@ from ottokiln import (
     cycle_power,
     make_distribution,
     otto_limit,
-    otto_schedule,
-    run_schedule,
+    run_cycles,
     stationary_distribution,
     sweep_efficiency_power,
 )
 from ottokiln.analysis import default_ratio_grid
-from ottokiln import BathSpec
 
 W_EFF_BALANCE = 0.15606281432958044
 Q_IN_BALANCE = 0.4681884429887413
@@ -51,16 +49,14 @@ def test_limits():
 
 def test_efficiency_of_thermal_balance_cycle():
     start = stationary_distribution(1.0, 0.4, 50)
-    record = run_schedule(start, otto_schedule(1.0, 1.5, BathSpec(0.4, 0.5), BathSpec(1.2, 0.5),
-                                               20.0, 1)).final_record
+    record = run_cycles(start, replace(EngineConfig(), tau=20.0, n_cycles=1)).final_record
     assert cycle_efficiency(record) == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert cycle_efficiency(record) == pytest.approx(W_EFF_BALANCE / Q_IN_BALANCE, abs=1e-6)
 
 
 def test_efficiency_negative_for_high_energy_start():
     start = make_distribution(InitialStateSpec.equal_lowest(3), 50)
-    record = run_schedule(start, otto_schedule(1.0, 1.5, BathSpec(0.4, 0.5), BathSpec(1.2, 0.5),
-                                               2.0, 1)).final_record
+    record = run_cycles(start, replace(EngineConfig(), tau=2.0, n_cycles=1)).final_record
     assert cycle_efficiency(record) < 0.0
 
 

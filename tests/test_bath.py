@@ -57,11 +57,14 @@ def test_rate_params_derived_quantities():
     assert 0.0 < p.boltz_factor < 1.0
 
 
-def test_rate_params_accept_a_bath_too_cold_to_raise_gamma():
-    # omega/T = 50: n_BE = 1.9e-22, so gamma0 * (n_BE + 1) rounds to gamma0
-    p = params(1.0, 0.02, 0.5)
+@pytest.mark.parametrize("t_c", [0.02, 0.001])
+def test_rate_params_accept_a_bath_too_cold_to_raise_gamma(t_c):
+    # omega/T = 50: n_BE = 1.9e-22, so gamma0 * (n_BE + 1) rounds to gamma0;
+    # omega/T = 1000: exp(-omega/T) underflows to 0, so no rate leads upwards
+    p = params(1.0, t_c, 0.5)
     assert p.gamma == p.bath.gamma0
-    assert 0.0 < p.boltz_factor < 1.0
+    assert 0.0 <= p.boltz_factor < 1.0
+    assert (p.boltz_factor == 0.0) == (t_c == 0.001)
 
 
 def test_derivative_vanishes_at_matching_thermal_state():

@@ -76,10 +76,12 @@ def test_pump_subcommand_matches_saturation_figure(tmp_path):
     ("pump", ""),
     ("sweep", "sweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 2\n"),
 ], ids=["simulate", "pump", "finite_sweep"])
-def test_cold_bath_near_zero_temperature_runs(tmp_path, command, extra):
-    # t_c = 0.02 puts omega_c / t_c at 50, where gamma0 * (n_BE + 1) rounds to gamma0
+@pytest.mark.parametrize("t_c", ["0.02", "0.001"])
+def test_cold_bath_near_zero_temperature_runs(tmp_path, command, extra, t_c):
+    # t_c = 0.02 puts omega_c / t_c at 50, where gamma0 * (n_BE + 1) rounds to gamma0;
+    # at t_c = 0.001, exp(-omega_c / t_c) underflows to 0
     config = tmp_path / "cfg.txt"
-    config.write_text("t_c = 0.02\nn_cycles = 3\n" + extra)
+    config.write_text(f"t_c = {t_c}\nn_cycles = 3\n" + extra)
     assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 0
 
 
@@ -227,6 +229,9 @@ SWEEP_BAD_CONFIGS = {
         "a sweep must have at most"),
     "finite_sweep_points_above_bound": ("sweep_mode = finite\nsweep_ratio_steps = 10000000000000\n",
                                         "a sweep must have at most"),
+    # simulate and pump write empty series; a finite sweep has no cycle to report
+    "finite_sweep_without_cycles": ("sweep_mode = finite\nn_cycles = 0\n",
+                                    "error: n_cycles must be >= 1 for a finite sweep"),
 }
 # configs only the pump command runs (simulate rejects t_c above t_h)
 PUMP_BAD_CONFIGS = {

@@ -166,6 +166,15 @@ def test_validate_catches_bad_defaults_combinations():
         config.validate()
 
 
+def test_finite_sweep_needs_a_cycle():
+    with pytest.raises(ConfigError, match="n_cycles must be >= 1 for a finite sweep"):
+        parse_config("n_cycles = 0\nsweep_mode = finite\n", mode_override="sweep")
+    # a balance sweep runs no cycle, and simulate and pump write empty series
+    assert parse_config("n_cycles = 0\n", mode_override="sweep").n_cycles == 0
+    for mode in ("otto", "pump"):
+        assert parse_config("n_cycles = 0\nsweep_mode = finite\n", mode_override=mode).n_cycles == 0
+
+
 def test_n_max_above_the_dense_matrix_bound_rejected():
     # validation only: nothing is allocated for the rejected ladder
     assert EngineConfig(n_max=MAX_N_MAX).validate().n_max == MAX_N_MAX

@@ -6,29 +6,24 @@ import pytest
 
 import ottokiln.cycle
 from ottokiln import (
-    AdiabaticStroke,
     BathSpec,
+    ConfigError,
     EngineConfig,
     InitialStateSpec,
     IntegrationError,
-    IsochoricStroke,
     OscillatorSpec,
     OttoKilnError,
-    PumpStroke,
     RateParams,
-    StrokeSchedule,
     UnderTruncationError,
     analytic_cycle_thermal_balance,
     entropy,
     internal_energy,
     make_distribution,
     mean_occupation,
-    otto_schedule,
     pump_populations,
-    pump_schedule,
     run_adiabatic,
+    run_cycles,
     run_engine,
-    run_schedule,
     stationary_distribution,
     sweep_efficiency_power,
     total_variation,
@@ -51,22 +46,22 @@ PUMP_W_EFF = 0.455287255083074
 PUMP_Q_PUMP = 1.365861765249222
 
 
-def cold_bath():
-    return BathSpec(0.4, 0.5)
-
-
-def hot_bath():
-    return BathSpec(1.2, 0.5)
+def ledger_config(mode, tau, cycles):
+    """The default working point (omega 1 -> 1.5, baths at 0.4 and 1.2, gamma0
+    0.5): otto with tau per stroke, or a first-excited pump with tau_cd = tau
+    and one unit per ramp."""
+    if mode == "otto":
+        return replace(EngineConfig(), tau=tau, n_cycles=cycles)
+    return replace(EngineConfig(), mode="pump", tau_bc=1.0, tau_cd=tau, tau_db=1.0,
+                   pump_target=InitialStateSpec.single_level(1), n_cycles=cycles)
 
 
 def otto_cycles(start, tau, cycles=1):
-    return run_schedule(start, otto_schedule(1.0, 1.5, cold_bath(), hot_bath(), tau, cycles)).records
+    return run_cycles(start, ledger_config("otto", tau, cycles)).records
 
 
 def pump_cycles(start, tau_cd, cycles=1):
-    schedule = pump_schedule(InitialStateSpec.single_level(1), 1.0, 1.5, cold_bath(),
-                             1.0, tau_cd, 1.0, cycles)
-    return run_schedule(start, schedule).records
+    return run_cycles(start, ledger_config("pump", tau_cd, cycles)).records
 
 
 def test_adiabatic_ground_state_does_no_work():
@@ -192,9 +187,11 @@ def test_engine_single_cycle_from_cold_equilibrium_matches_analytic_ledger():
         assert getattr(record, name) == pytest.approx(expected, abs=1e-7), name
 
 
-def test_engine_against_a_bath_near_zero_temperature_reaches_the_analytic_ledger():
-    # t_c = 0.02: n_BE(omega_c, t_c) = 1.9e-22, so the cold bath's gamma is gamma0
-    config = replace(EngineConfig(), t_c=0.02, tau=20.0, n_cycles=4)
+@pytest.mark.parametrize("t_c", [0.02, 0.001])
+def test_engine_against_a_bath_near_zero_temperature_reaches_the_analytic_ledger(t_c):
+    # t_c = 0.02: n_BE(omega_c, t_c) = 1.9e-22, so the cold bath's gamma is gamma0;
+    # t_c = 0.001: exp(-omega_c / t_c) underflows to 0, so the cold bath only relaxes
+    config = replace(EngineConfig(), t_c=t_c, tau=20.0, n_cycles=4)
     record = run_engine(config).final_record
     expected = analytic_cycle_thermal_balance(config.omega_c, config.omega_h, config.t_c, config.t_h)
     for name in ("q_in", "q_out", "w_out", "w_in", "w_eff"):
@@ -268,42 +265,29 @@ def test_pump_engine_with_gaussian_target_stays_below_otto_limit():
     assert abs(record.first_law_residual()) < 1e-9
 
 
-def test_schedules_validate_joints():
-    with pytest.raises(OttoKilnError, match="joint"):
-        StrokeSchedule(
-            strokes=(
-                IsochoricStroke(cold_bath(), 1.0, 1.0),
-                AdiabaticStroke(1.5, 1.0, 1.0),
-            ),
-            cycle_count=1,
-        )
-    with pytest.raises(OttoKilnError, match="starting frequency"):
-        StrokeSchedule(
-            strokes=(
-                IsochoricStroke(cold_bath(), 1.0, 1.0),
-                AdiabaticStroke(1.0, 1.5, 1.0),
-            ),
-            cycle_count=1,
-        )
-    with pytest.raises(OttoKilnError, match="duration"):
-        StrokeSchedule(strokes=(IsochoricStroke(cold_bath(), 1.0, 0.0),), cycle_count=1)
-    with pytest.raises(OttoKilnError, match="frequency"):
-        StrokeSchedule(strokes=(PumpStroke(InitialStateSpec.ground()),) * 4, cycle_count=1)
-
-
 def test_builtin_schedules_are_consistent():
-    otto = otto_schedule(1.0, 1.5, cold_bath(), hot_bath(), 2.0, 5)
-    assert otto.period == pytest.approx(8.0)
-    pump = pump_schedule(InitialStateSpec.single_level(1), 1.0, 1.5, cold_bath(), 1.0, 5.0, 1.0, 3)
-    assert pump.period == pytest.approx(7.0)
-    assert isinstance(pump.strokes[0], PumpStroke)
+    ground = make_distribution(InitialStateSpec.ground(), 50)
+    otto = run_cycles(ground, replace(EngineConfig(), tau=2.0, n_cycles=5))
+    assert otto.cycle_time == pytest.approx(8.0)
+    pump = run_cycles(ground, replace(EngineConfig(), mode="pump", tau_bc=1.0, tau_cd=5.0,
+                                      tau_db=1.0, n_cycles=3))
+    assert pump.cycle_time == pytest.approx(7.0)
+    # the pump takes no time: each cycle's samples start with the expansion
+    assert (pump.times[0], pump.stroke_labels[0]) == (0.0, "expansion")
 
 
-def test_invalid_frequency_order_rejected():
-    with pytest.raises(OttoKilnError):
-        otto_schedule(1.5, 1.0, cold_bath(), hot_bath(), 1.0, 1)
-    with pytest.raises(OttoKilnError):
-        pump_schedule(InitialStateSpec.single_level(1), 1.5, 1.0, cold_bath(), 1.0, 1.0, 1.0, 1)
+@pytest.mark.parametrize("mode", ["otto", "pump"])
+@pytest.mark.parametrize("bad,key", [
+    ({"omega_c": 1.5, "omega_h": 1.0}, "omega_c must be below omega_h"),
+    ({"omega_c": 1.5}, "omega_c must be below omega_h"),
+    ({"tau": 0.0}, "tau must be positive"),
+    ({"tau_cd": 0.0}, "tau_cd must be positive"),
+    ({"n_cycles": -1}, "n_cycles must be >= 0"),
+])
+def test_invalid_frequency_order_rejected(mode, bad, key):
+    ground = make_distribution(InitialStateSpec.ground(), 20)
+    with pytest.raises(ConfigError, match=key):
+        run_cycles(ground, replace(EngineConfig(), mode=mode, **bad))
 
 
 @pytest.mark.parametrize("mode", ["otto", "pump"])
@@ -312,12 +296,12 @@ def test_invalid_frequency_order_rejected():
 def test_schedule_books_the_module_ledger_per_stroke(mode, start):
     omega_c, omega_h = 1.0, 1.5
     if mode == "otto":
-        schedule = otto_schedule(omega_c, omega_h, cold_bath(), hot_bath(), 1.0, 3)
+        config = replace(EngineConfig(), tau=1.0, n_cycles=3)
     else:
-        schedule = pump_schedule(InitialStateSpec.gaussian(2, 1.5, 1.2), omega_c, omega_h,
-                                 cold_bath(), 0.3, 0.7, 0.1, 3)
-    trace = run_schedule(make_distribution(start, 50), schedule)
-    assert len(trace.records) == schedule.cycle_count
+        config = replace(EngineConfig(), mode="pump", pump_target=InitialStateSpec.gaussian(2, 1.5, 1.2),
+                         tau_bc=0.3, tau_cd=0.7, tau_db=0.1, n_cycles=3)
+    trace = run_cycles(make_distribution(start, 50), config)
+    assert len(trace.records) == config.n_cycles
     assert math.isnan(trace.a_shift_tv[0])
     for k, (record, following) in enumerate(zip(trace.records, trace.records[1:]), start=1):
         assert following.dist_a is record.dist_a_next
@@ -348,19 +332,6 @@ def test_schedule_books_the_module_ledger_per_stroke(mode, start):
         assert max(map(abs, residuals)) <= 1e-9
 
 
-def test_schedule_of_other_than_four_strokes_rejected():
-    three = StrokeSchedule(
-        strokes=(
-            IsochoricStroke(hot_bath(), 1.5, 1.0),
-            AdiabaticStroke(1.5, 1.0, 1.0),
-            AdiabaticStroke(1.0, 1.5, 1.0),
-        ),
-        cycle_count=1,
-    )
-    with pytest.raises(OttoKilnError, match="four strokes"):
-        run_schedule(make_distribution(InitialStateSpec.ground(), 20), three)
-
-
 LEDGER_ONLY_CASES = [
     ("otto", tau, start) for tau in (0.3, 2.0)
     for start in (InitialStateSpec.ground(), InitialStateSpec.equal_lowest(3),
@@ -368,19 +339,13 @@ LEDGER_ONLY_CASES = [
 ] + [("pump", 2.0, InitialStateSpec.equal_lowest(3))]
 
 
-def ledger_schedule(mode, tau, cycles):
-    if mode == "otto":
-        return otto_schedule(1.0, 1.5, cold_bath(), hot_bath(), tau, cycles)
-    return pump_schedule(InitialStateSpec.single_level(1), 1.0, 1.5, cold_bath(), 1.0, tau, 1.0, cycles)
-
-
 @pytest.mark.parametrize("mode,tau,start", LEDGER_ONLY_CASES,
                          ids=[f"{m}-{t}-{s.describe()}" for m, t, s in LEDGER_ONLY_CASES])
 def test_ledger_only_run_books_the_traced_ledger(mode, tau, start):
     dist = make_distribution(start, 50)
-    schedule = ledger_schedule(mode, tau, 8)
-    traced = run_schedule(dist, schedule)
-    ledger = run_schedule(dist, schedule, ledger_only=True)
+    config = ledger_config(mode, tau, 8)
+    traced = run_cycles(dist, config)
+    ledger = run_cycles(dist, config, ledger_only=True)
     assert_same_ledgers(traced, ledger, 1e-12)
     assert ledger.times.size == ledger.probs.size == 0 and ledger.stroke_labels == []
     assert (ledger.mode, ledger.cycle_time) == (traced.mode, traced.cycle_time)
@@ -402,23 +367,23 @@ def count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("ledger_only", [False, True], ids=["traced", "ledger_only"])
 @pytest.mark.parametrize("mode,bath_strokes", [("otto", 2), ("pump", 1)])
-def test_run_builds_one_step_matrix_per_bath_stroke_per_call(monkeypatch, mode, bath_strokes,
-                                                            ledger_only):
+def test_run_builds_one_step_matrix_per_bath_contact_per_run(monkeypatch, mode, bath_strokes,
+                                                             ledger_only):
     built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
     propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
     stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
     dist = make_distribution(InitialStateSpec.ground(), 50)
-    schedule = ledger_schedule(mode, 1.0, 5)
+    config = ledger_config(mode, 1.0, 5)
     # otto at tau = 1 never repeats a cycle start within 5 cycles; pump cycle 2
     # starts where cycle 1 did, so cycles 2 to 4 are copies that run no stroke
-    run_cycles = {"otto": 5, "pump": 2}[mode]
-    for call in (1, 2):  # the step matrices live for one call
-        trace = run_schedule(dist, schedule, ledger_only=ledger_only)
+    cycles_run = {"otto": 5, "pump": 2}[mode]
+    for call in (1, 2):  # the step matrices live for one run
+        trace = run_cycles(dist, config, ledger_only=ledger_only)
         assert trace.repeat_from == (None if mode == "otto" else 2)
         assert len(built) == call * bath_strokes
-        assert len(propagated) == call * bath_strokes * run_cycles
+        assert len(propagated) == call * bath_strokes * cycles_run
         # traced strokes run evolve_isochoric; ledger-only ones never do
-        assert len(stepped) == (0 if ledger_only else call * bath_strokes * run_cycles)
+        assert len(stepped) == (0 if ledger_only else call * bath_strokes * cycles_run)
     if ledger_only:  # one jump R^n_steps per stroke: two rows, start and end
         assert all(args[4] == args[5] for args in propagated)
 
@@ -436,18 +401,17 @@ def _tripped_jump(original):
 @pytest.mark.parametrize("broken", ["unstable_dt", "unstable_matrix", "jump_trips"])
 def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broken):
     dist = make_distribution(InitialStateSpec.equal_lowest(3), 50)
-    schedule = ledger_schedule("otto", 1.0, 3)
     # at dt = 0.02 both step matrices have negative entries, yet the stepwise loop never trips
-    dt = 0.02 if broken == "unstable_dt" else None
+    config = replace(ledger_config("otto", 1.0, 3), dt=0.02 if broken == "unstable_dt" else None)
     if broken == "unstable_matrix":  # both runs step one step at a time
         monkeypatch.setattr(_kernels, "step_matrix_is_stable", lambda r: False)
-    traced = run_schedule(dist, schedule, dt)
+    traced = run_cycles(dist, config)
     if broken == "jump_trips":
         monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
     sampled = count_calls(monkeypatch, _kernels, "_evolve_sampled")
     stepwise = count_calls(monkeypatch, _kernels, "_evolve_stepwise")
     stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
-    ledger = run_schedule(dist, schedule, dt, ledger_only=True)
+    ledger = run_cycles(dist, config, ledger_only=True)
     if broken == "jump_trips":  # each stroke's jump trips, then it reruns at the default stride
         runs = [(args[2], args[3]) for args in sampled]
         assert len(runs) == 2 * 2 * 3
@@ -466,17 +430,16 @@ def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
     # default stride drift 2.3e-12.  The stroke is too long to rerun step by
     # step, so without the rerun at the sample stride the run would end in
     # STATUS_TOO_LONG.
-    hot, cold = BathSpec(1.2, 50.0), BathSpec(0.4, 50.0)
+    config = replace(EngineConfig(), gamma0=50.0, tau=20.0, n_cycles=2)
     dist = make_distribution(InitialStateSpec.ground(), 50)
-    schedule = otto_schedule(1.0, 1.5, cold, hot, 20.0, 2)
-    params = RateParams(OscillatorSpec(1.5), hot)
+    params = RateParams(OscillatorSpec(1.5), BathSpec(1.2, 50.0))
     n_steps, step = ottokiln.cycle.stroke_steps(20.0, params.gamma, 50, None)
     assert n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
     jumped = _kernels.evolve_populations(dist.probs, params.gamma, params.boltz_factor,
                                          step, n_steps, n_steps)
     assert jumped[0] == _kernels.STATUS_TOO_LONG
-    traced = run_schedule(dist, schedule)
-    ledger = run_schedule(dist, schedule, ledger_only=True)
+    traced = run_cycles(dist, config)
+    ledger = run_cycles(dist, config, ledger_only=True)
     assert_same_ledgers(traced, ledger, 0.0)
     assert ledger.max_step_drift == traced.max_step_drift <= _kernels.DRIFT_TOL
 
@@ -506,21 +469,21 @@ def test_unstable_dt_ends_the_finite_sweep_with_the_simulate_error():
 
 def test_ledger_only_run_checks_the_tail_like_the_traced_run():
     dist = make_distribution(InitialStateSpec.ground(), 10)  # too short a ladder for the hot bath
-    schedule = ledger_schedule("otto", 2.0, 2)
+    config = ledger_config("otto", 2.0, 2)
     with pytest.raises(UnderTruncationError) as traced:
-        run_schedule(dist, schedule)
+        run_cycles(dist, config)
     with pytest.raises(UnderTruncationError) as ledger:
-        run_schedule(dist, schedule, ledger_only=True)
+        run_cycles(dist, config, ledger_only=True)
     assert str(ledger.value) == str(traced.value)
 
 
-def run_one_cycle_per_call(dist, schedule, ledger_only):
-    """The schedule's cycles chained by hand, one cycle_count = 1 call each:
+def run_one_cycle_per_call(dist, config, ledger_only):
+    """The config's cycles chained by hand, one n_cycles = 1 call each:
     every cycle is run, none is copied."""
-    one = replace(schedule, cycle_count=1)
+    one = replace(config, n_cycles=1)
     runs = []
-    for _ in range(schedule.cycle_count):
-        runs.append(run_schedule(dist, one, ledger_only=ledger_only))
+    for _ in range(config.n_cycles):
+        runs.append(run_cycles(dist, one, ledger_only=ledger_only))
         dist = runs[-1].final_record.dist_a_next
     return runs
 
@@ -542,10 +505,10 @@ REUSE_CASES = [  # (mode, tau, cycles, start, first copied cycle traced and ledg
                          ids=[f"{m}-{t}-{s.describe()}" for m, t, _, s, _ in REUSE_CASES])
 def test_run_equals_its_cycles_run_one_call_each(mode, tau, cycles, start, repeat_from, ledger_only):
     dist = make_distribution(start, 50)
-    schedule = ledger_schedule(mode, tau, cycles)
-    trace = run_schedule(dist, schedule, ledger_only=ledger_only)
+    config = ledger_config(mode, tau, cycles)
+    trace = run_cycles(dist, config, ledger_only=ledger_only)
     repeat_from = repeat_from[ledger_only]
-    runs = run_one_cycle_per_call(dist, schedule, ledger_only)
+    runs = run_one_cycle_per_call(dist, config, ledger_only)
     starts = [run.final_record.dist_a for run in runs]
     repeats = [k for k in range(1, cycles) if np.array_equal(starts[k].probs, starts[k - 1].probs)]
     assert trace.repeat_from == (repeats[0] if repeats else None) == repeat_from
@@ -578,7 +541,7 @@ def test_run_equals_its_cycles_run_one_call_each(mode, tau, cycles, start, repea
             assert same_bits(getattr(trace, name), want), name
         else:  # probs @ levels over a longer block: BLAS may round a row in the last bit
             np.testing.assert_allclose(getattr(trace, name), want, rtol=0.0, atol=1e-14)
-    times = np.concatenate([runs[0].times] + [run.times[1:] + k * schedule.period
+    times = np.concatenate([runs[0].times] + [run.times[1:] + k * trace.cycle_time
                                               for k, run in enumerate(runs) if k])
     assert same_bits(trace.times, times)
     assert trace.stroke_labels == runs[0].stroke_labels + [

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ottokiln import (
     BathSpec,
+    EngineConfig,
     FockDistribution,
     InitialStateSpec,
     OscillatorSpec,
@@ -21,9 +22,8 @@ from ottokiln import (
     entropy,
     internal_energy,
     make_distribution,
-    otto_schedule,
     rate_derivative,
-    run_schedule,
+    run_cycles,
     stationary_distribution,
 )
 from conftest import assert_same_ledgers
@@ -117,9 +117,10 @@ def test_rate_derivative_conserves_probability(omega, temperature, gamma0, seed)
 )
 def test_cycle_ledger_closes_the_first_law(omega_c, ratio, t_c, t_gap, tau):
     omega_h = omega_c * ratio
-    record = run_schedule(
+    record = run_cycles(
         make_distribution(InitialStateSpec.ground(), 50),
-        otto_schedule(omega_c, omega_h, BathSpec(t_c, 0.5), BathSpec(t_c * t_gap, 0.5), tau, 1),
+        EngineConfig(omega_c=omega_c, omega_h=omega_h, t_c=t_c, t_h=t_c * t_gap, gamma0=0.5, tau=tau,
+                     n_cycles=1),
     ).final_record
     assert abs(record.first_law_residual()) <= 1e-9
     assert record.w_eff == record.w_out - record.w_in
@@ -139,6 +140,5 @@ def test_ledger_only_run_books_the_traced_ledger(spec, tau, gamma0, t_h, window)
     # omega_c = 1, t_c = 0.4: the engine window is 1 < omega_h < t_h / 0.4
     omega_h = 1.0 + window * (t_h / 0.4 - 1.0)
     dist = make_distribution(spec, 50)
-    schedule = otto_schedule(1.0, omega_h, BathSpec(0.4, gamma0), BathSpec(t_h, gamma0), tau, 4)
-    assert_same_ledgers(run_schedule(dist, schedule),
-                        run_schedule(dist, schedule, ledger_only=True), 1e-12)
+    config = EngineConfig(omega_c=1.0, omega_h=omega_h, t_c=0.4, t_h=t_h, gamma0=gamma0, tau=tau, n_cycles=4)
+    assert_same_ledgers(run_cycles(dist, config), run_cycles(dist, config, ledger_only=True), 1e-12)
