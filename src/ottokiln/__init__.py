@@ -40,7 +40,6 @@ from .cycle import (
     CycleRecord,
     EngineTrace,
     pump_populations,
-    run_adiabatic,
     run_cycles,
     run_engine,
 )

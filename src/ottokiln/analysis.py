@@ -162,8 +162,7 @@ def _balance_columns(omega_c, t_c, t_h, ratio, tau):
 
 
 def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1.0,
-                           mode="balance", engine_config=None, convergence_tv=1e-6,
-                           ratio_steps=99):
+                           mode="balance", engine_config=None, ratio_steps=99):
     """Efficiency and power per (t_h, ratio) point, as a Sweep.
 
     ratio_grid=None uses the default grid of ratio_steps points per hot
@@ -171,8 +170,8 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
     "balance" mode evaluates the closed-form ledger over the whole grid at
     once.  In "finite" mode the engine template engine_config is rerun per
     point, in input order (its omega_c/omega_h, t_c/t_h are overridden), and
-    points that fail the cyclostationarity threshold are flagged
-    converged=False.
+    points whose final cycle-start shift is not below the cyclostationarity
+    threshold (EngineTrace.converged) are flagged converged=False.
     """
     if mode not in ("balance", "finite"):
         raise OttoKilnError(f"unknown sweep mode {mode!r}")
@@ -199,6 +198,6 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
         record = trace.final_record
         efficiency.append(efficiency_or_nan(record))
         power.append(cycle_power(record, trace.cycle_time))
-        converged.append(trace.converged(convergence_tv))
+        converged.append(trace.converged())
     return Sweep.sorted(t_h, ratio, np.array(efficiency, dtype=float),
                         np.array(power, dtype=float), np.array(converged, dtype=bool))

@@ -80,7 +80,7 @@ def _run_simulation(args, mode):
     config = _load(args, mode)
     trace = run_engine(config)
     out = args.out
-    text = TraceText(trace, config.csv_levels, wide=args.wide)
+    text = TraceText(trace, config.csv_levels)
     efficiencies = text.values["efficiency"]
     with _writing_into(out):
         write_timeseries_csv(out / "timeseries.csv", text)

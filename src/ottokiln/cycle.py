@@ -5,6 +5,9 @@ The otto cycle is hot contact at omega_h, expansion, cold contact at
 omega_c and compression, tau each.  The pump cycle puts a pump in place of
 the hot contact, an instantaneous re-preparation of the populations at
 omega_h, and then takes tau_bc, tau_cd and tau_db for the other three.
+A traced run samples each stroke at times relative to its cycle's start
+(a ramp at ADIABATIC_SAMPLES times, its populations frozen), and the trace
+places cycle k at k times the cycle time.
 
 The ledger follows the first-law split dU = dQ + dW: bath contact at fixed
 frequency changes populations only (heat), frequency ramps with frozen
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .bath import RateParams, Trajectory, evolve_isochoric, stroke_steps
+from .bath import RateParams, evolve_isochoric, stroke_steps
 from .exceptions import OttoKilnError
 from .fock import (
     BathSpec,
@@ -44,6 +47,8 @@ from .fock import (
 )
 
 ADIABATIC_SAMPLES = 64
+# cycle-start total-variation shift below which a run counts as cyclostationary
+CYCLOSTATIONARY_TV = 1e-6
 
 
 @dataclass(frozen=True)
@@ -105,34 +110,15 @@ class EngineTrace:
     max_step_drift: float = 0.0
     repeat_from: int = None  # first cycle copied from its predecessor (see run_cycles)
 
-    def converged(self, threshold=1e-6):
+    def converged(self):
         return bool(self.a_shift_tv) and not math.isnan(self.a_shift_tv[-1]) \
-            and self.a_shift_tv[-1] < threshold
+            and self.a_shift_tv[-1] < CYCLOSTATIONARY_TV
 
     @property
     def final_record(self):
         if not self.records:
             raise OttoKilnError("engine run produced no cycle records")
         return self.records[-1]
-
-
-def run_adiabatic(dist, omega_from, omega_to, duration, samples=ADIABATIC_SAMPLES):
-    """Frequency ramp with frozen populations.
-
-    Returns the sampled trajectory and the work done on the oscillator,
-    (omega_to - omega_from) * <n>: positive for compression, negative for
-    expansion.  Internal energy is linear in time along the ramp.
-    """
-    if not (omega_from > 0 and omega_to > 0):
-        raise OttoKilnError("ramp frequencies must be positive")
-    if not duration > 0:
-        raise OttoKilnError(f"ramp duration must be positive, got {duration}")
-    if samples < 2:
-        raise OttoKilnError("a ramp needs at least two samples")
-    times = np.linspace(0.0, duration, samples)
-    probs = np.broadcast_to(dist.probs, (samples, dist.n_max + 1))  # read-only view
-    work = (omega_to - omega_from) * mean_occupation(dist)
-    return Trajectory(times=times, probs=probs, sample_stride=1), work
 
 
 def pump_populations(dist, target, omega, tail_tolerance=TAIL_TOLERANCE):
@@ -187,22 +173,26 @@ class _Contact:
 
 
 def _ramp(dist, label, omega_from, omega_to, duration, segments, t):
-    """A traced run's samples of a frequency ramp; a ledger-only run
-    (segments None) records nothing, as the populations stay frozen."""
+    """A traced run's samples of a frequency ramp, its times shifted by t:
+    evenly spaced times and frequencies over one read-only population row.
+    A ledger-only run (segments None) records nothing."""
     if segments is not None:
-        traj, _ = run_adiabatic(dist, omega_from, omega_to, duration)
-        segments.append(StrokeSegment(label, traj.times + t,
-                                      np.linspace(omega_from, omega_to, len(traj)), traj.probs))
+        probs = np.broadcast_to(dist.probs, (ADIABATIC_SAMPLES, dist.n_max + 1))
+        segments.append(StrokeSegment(label, np.linspace(0.0, duration, ADIABATIC_SAMPLES) + t,
+                                      np.linspace(omega_from, omega_to, ADIABATIC_SAMPLES), probs))
 
 
-def _assemble_trace(trace, segments):
+def _assemble_trace(trace, cycles):
+    """The trace's series from each cycle's segments, whose sample times
+    are relative to the cycle's start: cycle k starts at k * cycle_time."""
     times, omegas, probs, labels = [], [], [], []
-    for segment in segments:
-        start = 1 if times else 0  # drop duplicated joint sample
-        times.append(segment.times[start:])
-        omegas.append(segment.omegas[start:])
-        probs.append(segment.probs[start:])
-        labels.extend([segment.label] * (segment.times.shape[0] - start))
+    for k, cycle_segments in enumerate(cycles):
+        for segment in cycle_segments:
+            start = 1 if times else 0  # drop duplicated joint sample
+            times.append(segment.times[start:] + k * trace.cycle_time)
+            omegas.append(segment.omegas[start:])
+            probs.append(segment.probs[start:])
+            labels.extend([segment.label] * (segment.times.shape[0] - start))
     if not times:
         return trace
     trace.times = np.concatenate(times)
@@ -253,10 +243,11 @@ def run_cycles(dist, config, ledger_only=False):
     period = sum(durations)
 
     trace = EngineTrace(mode=kind, n_max=dist.n_max, cycle_time=period)
-    segments = []
+    cycles = []  # each cycle's segments (None in a ledger-only run); copies repeat the last
     for k in range(config.n_cycles):
         if trace.records and np.array_equal(dist.probs, trace.records[-1].dist_a.probs):
-            _book_repeats(trace, segments, cycle_segments, k, config.n_cycles, period)
+            _book_repeats(trace, k, config.n_cycles)
+            cycles += cycles[-1:] * (config.n_cycles - k)
             break
         a = dist
         cycle_segments = None if ledger_only else []  # sample times relative to the cycle's start
@@ -282,23 +273,15 @@ def run_cycles(dist, config, ledger_only=False):
             q_pump=q_pump, q_pump_gross=q_pump_gross,
             dist_a=a, dist_b=b, dist_c=b, dist_d=dist, dist_a_next=dist,
         ))
-        if not ledger_only:
-            segments += _starting_at(cycle_segments, k * period)
-    return trace if ledger_only else _assemble_trace(trace, segments)
+        cycles.append(cycle_segments)
+    return trace if ledger_only else _assemble_trace(trace, cycles)
 
 
-def _starting_at(cycle_segments, start):
-    """A cycle's segments, their cycle-relative times shifted to the cycle's start."""
-    return [replace(segment, times=segment.times + start) for segment in cycle_segments]
-
-
-def _book_repeats(trace, segments, cycle_segments, first, cycle_count, period):
+def _book_repeats(trace, first, cycle_count):
     """Book cycles first..cycle_count-1 as copies of the last run cycle.
 
     The copies start and end in the current state (the last record's
-    dist_a_next), shift their start by a_shift_tv = 0.0, and reuse the last
-    cycle's population blocks; their sample times are the cycle-relative
-    times plus each copy's start, the same addition a run cycle makes.
+    dist_a_next) and shift their start by a_shift_tv = 0.0.
     """
     last = trace.records[-1]
     dist = last.dist_a_next
@@ -306,12 +289,11 @@ def _book_repeats(trace, segments, cycle_segments, first, cycle_count, period):
     for k in range(first, cycle_count):
         trace.a_shift_tv.append(0.0)
         trace.records.append(replace(last, cycle_index=k, dist_a=dist, dist_a_next=dist))
-        if cycle_segments is not None:
-            segments += _starting_at(cycle_segments, k * period)
 
 
 def run_engine(config, ledger_only=False):
     """Run config.n_cycles cycles of the config's mode from its initial state
     (run_cycles from the start distribution, ledger_only as there)."""
+    config.validate()  # before the start distribution, which reads n_max and tail_tolerance
     dist = make_distribution(config.initial_state, config.n_max, config.tail_tolerance)
     return run_cycles(dist, config, ledger_only)

@@ -3,9 +3,11 @@
 All numeric output is printed as "%.12g", with "-0" as "0", so repeated
 runs with the same configuration are byte-identical.  Each series of a
 command is formatted once, in one block, and every file that prints it
-reuses those strings: a CSV and its .dat twin, or the narrow and the wide
-time series.  A time series' populations are formatted once per distinct
-row.  Undefined efficiencies are written as "nan", never as a large float.
+reuses those strings: a CSV and its .dat twin, or the columns the narrow
+and the wide time series share.  Each time-series file prints its
+populations once per distinct row, with a row printer that puts a comma
+in place of every newline but the row's last.  Undefined efficiencies are
+written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
 
@@ -20,6 +22,8 @@ pass.  Values whose mantissa lies within 1e-3 of a rounding tie (pixels:
 1e-6), and zero, nan, inf and |x| outside [1e-280, 1e280] are printed by %
 itself, as are whole columns shorter than the measured crossover (512
 values; 128 pixels), where the kernels' fixed cost exceeds that of %.
+The row printer uses the same crossover, counted in entries, and cuts its
+kernel blocks at whole rows.
 """
 
 import functools
@@ -218,6 +222,25 @@ def _format_g12(values):
     return text.split("\n")[:-1]
 
 
+def _format_rows(matrix):
+    """Each row of a matrix as fmt() prints it, its entries joined by commas."""
+    matrix = np.asarray(matrix, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
+    n, m = matrix.shape
+    if matrix.size < _G12_MIN_SIZE:
+        text = (("%.12g," * (m - 1) + "%.12g\n") * n) % tuple(matrix.ravel().tolist())
+    else:
+        step = max(_BLOCK // m, 1)  # whole rows per kernel block
+        blocks = []
+        for i in range(0, n, step):
+            rows = matrix[i:i + step]
+            records = _g12_records(rows.ravel())
+            inner = records.view(np.uint8).reshape(*rows.shape, -1)[:, :-1]
+            inner[inner == ord("\n")] = ord(",")  # each record holds one newline
+            blocks.append(records.tobytes().translate(None, b"\0"))
+        text = b"".join(blocks).decode("ascii")
+    return text.split("\n")[:-1]
+
+
 def _format_polyline(pixels):
     """The points of a polyline, " ".join(["%.2f,%.2f"] * n) % tuple(pixels),
     for the pixels x0, y0, x1, y1, ..."""
@@ -265,14 +288,12 @@ class TraceText(SeriesText):
     """The series of one engine run: time series and cycle ledger columns,
     and the population rows.
 
-    The populations are formatted once per distinct row (bit for bit, after
-    -0.0 becomes 0.0): ramps repeat one population row for every sample, and
-    copied cycles repeat every row of the cycle they copy.  Each distinct row
-    holds every level when the wide file is written, else the csv_levels the
-    narrow file prints; narrower rows are prefixes of the same entries.
+    Each file's populations are printed once per distinct row (bit for bit,
+    after -0.0 becomes 0.0): ramps repeat one population row for every
+    sample, and copied cycles repeat every row of the cycle they copy.
     """
 
-    def __init__(self, trace, csv_levels=8, wide=False):
+    def __init__(self, trace, csv_levels=8):
         records = trace.records
         super().__init__({
             "t": trace.times, "omega": trace.omegas, "U": trace.energies, "S": trace.entropies,
@@ -285,27 +306,15 @@ class TraceText(SeriesText):
         self.trace = trace
         self.levels = trace.probs.shape[1] if trace.probs.size else 0
         self.csv_levels = min(csv_levels, self.levels) if self.levels else csv_levels
-        self._row_levels = self.levels if wide else self.csv_levels
-        self._rows = None  # (distinct rows joined by commas, row -> distinct row)
 
     def population_rows(self, levels):
         """Each trace row's first `levels` populations, joined by commas."""
         if not self.levels:
             return []
-        if levels > self._row_levels:
-            raise ValueError(f"{levels} population levels asked, {self._row_levels} formatted")
-        if self._rows is None:
-            block = np.ascontiguousarray(self.trace.probs[:, :self._row_levels], dtype=float) + 0.0
-            rows = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel()
-            _, first, where = np.unique(rows, return_index=True, return_inverse=True)
-            entries = _format_column(block[first].ravel())
-            # only the joined rows are kept: every entry as its own string would
-            # hold several times their memory until the last file is written
-            self._rows = list(map(",".join, zip(*[iter(entries)] * block.shape[1]))), where
-        text, where = self._rows
-        if levels < self._row_levels:
-            text = [",".join(row.split(",", levels)[:levels]) for row in text]
-        return np.array(text, dtype=object)[where].tolist()
+        block = np.ascontiguousarray(self.trace.probs[:, :levels] + 0.0)
+        rows = block.view(np.dtype((np.void, block.itemsize * levels))).ravel()
+        _, first, where = np.unique(rows, return_index=True, return_inverse=True)
+        return np.array(_format_rows(block[first]), dtype=object)[where].tolist()
 
 
 def write_timeseries_csv(path, text):

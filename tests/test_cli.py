@@ -171,6 +171,27 @@ def test_refrigerator_run_notes_the_regime(tmp_path, capsys):
     assert "engine regime" not in capsys.readouterr().out
 
 
+def test_unconverged_run_notes_the_cyclostationarity_threshold(tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_text("n_cycles = 2\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "note: run did not reach the cyclostationarity threshold (TV < 1e-6)\n" in out
+    assert ottokiln.cycle.CYCLOSTATIONARY_TV == 1e-6  # the threshold the note names
+
+
+@pytest.mark.parametrize("command", ["simulate", "pump"])
+@pytest.mark.parametrize("levels", ["", "csv_levels = 3\n"], ids=["default_levels", "three_levels"])
+def test_wide_flag_leaves_the_narrow_series_unchanged(tmp_path, command, levels):
+    config = tmp_path / "cfg.txt"
+    config.write_text("n_cycles = 3\n" + levels)
+    narrow, wide = tmp_path / "narrow", tmp_path / "wide"
+    assert main([command, "--config", str(config), "--out", str(narrow)]) == 0
+    assert main([command, "--config", str(config), "--out", str(wide), "--wide"]) == 0
+    assert not (narrow / "timeseries_wide.csv").exists() and (wide / "timeseries_wide.csv").exists()
+    assert (wide / "timeseries.csv").read_bytes() == (narrow / "timeseries.csv").read_bytes()
+
+
 def test_mode_conflict_is_a_clean_failure(tmp_path, capsys):
     config = tmp_path / "cfg.txt"
     config.write_text("mode = pump\n")

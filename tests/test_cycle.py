@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -21,7 +22,6 @@ from ottokiln import (
     make_distribution,
     mean_occupation,
     pump_populations,
-    run_adiabatic,
     run_cycles,
     run_engine,
     stationary_distribution,
@@ -64,25 +64,29 @@ def pump_cycles(start, tau_cd, cycles=1):
     return run_cycles(start, ledger_config("pump", tau_cd, cycles)).records
 
 
-def test_adiabatic_ground_state_does_no_work():
-    ground = make_distribution(InitialStateSpec.ground(), 30)
-    _, work = run_adiabatic(ground, 1.0, 1.5, 2.0)
-    assert work == 0.0
+def ramp_rows(trace, label):
+    """The trace row indices of each run of `label` strokes, in cycle order."""
+    runs = itertools.groupby(range(len(trace.stroke_labels)), key=trace.stroke_labels.__getitem__)
+    return [list(rows) for name, rows in runs if name == label]
 
 
-def test_adiabatic_work_from_hot_equilibrium():
-    dist = stationary_distribution(1.5, 1.2, 50)
-    traj, work = run_adiabatic(dist, 1.5, 1.0, 2.0)
-    assert work == pytest.approx(-LEDGER["w_out"], abs=1e-12)
-    # populations frozen: every sample is the initial distribution
-    np.testing.assert_array_equal(traj.probs, np.broadcast_to(dist.probs, traj.probs.shape))
-
-
-def test_adiabatic_entropy_constant_along_ramp():
-    dist = stationary_distribution(1.0, 0.4, 40)
-    traj, _ = run_adiabatic(dist, 1.0, 1.5, 1.0, samples=16)
-    entropies = {entropy(traj.distribution(i)) for i in range(len(traj))}
-    assert len(entropies) == 1
+@pytest.mark.parametrize("config", [
+    replace(EngineConfig(), n_cycles=3),
+    replace(EngineConfig(), mode="pump", n_cycles=4),  # cycles 3 and 4 are copies
+    replace(EngineConfig(), mode="pump", pump_target=InitialStateSpec.ground(), n_cycles=2),
+], ids=["otto", "pump", "pump_to_ground"])
+def test_traced_ramps_freeze_the_populations(config):
+    trace = run_engine(config)
+    expansions, compressions = ramp_rows(trace, "expansion"), ramp_rows(trace, "compression")
+    assert len(expansions) == len(compressions) == len(trace.records)
+    for record, expansion, compression in zip(trace.records, expansions, compressions):
+        for rows, dist in ((expansion, record.dist_b), (compression, record.dist_d)):
+            # every sample of a ramp is its start state, bit for bit
+            np.testing.assert_array_equal(trace.probs[rows],
+                                          np.broadcast_to(dist.probs, (len(rows), dist.probs.size)))
+            assert len(set(trace.entropies[rows].tolist())) == 1
+        if config.pump_target == InitialStateSpec.ground():
+            assert record.w_out == 0.0  # a ramp from the ground state does no work
 
 
 def test_otto_cycle_ledger_at_thermal_balance():
@@ -196,6 +200,15 @@ def test_engine_against_a_bath_near_zero_temperature_reaches_the_analytic_ledger
     expected = analytic_cycle_thermal_balance(config.omega_c, config.omega_h, config.t_c, config.t_h)
     for name in ("q_in", "q_out", "w_out", "w_in", "w_eff"):
         assert abs(getattr(record, name) - getattr(expected, name)) <= 1e-8, name
+
+
+@pytest.mark.parametrize("bad,key", [
+    ({"tail_tolerance": -1.0}, "tail_tolerance must be positive"),
+    ({"n_max": 0}, "n_max must be >= 1"),
+])
+def test_run_engine_checks_the_config_before_building_the_start_state(bad, key):
+    with pytest.raises(ConfigError, match=key):
+        run_engine(replace(EngineConfig(), **bad))
 
 
 def test_engine_zero_cycles_is_empty():

@@ -2,7 +2,9 @@
 
 The kernels print "%.12g" and "%.2f" from digit tables and must agree with
 % byte for byte, on every float and on both sides of the size below which
-the writers use % directly.  Values too close to a rounding tie for the
+the writers use % directly.  The row printer of the time-series
+populations must print each row as fmt() prints its entries, joined by
+commas, on both sides of that size and of its block of whole rows.  Values too close to a rounding tie for the
 kernel's error bound are printed by %; the tests build such near-ties on
 purpose.  CI runs this file once more under the "ci" hypothesis profile.
 """
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ottokiln import output
-from ottokiln.output import _format_g12, _format_polyline
+from ottokiln.output import _format_g12, _format_polyline, _format_rows, fmt
 
 
 def percent_g12(values):
@@ -159,3 +161,41 @@ def test_ties_and_unprintable_values_take_the_percent_path(monkeypatch):
     assert kernel_polyline(pixels) == "72.12,10.00 300.50,1.00"
     assert patched[0] == [123456789012.5, 0.0, math.inf, 1e-300, -123456789012.5]
     assert patched[1:] == [[72.125], []]  # x pixels, then y pixels
+
+
+ROW_WIDTHS = [1, 8, 51, 81]  # a single level, the default csv_levels, the default ladder, and more
+
+
+def row_counts(width):
+    """Row counts on both sides of the % crossover and of one kernel block."""
+    first_kernel = -(-output._G12_MIN_SIZE // width)  # fewest rows the kernel prints
+    block = output._BLOCK // width
+    return [1, first_kernel - 1, first_kernel, block, block + 1]
+
+
+specials = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0])
+tie_values = near_ties.map(lambda t: nudged((t[0] + 0.5) * 10.0 ** t[1], t[2]) * (-1 if t[3] else 1))
+
+
+@given(st.sampled_from(ROW_WIDTHS).flatmap(lambda w: st.tuples(st.just(w), st.sampled_from(row_counts(w)))),
+       st.lists(specials | tie_values | st.floats(), min_size=1, max_size=100), st.integers(0, 99))
+def test_row_printer_prints_each_row_like_fmt(shape, values, shift):
+    # the drawn values, repeated to fill the matrix, land in every column
+    width, n = shape
+    matrix = np.resize(np.roll(np.array(values), shift), n * width).reshape(n, width)
+    assert _format_rows(matrix) == [",".join(fmt(v) for v in row) for row in matrix.tolist()]
+
+
+@pytest.mark.parametrize("width", ROW_WIDTHS)
+def test_row_printer_takes_the_kernel_from_its_crossover_in_blocks_of_whole_rows(monkeypatch, width):
+    calls = []
+    records = output._g12_records
+    monkeypatch.setattr(output, "_g12_records", lambda x: calls.append(x.size) or records(x))
+    rng = np.random.default_rng(width)
+    for n in row_counts(width):
+        calls.clear()
+        matrix = rng.lognormal(0.0, 20.0, (n, width)) * np.where(rng.random((n, width)) < 0.5, -1, 1)
+        matrix[::3, :-1] = np.nan  # fallback records outside the last column
+        assert _format_rows(matrix) == [",".join(fmt(v) for v in row) for row in matrix.tolist()]
+        assert sum(calls) == (matrix.size if matrix.size >= output._G12_MIN_SIZE else 0)
+        assert all(size % width == 0 and size <= output._BLOCK for size in calls)

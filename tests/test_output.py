@@ -97,17 +97,17 @@ def test_timeseries_writers_match_per_value_rendering(tmp_path, trace):
              trace.stroke_labels[i], float(trace.probs[i].sum()), *trace.probs[i, :k]]
             for i in range(trace.times.shape[0])]
     header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{j}" for j in range(k)]
-    write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
-    assert lines_of(tmp_path / "ts.csv") == render(",".join(header), rows)
-    text = TraceText(trace, wide=True)  # narrow rows are prefixes of the wide rows
+    text = TraceText(trace)  # one text for both files, in either order
     write_timeseries_csv(tmp_path / "ts.csv", text)
     assert lines_of(tmp_path / "ts.csv") == render(",".join(header), rows)
 
-    rows = [[trace.times[i], trace.omegas[i], trace.energies[i], trace.entropies[i],
-             trace.stroke_labels[i], *trace.probs[i]] for i in range(trace.times.shape[0])]
-    header = ["t", "omega", "U", "S", "stroke"] + [f"P_{j}" for j in range(n)]
+    wide_rows = [[trace.times[i], trace.omegas[i], trace.energies[i], trace.entropies[i],
+                  trace.stroke_labels[i], *trace.probs[i]] for i in range(trace.times.shape[0])]
+    wide_header = ["t", "omega", "U", "S", "stroke"] + [f"P_{j}" for j in range(n)]
     write_wide_timeseries_csv(tmp_path / "wide.csv", text)
-    assert lines_of(tmp_path / "wide.csv") == render(",".join(header), rows)
+    assert lines_of(tmp_path / "wide.csv") == render(",".join(wide_header), wide_rows)
+    write_timeseries_csv(tmp_path / "ts.csv", text)
+    assert lines_of(tmp_path / "ts.csv") == render(",".join(header), rows)
 
 
 def test_cycles_and_dat_writers_match_per_value_rendering(tmp_path, trace):
