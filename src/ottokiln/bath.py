@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import IntegrationError, OttoKilnError
-from .fock import BathSpec, FockDistribution, OscillatorSpec, TAIL_TOLERANCE
+from .fock import BathSpec, FockDistribution, InitialStateSpec, OscillatorSpec, TAIL_TOLERANCE, make_distribution
 
 
 def bose_einstein(omega, temperature):
@@ -68,13 +68,13 @@ class Trajectory:
     """Sampled evolution: times[k] pairs with probs[k] (row per sample).
 
     max_drift is the largest |sum - 1| the integrator's guards saw before
-    renormalizing (0 for analytic ramps).
+    renormalizing.
     """
 
     times: np.ndarray
     probs: np.ndarray
     sample_stride: int
-    max_drift: float = 0.0
+    max_drift: float
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -83,12 +83,9 @@ class Trajectory:
     def __len__(self):
         return self.times.shape[0]
 
-    def distribution(self, index):
-        return FockDistribution(self.probs[index])
-
     @property
     def final(self):
-        return self.distribution(-1)
+        return FockDistribution(self.probs[-1])
 
 
 def rate_derivative(dist, params):
@@ -162,9 +159,6 @@ def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
 
 
 def stationary_distribution(omega, temperature, n_max):
-    """Thermal fixed point: geometric distribution with ratio exp(-omega/T)."""
-    if not (omega > 0 and temperature > 0):
-        raise OttoKilnError("stationary distribution requires positive frequency and temperature")
-    probs = np.exp(-(omega / temperature) * np.arange(n_max + 1))
-    probs /= probs.sum()
-    return FockDistribution(probs, n_max)
+    """Thermal fixed point: geometric distribution with ratio exp(-omega/T),
+    with no check of its tail mass."""
+    return make_distribution(InitialStateSpec.boltzmann(omega, temperature), n_max, tail_tolerance=1.0)

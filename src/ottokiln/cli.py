@@ -10,14 +10,13 @@ the same series.
 import argparse
 import contextlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import cycle_power, sweep_efficiency_power
-from .config import EngineConfig, load_config
+from .config import load_config, parse_config
 from .cycle import run_engine
 from .exceptions import OttoKilnError
 from .output import (
@@ -56,13 +55,8 @@ def _build_parser():
     return parser
 
 
-def _load(args, mode_override):
-    if args.config is None:
-        base = EngineConfig()
-        if mode_override is not None:
-            base = replace(base, mode=mode_override)
-        return base.validate()
-    return load_config(args.config, mode_override=mode_override)
+def _load(args, mode):
+    return parse_config("", mode) if args.config is None else load_config(args.config, mode)
 
 
 @contextlib.contextmanager

@@ -9,22 +9,12 @@ gamma0=0.5 (relaxation time 1), tau=2.0.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .exceptions import ConfigError, OttoKilnError
 from .fock import DEFAULT_N_MAX, InitialStateSpec, TAIL_TOLERANCE
 
 _SECTIONS = ("engine", "baths", "state", "sweep", "output")
-
-_FLOAT_KEYS = {
-    "omega_c", "omega_h", "t_c", "t_h", "gamma0", "relaxation_time",
-    "tau", "tau_bc", "tau_cd", "tau_db", "dt", "tail_tolerance",
-    "sweep_ratio_min", "sweep_ratio_max",
-}
-_INT_KEYS = {"n_cycles", "n_max", "sample_stride", "sweep_ratio_steps", "csv_levels"}
-_STR_KEYS = {"mode", "initial_state", "pump_target", "sweep_mode"}
-_LIST_KEYS = {"sweep_t_h"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
 _MODES = ("otto", "pump", "sweep")
 
@@ -136,6 +126,12 @@ class EngineConfig:
         return self
 
 
+# Every EngineConfig field is a key of the same name and type; relaxation_time
+# is the one alias, for gamma0 = 1 / (2 * relaxation_time).
+_KEY_TYPES = {f.name: f.type for f in fields(EngineConfig)} | {"relaxation_time": float}
+_EXPECTED = {float: "a number", int: "an integer", tuple: "comma-separated numbers"}
+
+
 def _parse_state_spec(key, raw, line):
     parts = [p.strip() for p in raw.split(":")]
     kind = parts[0]
@@ -170,6 +166,24 @@ def _resolve_gaussian(spec, omega_h, t_h):
     return spec
 
 
+def _convert(key, raw, line):
+    """The value of a key from its text, by the type of its EngineConfig field."""
+    kind = _KEY_TYPES[key]
+    if kind is InitialStateSpec:
+        return _parse_state_spec(key, raw, line)
+    if kind is str:
+        return raw.lower()
+    try:
+        if kind is int:
+            return int(raw)
+        parsed = tuple(map(float, raw.split(","))) if kind is tuple else float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}", line) from exc
+    if not all(map(math.isfinite, parsed if kind is tuple else (parsed,))):
+        raise ConfigError(f"{key}: value must be finite, got {raw!r}", line)
+    return parsed
+
+
 def parse_config(text, mode_override=None):
     """Parse a config document into a validated EngineConfig."""
     values = {}
@@ -188,7 +202,7 @@ def parse_config(text, mode_override=None):
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r} (first set on line {lines[key]})", lineno)
@@ -205,38 +219,12 @@ def parse_config(text, mode_override=None):
 
     kwargs = {}
     for key, raw in values.items():
-        lineno = lines[key]
-        if key in _FLOAT_KEYS:
-            try:
-                parsed = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected a number, got {raw!r}", lineno) from exc
-            if not math.isfinite(parsed):
-                raise ConfigError(f"{key}: value must be finite, got {raw!r}", lineno)
-            if key == "relaxation_time":
-                if not parsed > 0:
-                    raise ConfigError(f"relaxation_time must be positive, got {parsed}", lineno)
-                kwargs["gamma0"] = 1.0 / (2.0 * parsed)
-            else:
-                kwargs[key] = parsed
-        elif key in _INT_KEYS:
-            try:
-                parsed = int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected an integer, got {raw!r}", lineno) from exc
-            kwargs[key] = parsed
-        elif key in _LIST_KEYS:
-            try:
-                parsed = tuple(float(part) for part in raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}", lineno) from exc
-            if not all(map(math.isfinite, parsed)):
-                raise ConfigError(f"{key}: value must be finite, got {raw!r}", lineno)
-            kwargs[key] = parsed
-        elif key in ("initial_state", "pump_target"):
-            kwargs[key] = _parse_state_spec(key, raw, lineno)
-        else:
-            kwargs[key] = raw.lower() if key in ("mode", "sweep_mode") else raw
+        parsed = _convert(key, raw, lines[key])
+        if key == "relaxation_time":
+            if not parsed > 0:
+                raise ConfigError(f"relaxation_time must be positive, got {parsed}", lines[key])
+            key, parsed = "gamma0", 1.0 / (2.0 * parsed)
+        kwargs[key] = parsed
 
     if mode_override is not None:
         stated = kwargs.get("mode")

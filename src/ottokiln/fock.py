@@ -129,17 +129,6 @@ class InitialStateSpec:
             raise OttoKilnError("boltzmann frequency and temperature must be positive and finite")
         return cls(kind="boltzmann", omega=omega, temperature=temperature)
 
-    def describe(self):
-        if self.kind == "ground":
-            return "ground"
-        if self.kind == "level":
-            return f"level:{self.level}"
-        if self.kind == "equal_lowest":
-            return f"equal_lowest:{self.count}"
-        if self.kind == "gaussian":
-            return f"gaussian:{self.center}:{self.omega_ref:g}:{self.temperature_ref:g}"
-        return f"boltzmann:{self.omega:g}:{self.temperature:g}"
-
 
 def make_distribution(spec, n_max=DEFAULT_N_MAX, tail_tolerance=TAIL_TOLERANCE):
     """Build the normalized distribution a spec describes on levels 0..n_max."""

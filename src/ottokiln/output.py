@@ -4,26 +4,25 @@ All numeric output is printed as "%.12g", with "-0" as "0", so repeated
 runs with the same configuration are byte-identical.  Each series of a
 command is formatted once, in one block, and every file that prints it
 reuses those strings: a CSV and its .dat twin, or the columns the narrow
-and the wide time series share.  Each time-series file prints its
-populations once per distinct row, with a row printer that puts a comma
+and the wide time series share.  One printer, _format_rows, prints both
+the series, each as the one-column matrix of its distinct values, and
+each time-series file's populations, once per distinct row with a comma
 in place of every newline but the row's last.  Undefined efficiencies are
 written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
 
-Long columns are printed by numpy kernels that reproduce Python's "%.12g"
+Long matrices are printed by numpy kernels that reproduce Python's "%.12g"
 (and the "%.2f" of the chart polylines) byte for byte, in blocks of 8192
-values.  A value's decimal exponent comes from log10; the value times a
-correctly rounded power of ten, rounded to an integer, is its 12-digit
-mantissa, within 2.3e-4 of the exact one.  Digit tables turn the mantissa
+values cut at whole rows.  A value's decimal exponent comes from log10;
+the value times a correctly rounded power of ten, rounded to an integer,
+is its 12-digit mantissa, within 2.3e-4 of the exact one.  Digit tables turn the mantissa
 into uint32 words of four characters, with zero bytes for the leading and
 trailing zeros that %g drops; the blanks are deleted from the block in one
 pass.  Values whose mantissa lies within 1e-3 of a rounding tie (pixels:
 1e-6), and zero, nan, inf and |x| outside [1e-280, 1e280] are printed by %
-itself, as are whole columns shorter than the measured crossover (512
-values; 128 pixels), where the kernels' fixed cost exceeds that of %.
-The row printer uses the same crossover, counted in entries, and cuts its
-kernel blocks at whole rows.
+itself, as are whole matrices smaller than the measured crossover (512
+entries; 128 pixels), where the kernels' fixed cost exceeds that of %.
 """
 
 import functools
@@ -213,15 +212,6 @@ def _compact(records_of, values):
                     for i in range(0, values.size, _BLOCK))
 
 
-def _format_g12(values):
-    """The lines of ("%.12g\\n" * n) % tuple(values), without the newlines."""
-    if values.size < _G12_MIN_SIZE:
-        text = ("%.12g\n" * values.size) % tuple(values.tolist())
-    else:
-        text = _compact(_g12_records, values).decode("ascii")
-    return text.split("\n")[:-1]
-
-
 def _format_rows(matrix):
     """Each row of a matrix as fmt() prints it, its entries joined by commas."""
     matrix = np.asarray(matrix, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
@@ -258,7 +248,7 @@ def _format_column(values):
     """
     col = np.asarray(values, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
     distinct, where = np.unique(col, return_inverse=True)
-    return np.array(_format_g12(distinct), dtype=object)[where].tolist()
+    return np.array(_format_rows(distinct[:, None]), dtype=object)[where].tolist()
 
 
 class SeriesText:
@@ -369,8 +359,9 @@ def _write_table(path, header, columns, sep=","):
             handle.write("\n".join(block))
 
 
-def write_svg_chart(path, x, y, title, x_label, y_label, width=720, height=420):
+def write_svg_chart(path, x, y, title, x_label, y_label):
     """Single-polyline SVG chart; finite points only."""
+    width, height = 720, 420
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y)

@@ -13,7 +13,7 @@ import numpy as np
 from .bath import RateParams, evolve_isochoric, rate_derivative, stationary_distribution
 from .config import EngineConfig
 from .cycle import run_engine
-from .fock import BathSpec, FockDistribution, OscillatorSpec, entropy, internal_energy, total_variation
+from .fock import BathSpec, FockDistribution, OscillatorSpec, internal_energy, total_variation
 from .oracle import propagate_matrix_exponential, rate_generator
 
 DETAILED_BALANCE_OMEGAS = (0.5, 1.0, 1.5, 2.0)
@@ -133,18 +133,26 @@ def check_monotone_relaxation():
 
 def check_stroke_first_law():
     # default working point (omega 1.0/1.5, t 0.4/1.2, tau 2) from the ground state
-    record = run_engine(replace(EngineConfig(), n_cycles=1)).final_record
+    trace = run_engine(replace(EngineConfig(), n_cycles=1))
+    record = trace.final_record
     hot = internal_energy(record.dist_b, 1.5) - internal_energy(record.dist_a, 1.5) - record.q_in
     expansion = internal_energy(record.dist_c, 1.0) - internal_energy(record.dist_b, 1.5) + record.w_out
     cold = internal_energy(record.dist_d, 1.0) - internal_energy(record.dist_c, 1.0) + record.q_out
     compression = internal_energy(record.dist_a_next, 1.5) - internal_energy(record.dist_d, 1.0) - record.w_in
     cycle = record.first_law_residual()
-    entropy_gap = max(abs(entropy(record.dist_b) - entropy(record.dist_c)),
-                      abs(entropy(record.dist_d) - entropy(record.dist_a_next)))
     worst = max(abs(v) for v in (hot, expansion, cold, compression, cycle))
-    return CheckResult("first law per stroke and per cycle", worst <= 1e-9 and entropy_gap == 0.0,
+    # each traced ramp row holds the populations the ramp starts from: B, or D
+    labels = np.array(trace.stroke_labels)
+    entropy_gap = row_gap = 0.0
+    for label, frozen in (("expansion", record.dist_b), ("compression", record.dist_d)):
+        rows = labels == label
+        entropy_gap = max(entropy_gap, float(np.ptp(trace.entropies[rows])))
+        row_gap = max(row_gap, float(np.abs(trace.probs[rows] - frozen.probs).max()))
+    return CheckResult("first law per stroke and per cycle",
+                       worst <= 1e-9 and entropy_gap == 0.0 and row_gap == 0.0,
                        f"worst ledger residual = {worst:.2e} (limit 1e-9), "
-                       f"ramp entropy change = {entropy_gap:.1e}")
+                       f"ramp entropy change = {entropy_gap:.1e}"
+                       + (f", ramp populations off their start by {row_gap:.1e}" if row_gap else ""))
 
 
 def check_positivity_and_norm():

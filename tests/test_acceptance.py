@@ -34,8 +34,9 @@ from ottokiln import (
     sweep_efficiency_power,
     total_variation,
 )
+from ottokiln import cycle
 from ottokiln.cli import main as cli_main
-from ottokiln.verification import run_all_checks
+from ottokiln.verification import check_stroke_first_law, run_all_checks
 
 OTTO_LIMIT = 1.0 / 3.0
 NBAR_COLD = 0.08942548983385201     # 1/(e^2.5 - 1)
@@ -246,6 +247,16 @@ def test_criterion_8_invariant_suites(ground_trace, equal3_trace, balance_trace)
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     _report(8, "conservation, positivity, detailed balance, stroke and cycle "
                "first laws green across all scenarios")
+
+
+def test_stroke_first_law_check_reads_the_traced_ramp_rows(monkeypatch):
+    # a ramp that records its populations reversed leaves every ledger entry
+    # as it was, so only the ramp rows of the trace can show it
+    ramp = cycle._ramp
+    monkeypatch.setattr(cycle, "_ramp", lambda dist, *args: ramp(FockDistribution(dist.probs[::-1]), *args))
+    result = check_stroke_first_law()
+    assert not result.passed
+    assert "ramp populations off their start by 8.9e-01" in result.detail
 
 
 def test_criterion_9_determinism(tmp_path):

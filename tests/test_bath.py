@@ -206,3 +206,14 @@ def test_stationary_distribution_ratio_and_limits():
     np.testing.assert_allclose(ratios, Q_COLD, rtol=1e-13)
     frozen = stationary_distribution(1.0, 0.005, 50)
     assert frozen.probs[0] == pytest.approx(1.0, abs=1e-80)
+
+
+@pytest.mark.parametrize("omega,temperature,n_max", [
+    (1.0, 0.4, 50), (1.5, 1.2, 50), (0.6, 1.1, 20), (1.0, 0.005, 50),
+    (0.3, 5.0, 20),  # top level holds 2.4e-2, far above the 1e-9 tail tolerance
+])
+def test_stationary_distribution_is_the_geometric_formula_bit_for_bit(omega, temperature, n_max):
+    probs = np.exp(-(omega / temperature) * np.arange(n_max + 1))
+    probs /= probs.sum()
+    dist = stationary_distribution(omega, temperature, n_max)
+    assert dist.n_max == n_max and dist.probs.tobytes() == probs.tobytes()

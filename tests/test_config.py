@@ -1,11 +1,12 @@
 import csv
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ottokiln import ConfigError, EngineConfig, parse_config
 from ottokiln.cli import main
-from ottokiln.config import MAX_N_MAX, MAX_SWEEP_POINTS, _ALL_KEYS, _FLOAT_KEYS, _INT_KEYS
+from ottokiln.config import MAX_N_MAX, MAX_SWEEP_POINTS, _KEY_TYPES
 from ottokiln.fock import InitialStateSpec
 
 
@@ -23,6 +24,37 @@ def test_empty_document_yields_default_working_point():
     assert config.dt is None
     assert config.initial_state == InitialStateSpec.ground()
     assert config.pump_target == InitialStateSpec.single_level(1)
+
+
+def test_keys_are_the_config_fields_and_relaxation_time():
+    assert set(_KEY_TYPES) == {f.name for f in fields(EngineConfig)} | {"relaxation_time"}
+    assert _KEY_TYPES["relaxation_time"] is float
+    # the types the converter reads; a field of another type needs a converter branch
+    assert set(_KEY_TYPES.values()) == {float, int, tuple, str, InitialStateSpec}
+
+
+def spelled(value):
+    """A field's value as a config document states it."""
+    if isinstance(value, InitialStateSpec):
+        return {"ground": "ground", "level": f"level:{value.level}"}[value.kind]
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_each_stated_default_parses_to_the_default_config():
+    default = EngineConfig()
+    stated = {f.name: getattr(default, f.name) for f in fields(EngineConfig)}
+    stated = {key: value for key, value in stated.items() if value is not None}
+    assert {type(value) for value in stated.values()} == {float, int, tuple, str, InitialStateSpec}
+    for key, value in stated.items():
+        assert parse_config(f"{key} = {spelled(value)}\n") == default, key
+    assert parse_config("".join(f"{key} = {spelled(v)}\n" for key, v in stated.items())) == default
+
+
+@pytest.mark.parametrize("mode", ["otto", "pump", "sweep"])
+def test_empty_document_is_the_default_config_in_the_mode(mode):
+    assert parse_config("", mode) == replace(EngineConfig(), mode=mode)
 
 
 def test_relaxation_time_sets_gamma0():
@@ -230,21 +262,18 @@ arbitrary = st.one_of(st.text(max_size=8), st.floats().map(repr))
 
 def plausible_value(key):
     """Mostly well-typed values for the key, so that one bad value can meet valid others."""
-    if key in _FLOAT_KEYS:
-        typed = numbers
-    elif key in _INT_KEYS:
-        typed = integers
-    elif key in ("initial_state", "pump_target"):
-        typed = state_specs
-    elif key == "sweep_t_h":
-        typed = st.lists(numbers, min_size=1, max_size=3).map(", ".join)
-    else:
-        typed = st.sampled_from(["otto", "pump", "sweep", "balance", "finite"])
+    typed = {
+        float: numbers,
+        int: integers,
+        InitialStateSpec: state_specs,
+        tuple: st.lists(numbers, min_size=1, max_size=3).map(", ".join),
+        str: st.sampled_from(["otto", "pump", "sweep", "balance", "finite"]),
+    }[_KEY_TYPES[key]]
     return st.tuples(st.just(key), st.one_of(typed, typed, typed, arbitrary))
 
 
 # the state keys are drawn more often: their specs have the richest grammar
-keys = st.sampled_from(sorted(_ALL_KEYS) + ["initial_state", "pump_target"] * 4)
+keys = st.sampled_from(sorted(_KEY_TYPES) + ["initial_state", "pump_target"] * 4)
 
 
 @settings(max_examples=300, deadline=None)

@@ -345,6 +345,12 @@ def test_schedule_books_the_module_ledger_per_stroke(mode, start):
         assert max(map(abs, residuals)) <= 1e-9
 
 
+def spec_id(spec):
+    """A start spec as a config spells it, for test ids."""
+    return {"ground": "ground", "level": f"level:{spec.level}",
+            "equal_lowest": f"equal_lowest:{spec.count}"}[spec.kind]
+
+
 LEDGER_ONLY_CASES = [
     ("otto", tau, start) for tau in (0.3, 2.0)
     for start in (InitialStateSpec.ground(), InitialStateSpec.equal_lowest(3),
@@ -353,7 +359,7 @@ LEDGER_ONLY_CASES = [
 
 
 @pytest.mark.parametrize("mode,tau,start", LEDGER_ONLY_CASES,
-                         ids=[f"{m}-{t}-{s.describe()}" for m, t, s in LEDGER_ONLY_CASES])
+                         ids=[f"{m}-{t}-{spec_id(s)}" for m, t, s in LEDGER_ONLY_CASES])
 def test_ledger_only_run_books_the_traced_ledger(mode, tau, start):
     dist = make_distribution(start, 50)
     config = ledger_config(mode, tau, 8)
@@ -515,7 +521,7 @@ REUSE_CASES = [  # (mode, tau, cycles, start, first copied cycle traced and ledg
 
 @pytest.mark.parametrize("ledger_only", [False, True], ids=["traced", "ledger_only"])
 @pytest.mark.parametrize("mode,tau,cycles,start,repeat_from", REUSE_CASES,
-                         ids=[f"{m}-{t}-{s.describe()}" for m, t, _, s, _ in REUSE_CASES])
+                         ids=[f"{m}-{t}-{spec_id(s)}" for m, t, _, s, _ in REUSE_CASES])
 def test_run_equals_its_cycles_run_one_call_each(mode, tau, cycles, start, repeat_from, ledger_only):
     dist = make_distribution(start, 50)
     config = ledger_config(mode, tau, cycles)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ottokiln import output
-from ottokiln.output import _format_g12, _format_polyline, _format_rows, fmt
+from ottokiln.output import _format_polyline, _format_rows, fmt
 
 
 def percent_g12(values):
@@ -128,7 +128,7 @@ def test_g12_takes_the_kernel_from_its_crossover_size(monkeypatch, n):
     monkeypatch.setattr(output, "_g12_records", lambda x: calls.append(x.size) or records(x))
     x = np.random.default_rng(n).lognormal(0.0, 20.0, n) * np.where(np.arange(n) % 3, 1, -1)
     x[::7] = 0.0
-    assert _format_g12(x) == percent_g12(x)
+    assert _format_rows(x[:, None]) == percent_g12(x)
     assert sum(calls) == (n if n >= output._G12_MIN_SIZE else 0)
     assert max(calls, default=0) <= output._BLOCK
 

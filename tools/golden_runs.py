@@ -15,8 +15,9 @@ same bytes exactly when they behave the same: ``diff -r OUT_A OUT_B``.
 
 The command set covers the configs of the CI Determinism step, the
 perfbench workload commands of seeds 1 to 5 (read from this checkout's
-``perfbench/workloads.py``, so both trees run the same commands), and runs
-that are expected to fail.
+``perfbench/workloads.py``, so both trees run the same commands), config
+documents that take each conversion of the config parser, and runs that
+are expected to fail.
 """
 
 import contextlib
@@ -61,7 +62,16 @@ EDGE_RUNS = [
     ("edge-finite-cold-0.001", "sweep", [], "t_c = 0.001\n" + FINITE_SMALL),
     ("edge-finite-no-cycles", "sweep", [], "sweep_mode = finite\nn_cycles = 0\n"),
     ("edge-finite-unconverged", "sweep", [], FINITE_SMALL.replace("n_cycles = 3", "n_cycles = 1")),
+    ("edge-mode-upper-case", "simulate", [], "mode = OTTO\nn_cycles = 2\n"),
+    ("edge-sweep-mode-upper-case", "sweep", [], FINITE_SMALL.replace("finite", "FINITE")),
+    ("edge-relaxation-time", "pump", [], "relaxation_time = 2\nn_cycles = 3\n"),
     ("fail-unknown-key", "simulate", [], "bogus = 1\n"),
+    ("fail-float-text", "simulate", [], "tau = two\n"),
+    ("fail-int-fraction", "simulate", [], "n_cycles = 2.5\n"),
+    ("fail-list-entry", "sweep", [], "sweep_t_h = 1.2, x\n"),
+    ("fail-infinite", "simulate", [], "t_h = inf\n"),
+    ("fail-relaxation-time", "pump", [], "relaxation_time = -1\n"),
+    ("fail-relaxation-time-and-gamma0", "simulate", [], "gamma0 = 0.5\nrelaxation_time = 1\n"),
     ("fail-frequency-order", "simulate", [], "omega_c = 2.0\n"),
     ("fail-temperature-order", "simulate", [], "t_c = 2.0\n"),
     ("fail-n-max", "pump", [], "n_max = 2000\n"),
