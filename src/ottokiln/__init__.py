@@ -17,10 +17,8 @@ from .exceptions import (
     UndefinedEfficiencyError,
 )
 from .fock import (
-    BathSpec,
     FockDistribution,
     InitialStateSpec,
-    OscillatorSpec,
     entropy,
     internal_energy,
     make_distribution,

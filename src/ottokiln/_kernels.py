@@ -6,7 +6,8 @@ with ``A = dt * G``.  A stroke builds R once and jumps from recorded sample
 to recorded sample with the precomputed power ``R^stride`` (plus one
 ``R^(n_steps % stride)`` for a ragged last gap), so its cost scales with the
 number of samples, not the number of steps.  A StepMatrix holds R and its
-powers: a caller that repeats a stroke passes the same one to every call.
+powers.  The caller builds one per stroke and hands it to evolve_populations;
+a caller that repeats a stroke passes the same one to every call.
 
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
@@ -174,9 +175,9 @@ def sample_steps(n_steps, stride):
     return np.append(np.arange(0, n_steps, stride, dtype=np.int64), n_steps)
 
 
-def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride, step_matrix=None,
-                       rerun=True):
-    """Step the population vector n_steps times, recording every stride-th state.
+def evolve_populations(p0, step_matrix, n_steps, stride, rerun=True):
+    """Step the population vector n_steps times with the stroke's StepMatrix,
+    recording every stride-th state.
 
     Returns (status, bad_step, max_drift, samples): samples has sample_count
     rows (initial state first, final state last) and max_drift is the largest
@@ -184,11 +185,8 @@ def evolve_populations(p0, gamma, boltz_factor, dt, n_steps, stride, step_matrix
     sample-to-sample path, per step on the stepwise fallback).  On
     STATUS_TOO_LONG, bad_step is the step of the sample that tripped.
 
-    step_matrix is the stroke's StepMatrix, built here when None.  With
-    rerun=False, a guard that trips on a sample returns its status at once.
+    With rerun=False, a guard that trips on a sample returns its status at once.
     """
-    if step_matrix is None:
-        step_matrix = StepMatrix(gamma, boltz_factor, len(p0), dt)
     out = np.empty((sample_count(n_steps, stride), len(p0)))
     if step_matrix.stable:
         status, bad_step, max_drift = _evolve_sampled(p0, step_matrix, n_steps, stride, out)

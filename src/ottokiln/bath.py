@@ -12,13 +12,13 @@ conservation and positivity guards.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .exceptions import IntegrationError, OttoKilnError
-from .fock import BathSpec, FockDistribution, InitialStateSpec, OscillatorSpec, TAIL_TOLERANCE, make_distribution
+from .fock import FockDistribution, InitialStateSpec, TAIL_TOLERANCE, make_distribution
 
 
 def bose_einstein(omega, temperature):
@@ -42,22 +42,30 @@ def bose_einstein(omega, temperature):
 
 @dataclass(frozen=True)
 class RateParams:
-    """Frozen per-stroke coupling: oscillator at fixed omega against one bath.
+    """Frozen per-stroke coupling: the oscillator at frequency omega against
+    a bath at temperature with bare relaxation constant gamma0.
 
     gamma = gamma0 * (n_BE + 1) and boltz_factor = exp(-omega/T) are derived
     once so every consumer of the stroke uses identical coefficients.
     """
 
-    osc: OscillatorSpec
-    bath: BathSpec
-    gamma: float = 0.0
-    boltz_factor: float = 0.0
+    omega: float
+    temperature: float
+    gamma0: float
+    gamma: float = field(init=False)
+    boltz_factor: float = field(init=False)
 
     def __post_init__(self):
-        n_be = bose_einstein(self.osc.omega, self.bath.temperature)
-        object.__setattr__(self, "gamma", self.bath.gamma0 * (n_be + 1.0))
-        object.__setattr__(self, "boltz_factor", math.exp(-self.osc.omega / self.bath.temperature))
-        if not self.gamma >= self.bath.gamma0:  # equal where n_BE < 1e-16 (omega/T > 36.7)
+        if not self.omega > 0:
+            raise OttoKilnError(f"oscillator frequency must be positive, got {self.omega}")
+        if not self.temperature > 0:
+            raise OttoKilnError(f"bath temperature must be positive, got {self.temperature}")
+        if not self.gamma0 > 0:
+            raise OttoKilnError(f"relaxation constant must be positive, got {self.gamma0}")
+        n_be = bose_einstein(self.omega, self.temperature)
+        object.__setattr__(self, "gamma", self.gamma0 * (n_be + 1.0))
+        object.__setattr__(self, "boltz_factor", math.exp(-self.omega / self.temperature))
+        if not self.gamma >= self.gamma0:  # equal where n_BE < 1e-16 (omega/T > 36.7)
             raise OttoKilnError("derived gamma must not fall below gamma0")
         if not 0.0 <= self.boltz_factor < 1.0:  # 0 where exp(-omega/T) underflows (omega/T > 745)
             raise OttoKilnError("detailed-balance factor must lie in [0, 1)")
@@ -90,9 +98,8 @@ class Trajectory:
 
 def rate_derivative(dist, params):
     """dP_n/dt vector for the current populations under the given coupling."""
-    probs = dist.probs if isinstance(dist, FockDistribution) else np.asarray(dist, dtype=float)
-    down, up = _kernels.rate_coefficients(params.gamma, params.boltz_factor, probs.shape[0])
-    return _kernels.derivative(probs, down, up)
+    down, up = _kernels.rate_coefficients(params.gamma, params.boltz_factor, dist.n_max + 1)
+    return _kernels.derivative(dist.probs, down, up)
 
 
 def default_time_step(duration, gamma, n_max):
@@ -108,6 +115,8 @@ def stroke_steps(duration, gamma, n_max, dt=None):
         raise OttoKilnError(f"duration must be positive, got {duration}")
     if dt is None:
         dt = default_time_step(duration, gamma, n_max)
+    elif not dt > 0:
+        raise OttoKilnError(f"dt must be positive, got {dt}")
     if dt > duration:
         raise OttoKilnError(f"dt={dt} exceeds duration={duration}")
     if not (dt > 0.0 and math.isfinite(duration / dt)):  # the default dt underflows near gamma0 = 1e306
@@ -124,16 +133,19 @@ def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
     """Evolve populations at fixed frequency for the given duration.
 
     The step count and step come from stroke_steps; step_matrix is the
-    stroke's _kernels.StepMatrix, built per call when None.  Returns a
+    stroke's _kernels.StepMatrix, built here when None.  Returns a
     Trajectory whose first/last samples are the initial and final states.
     """
     n_steps, step = stroke_steps(duration, params.gamma, dist.n_max, dt)
     if sample_stride is None:
         sample_stride = max(1, n_steps // 64)
+    elif sample_stride < 1:
+        raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
+    if step_matrix is None:
+        step_matrix = _kernels.StepMatrix(params.gamma, params.boltz_factor, dist.n_max + 1, step)
 
     status, bad_step, max_drift, samples = _kernels.evolve_populations(
-        dist.probs, params.gamma, params.boltz_factor, step, n_steps, sample_stride, step_matrix,
-    )
+        dist.probs, step_matrix, n_steps, sample_stride)
     if status == _kernels.STATUS_DRIFT:
         raise IntegrationError(
             f"probability sum drifted beyond {_kernels.DRIFT_TOL:.0e} at step {bad_step} "

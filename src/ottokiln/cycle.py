@@ -36,9 +36,7 @@ from . import _kernels
 from .bath import RateParams, evolve_isochoric, stroke_steps
 from .exceptions import OttoKilnError
 from .fock import (
-    BathSpec,
     FockDistribution,
-    OscillatorSpec,
     make_distribution,
     internal_energy,
     mean_occupation,
@@ -138,8 +136,8 @@ class _Contact:
     StepMatrix are built at its first use and kept for the run."""
 
     def __init__(self, label, omega, temperature, duration, config):
-        self.label, self.omega, self.duration, self.config = label, omega, duration, config
-        self.bath = BathSpec(temperature, config.gamma0)
+        self.label, self.omega, self.temperature = label, omega, temperature
+        self.duration, self.config = duration, config
         self.coupling = None
 
     def run(self, dist, segments, t):
@@ -153,17 +151,16 @@ class _Contact:
         """
         config = self.config
         if self.coupling is None:
-            params = RateParams(OscillatorSpec(self.omega), self.bath)
+            params = RateParams(self.omega, self.temperature, config.gamma0)
             n_steps, step = stroke_steps(self.duration, params.gamma, dist.n_max, config.dt)
-            self.coupling = (params, n_steps, step,
+            self.coupling = (params, n_steps,
                              _kernels.StepMatrix(params.gamma, params.boltz_factor, dist.n_max + 1, step))
-        params, n_steps, step, step_matrix = self.coupling
+        params, n_steps, step_matrix = self.coupling
         if segments is None:
             status, _, drift, samples = _kernels.evolve_populations(
-                dist.probs, params.gamma, params.boltz_factor, step, n_steps, n_steps, step_matrix,
-                rerun=False)
+                dist.probs, step_matrix, n_steps, n_steps, rerun=False)
             if status == _kernels.STATUS_OK:
-                return FockDistribution(samples[-1], dist.n_max).require_tail(config.tail_tolerance), drift
+                return FockDistribution(samples[-1]).require_tail(config.tail_tolerance), drift
         traj = evolve_isochoric(dist, params, self.duration, config.dt, config.sample_stride,
                                 config.tail_tolerance, step_matrix)
         if segments is not None:

@@ -5,7 +5,7 @@ cold-stage quantum (omega_c = 1 defines the energy scale), level energies
 E_n = n * omega with the ground level at zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,56 +17,31 @@ _SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class OscillatorSpec:
-    """Harmonic oscillator at a fixed angular frequency (per stroke)."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise OttoKilnError(f"oscillator frequency must be positive, got {self.omega}")
-
-
-@dataclass(frozen=True)
-class BathSpec:
-    """Thermal reservoir: temperature (k_B T) and bare relaxation constant."""
-
-    temperature: float
-    gamma0: float
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise OttoKilnError(f"bath temperature must be positive, got {self.temperature}")
-        if not self.gamma0 > 0:
-            raise OttoKilnError(f"relaxation constant must be positive, got {self.gamma0}")
-
-
-@dataclass(frozen=True)
 class FockDistribution:
-    """Probability vector over ladder levels 0..n_max.
+    """Probability vector over ladder levels 0..n_max, n_max = len(probs) - 1.
 
-    Entries are non-negative and sum to one within 1e-12; the top entry acts
-    as the truncation sentinel (see tail_mass).
+    probs is a non-empty vector whose entries are non-negative and sum to one
+    within 1e-12; the top entry acts as the truncation sentinel (see
+    tail_mass).
     """
 
     probs: np.ndarray
-    n_max: int = field(default=-1)
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=np.float64)  # own copy, then freeze
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.n_max < 0:
-            object.__setattr__(self, "n_max", probs.shape[0] - 1)
-        if probs.shape != (self.n_max + 1,):
-            raise OttoKilnError(
-                f"probs has {probs.shape[0]} entries but n_max={self.n_max} requires {self.n_max + 1}"
-            )
+        if probs.ndim != 1 or probs.shape[0] == 0:
+            raise OttoKilnError(f"probs must be a non-empty vector, got shape {probs.shape}")
         if probs.min() < 0.0:
             raise OttoKilnError(f"negative probability {probs.min()} at level {int(probs.argmin())}")
         total = probs.sum()
         if not abs(total - 1.0) <= _SUM_TOL:  # also rejects nan
             raise OttoKilnError(f"probabilities sum to {float(total)!r}, not 1 within {_SUM_TOL}")
+
+    @property
+    def n_max(self):
+        return self.probs.shape[0] - 1
 
     @property
     def tail_mass(self):
@@ -158,35 +133,26 @@ def make_distribution(spec, n_max=DEFAULT_N_MAX, tail_tolerance=TAIL_TOLERANCE):
     else:
         raise OttoKilnError(f"unknown initial-state kind {spec.kind!r}")
     probs /= probs.sum()
-    dist = FockDistribution(probs, n_max)
+    dist = FockDistribution(probs)
     dist.require_tail(tail_tolerance)
     return dist
 
 
-def _omega_of(osc):
-    return osc.omega if isinstance(osc, OscillatorSpec) else float(osc)
-
-
-def internal_energy(dist, osc):
+def internal_energy(dist, omega):
     """U = sum_n n * omega * P_n (ground level at zero energy)."""
-    omega = _omega_of(osc)
     return omega * mean_occupation(dist)
 
 
 def mean_occupation(dist):
-    probs = dist.probs if isinstance(dist, FockDistribution) else np.asarray(dist)
-    return float(np.arange(probs.shape[0]) @ probs)
+    return float(np.arange(dist.probs.shape[0]) @ dist.probs)
 
 
 def entropy(dist):
     """Population entropy -sum P_n ln P_n in units of k_B, with 0 ln 0 = 0."""
-    probs = dist.probs if isinstance(dist, FockDistribution) else np.asarray(dist)
-    positive = probs[probs > 0.0]
+    positive = dist.probs[dist.probs > 0.0]
     return float(-(positive @ np.log(positive)))
 
 
 def total_variation(dist_a, dist_b):
     """TV distance: half the L1 difference of the two probability vectors."""
-    a = dist_a.probs if isinstance(dist_a, FockDistribution) else np.asarray(dist_a)
-    b = dist_b.probs if isinstance(dist_b, FockDistribution) else np.asarray(dist_b)
-    return 0.5 * float(np.abs(a - b).sum())
+    return 0.5 * float(np.abs(dist_a.probs - dist_b.probs).sum())

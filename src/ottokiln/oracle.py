@@ -153,4 +153,4 @@ def propagate_matrix_exponential(dist, params, duration):
         raise OttoKilnError(f"propagator lost probability: sum {total!r}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    return FockDistribution(probs, n_max)
+    return FockDistribution(probs)

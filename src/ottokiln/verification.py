@@ -13,7 +13,7 @@ import numpy as np
 from .bath import RateParams, evolve_isochoric, rate_derivative, stationary_distribution
 from .config import EngineConfig
 from .cycle import run_engine
-from .fock import BathSpec, FockDistribution, OscillatorSpec, internal_energy, total_variation
+from .fock import FockDistribution, internal_energy, total_variation
 from .oracle import propagate_matrix_exponential, rate_generator
 
 DETAILED_BALANCE_OMEGAS = (0.5, 1.0, 1.5, 2.0)
@@ -37,7 +37,7 @@ def check_detailed_balance():
     worst = 0.0
     for omega in DETAILED_BALANCE_OMEGAS:
         for temp in DETAILED_BALANCE_TEMPS:
-            params = RateParams(OscillatorSpec(omega), BathSpec(temp, 0.5))
+            params = RateParams(omega, temp, 0.5)
             fixed = stationary_distribution(omega, temp, 50)
             worst = max(worst, float(np.abs(rate_derivative(fixed, params)).max()))
     return CheckResult("detailed-balance fixed point", worst <= 1e-12,
@@ -48,7 +48,7 @@ def check_generator_conservation():
     worst = 0.0
     rng = np.random.default_rng(11)
     for omega, temp in ((0.7, 0.3), (1.5, 1.2), (2.0, 0.2)):
-        params = RateParams(OscillatorSpec(omega), BathSpec(temp, 0.5))
+        params = RateParams(omega, temp, 0.5)
         gen = rate_generator(params, 40)
         worst = max(worst, float(np.abs(gen.sum(axis=0)).max()))
         for _ in range(5):
@@ -67,7 +67,7 @@ def check_oracle_equivalence(n_tuples=12, seed=2024):
         gamma0 = rng.uniform(0.1, 1.0)
         duration = rng.uniform(0.5, 10.0)
         dist = _random_distribution(rng, 21)
-        params = RateParams(OscillatorSpec(omega), BathSpec(temp, gamma0))
+        params = RateParams(omega, temp, gamma0)
         stepped = evolve_isochoric(dist, params, duration, tail_tolerance=1.0).final
         exact = propagate_matrix_exponential(dist, params, duration)
         worst = max(worst, total_variation(stepped, exact))
@@ -76,7 +76,7 @@ def check_oracle_equivalence(n_tuples=12, seed=2024):
 
 
 def check_convergence_order():
-    params = RateParams(OscillatorSpec(1.0), BathSpec(1.0, 0.5))
+    params = RateParams(1.0, 1.0, 0.5)
     probs = np.arange(1.0, 22.0)
     dist = FockDistribution(probs / probs.sum())
     exact = propagate_matrix_exponential(dist, params, 1.0)
@@ -90,7 +90,7 @@ def check_convergence_order():
 
 
 def check_semigroup():
-    params = RateParams(OscillatorSpec(1.2), BathSpec(0.9, 0.4))
+    params = RateParams(1.2, 0.9, 0.4)
     dist = stationary_distribution(0.6, 1.1, 20)
     one_shot = propagate_matrix_exponential(dist, params, 3.0)
     two_step = propagate_matrix_exponential(propagate_matrix_exponential(dist, params, 1.25), params, 1.75)
@@ -100,7 +100,7 @@ def check_semigroup():
 
 
 def check_thermal_stationarity():
-    params = RateParams(OscillatorSpec(1.5), BathSpec(1.2, 0.5))
+    params = RateParams(1.5, 1.2, 0.5)
     fixed = stationary_distribution(1.5, 1.2, 50)
     moved = evolve_isochoric(fixed, params, 4.0).final
     gap = total_variation(fixed, moved)
@@ -109,7 +109,7 @@ def check_thermal_stationarity():
 
 
 def check_equilibrium_limit():
-    params = RateParams(OscillatorSpec(1.5), BathSpec(1.2, 0.5))
+    params = RateParams(1.5, 1.2, 0.5)
     ground = FockDistribution(np.eye(51)[0])
     relaxed = evolve_isochoric(ground, params, 16.0).final
     gap = total_variation(relaxed, stationary_distribution(1.5, 1.2, 50))
@@ -118,7 +118,7 @@ def check_equilibrium_limit():
 
 
 def check_monotone_relaxation():
-    params = RateParams(OscillatorSpec(1.0), BathSpec(0.8, 0.5))
+    params = RateParams(1.0, 0.8, 0.5)
     target = internal_energy(stationary_distribution(1.0, 0.8, 50), 1.0)
     ok = True
     for start in (FockDistribution(np.eye(51)[0]), stationary_distribution(0.4, 1.2, 50)):
@@ -156,7 +156,7 @@ def check_stroke_first_law():
 
 
 def check_positivity_and_norm():
-    params = RateParams(OscillatorSpec(1.0), BathSpec(0.4, 0.5))
+    params = RateParams(1.0, 0.4, 0.5)
     start = FockDistribution(np.eye(51)[2])
     traj = evolve_isochoric(start, params, 5.0, sample_stride=10)
     min_prob = float(traj.probs.min())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ottokiln import BathSpec, FockDistribution, InitialStateSpec, make_distribution
+from ottokiln import FockDistribution, InitialStateSpec, make_distribution
 
 # `pytest --hypothesis-profile ci`: more examples for the tests that take the
 # profile's count (those without their own max_examples), no deadline
@@ -14,16 +14,6 @@ settings.register_profile("ci", max_examples=2000, deadline=None)
 @pytest.fixture
 def ground_50():
     return make_distribution(InitialStateSpec.ground(), 50)
-
-
-@pytest.fixture
-def hot_bath():
-    return BathSpec(temperature=1.2, gamma0=0.5)
-
-
-@pytest.fixture
-def cold_bath():
-    return BathSpec(temperature=0.4, gamma0=0.5)
 
 
 def random_distribution(rng, n_levels):

@@ -14,11 +14,9 @@ import numpy as np
 import pytest
 
 from ottokiln import (
-    BathSpec,
     EngineConfig,
     FockDistribution,
     InitialStateSpec,
-    OscillatorSpec,
     RateParams,
     carnot_limit,
     cycle_efficiency,
@@ -194,13 +192,13 @@ def test_criterion_7_oracle_equivalence_and_convergence_order():
         duration = rng.uniform(0.2, 10.0)
         probs = rng.random(21)
         dist = FockDistribution(probs / probs.sum())
-        params = RateParams(OscillatorSpec(omega), BathSpec(temperature, gamma0))
+        params = RateParams(omega, temperature, gamma0)
         stepped = evolve_isochoric(dist, params, duration, tail_tolerance=1.0).final
         exact = propagate_matrix_exponential(dist, params, duration)
         worst = max(worst, total_variation(stepped, exact))
     assert worst <= 1e-8
 
-    params = RateParams(OscillatorSpec(1.0), BathSpec(1.0, 0.5))
+    params = RateParams(1.0, 1.0, 0.5)
     ramp = np.arange(1.0, 22.0)
     dist = FockDistribution(ramp / ramp.sum())
     exact = propagate_matrix_exponential(dist, params, 1.0)
@@ -216,7 +214,7 @@ def test_criterion_8_invariant_suites(ground_trace, equal3_trace, balance_trace)
     # detailed-balance stationarity across the working grid
     for omega in (0.5, 1.0, 1.5, 2.0):
         for temperature in (0.2, 0.4, 1.2):
-            params = RateParams(OscillatorSpec(omega), BathSpec(temperature, 0.5))
+            params = RateParams(omega, temperature, 0.5)
             fixed = stationary_distribution(omega, temperature, 50)
             assert np.abs(rate_derivative(fixed, params)).max() <= 1e-12
 

@@ -1,14 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ottokiln import (
-    BathSpec,
     FockDistribution,
     InitialStateSpec,
     IntegrationError,
-    OscillatorSpec,
     OttoKilnError,
     RateParams,
     bose_einstein,
@@ -31,7 +30,7 @@ U_GROUND_RELAX_TAU2 = 0.5208106262066727
 
 
 def params(omega=1.0, temperature=0.4, gamma0=0.5):
-    return RateParams(OscillatorSpec(omega), BathSpec(temperature, gamma0))
+    return RateParams(omega, temperature, gamma0)
 
 
 def test_bose_einstein_values():
@@ -53,8 +52,26 @@ def test_rate_params_derived_quantities():
     p = params(1.0, 0.4, 0.5)
     assert p.gamma == pytest.approx(0.5 * (NBAR_COLD + 1.0), rel=1e-14)
     assert p.boltz_factor == pytest.approx(Q_COLD, rel=1e-14)
-    assert p.gamma > p.bath.gamma0
+    assert p.gamma > p.gamma0
     assert 0.0 < p.boltz_factor < 1.0
+
+
+@pytest.mark.parametrize("omega,temperature,gamma0,message", [
+    (0.0, 0.4, 0.5, "oscillator frequency must be positive, got 0.0"),
+    (1.0, -0.4, 0.5, "bath temperature must be positive, got -0.4"),
+    (1.0, 0.4, float("nan"), "relaxation constant must be positive, got nan"),
+    (-1.0, -0.4, 0.0, "oscillator frequency must be positive, got -1.0"),  # checked in this order
+], ids=["omega", "temperature", "gamma0", "all"])
+def test_rate_params_reject_a_non_positive_input(omega, temperature, gamma0, message):
+    with pytest.raises(OttoKilnError, match=f"^{re.escape(message)}$"):
+        RateParams(omega, temperature, gamma0)
+
+
+def test_rate_params_derive_gamma_and_boltz_factor_only():
+    with pytest.raises(TypeError, match="gamma"):
+        RateParams(1.0, 0.4, 0.5, gamma=1.0)
+    with pytest.raises(TypeError, match="boltz_factor"):
+        RateParams(1.0, 0.4, 0.5, boltz_factor=0.5)
 
 
 @pytest.mark.parametrize("t_c", [0.02, 0.001])
@@ -62,7 +79,7 @@ def test_rate_params_accept_a_bath_too_cold_to_raise_gamma(t_c):
     # omega/T = 50: n_BE = 1.9e-22, so gamma0 * (n_BE + 1) rounds to gamma0;
     # omega/T = 1000: exp(-omega/T) underflows to 0, so no rate leads upwards
     p = params(1.0, t_c, 0.5)
-    assert p.gamma == p.bath.gamma0
+    assert p.gamma == p.gamma0
     assert 0.0 <= p.boltz_factor < 1.0
     assert (p.boltz_factor == 0.0) == (t_c == 0.001)
 
@@ -181,6 +198,19 @@ def test_stroke_too_long_to_step_is_rejected(gamma0, message):
     start = make_distribution(InitialStateSpec.ground(), 50)
     with pytest.raises(IntegrationError, match=message):
         evolve_isochoric(start, params(1.5, 1.2, gamma0), 2.0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"sample_stride": 0}, "sample_stride must be >= 1, got 0"),
+    ({"sample_stride": -2}, "sample_stride must be >= 1, got -2"),
+    ({"dt": float("nan")}, "dt must be positive, got nan"),
+    ({"dt": -1.0}, "dt must be positive, got -1.0"),
+    ({"dt": 0.0}, "dt must be positive, got 0.0"),
+], ids=["stride-0", "stride-negative", "dt-nan", "dt-negative", "dt-0"])
+def test_bad_stride_or_dt_is_rejected_by_name(kwargs, message):
+    start = make_distribution(InitialStateSpec.ground(), 20)
+    with pytest.raises(OttoKilnError, match=f"^{re.escape(message)}$"):
+        evolve_isochoric(start, params(1.0, 0.4), 0.5, **kwargs)
 
 
 def test_dt_larger_than_duration_rejected():

@@ -7,12 +7,10 @@ import pytest
 
 import ottokiln.cycle
 from ottokiln import (
-    BathSpec,
     ConfigError,
     EngineConfig,
     InitialStateSpec,
     IntegrationError,
-    OscillatorSpec,
     OttoKilnError,
     RateParams,
     UnderTruncationError,
@@ -404,7 +402,7 @@ def test_run_builds_one_step_matrix_per_bath_contact_per_run(monkeypatch, mode, 
         # traced strokes run evolve_isochoric; ledger-only ones never do
         assert len(stepped) == (0 if ledger_only else call * bath_strokes * cycles_run)
     if ledger_only:  # one jump R^n_steps per stroke: two rows, start and end
-        assert all(args[4] == args[5] for args in propagated)
+        assert all(args[2] == args[3] for args in propagated)
 
 
 def _tripped_jump(original):
@@ -451,11 +449,11 @@ def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
     # STATUS_TOO_LONG.
     config = replace(EngineConfig(), gamma0=50.0, tau=20.0, n_cycles=2)
     dist = make_distribution(InitialStateSpec.ground(), 50)
-    params = RateParams(OscillatorSpec(1.5), BathSpec(1.2, 50.0))
+    params = RateParams(1.5, 1.2, 50.0)
     n_steps, step = ottokiln.cycle.stroke_steps(20.0, params.gamma, 50, None)
     assert n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
-    jumped = _kernels.evolve_populations(dist.probs, params.gamma, params.boltz_factor,
-                                         step, n_steps, n_steps)
+    step_matrix = _kernels.StepMatrix(params.gamma, params.boltz_factor, 51, step)
+    jumped = _kernels.evolve_populations(dist.probs, step_matrix, n_steps, n_steps)
     assert jumped[0] == _kernels.STATUS_TOO_LONG
     traced = run_cycles(dist, config)
     ledger = run_cycles(dist, config, ledger_only=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from ottokiln import (
     FockDistribution,
     InitialStateSpec,
-    OscillatorSpec,
     OttoKilnError,
     UnderTruncationError,
     entropy,
@@ -62,7 +62,7 @@ def test_gaussian_state_is_normalized_and_peaked_at_center():
 
 def test_internal_energy_examples():
     ground = make_distribution(InitialStateSpec.ground(), 50)
-    assert internal_energy(ground, OscillatorSpec(2.7)) == 0.0
+    assert internal_energy(ground, 2.7) == 0.0
     equal3 = make_distribution(InitialStateSpec.equal_lowest(3), 50)
     assert internal_energy(equal3, 1.5) == pytest.approx(1.5, rel=1e-14)
     thermal = make_distribution(InitialStateSpec.boltzmann(1.5, 1.2), 50)
@@ -94,6 +94,16 @@ def test_total_variation():
     b = FockDistribution(np.array([0.0, 1.0]))
     assert total_variation(a, b) == 1.0
     assert total_variation(a, a) == 0.0
+
+
+@pytest.mark.parametrize("probs,shape", [
+    (np.array([]), "(0,)"),
+    (np.array(1.0), "()"),
+    (np.array([[0.5, 0.5]]), "(1, 2)"),
+], ids=["empty", "0-d", "row-matrix"])
+def test_distribution_rejects_a_malformed_probability_vector(probs, shape):
+    with pytest.raises(OttoKilnError, match=re.escape(f"probs must be a non-empty vector, got shape {shape}")):
+        FockDistribution(probs)
 
 
 def test_distribution_rejects_negative_entries():
@@ -134,5 +144,3 @@ def test_invalid_spec_parameters_rejected():
         InitialStateSpec.boltzmann(np.inf, 0.4)
     with pytest.raises(OttoKilnError):
         InitialStateSpec.gaussian(2, 1.5, np.inf)
-    with pytest.raises(OttoKilnError):
-        OscillatorSpec(0.0)

@@ -27,6 +27,11 @@ GAMMA = 0.5447127449169259   # 0.5 * (1 + nbar) at omega/T = 2.5
 BOLTZ = 0.0820849986238988
 
 
+def _matrix(p0, dt, gamma=GAMMA):
+    """The StepMatrix of a stroke at dt on len(p0) levels."""
+    return StepMatrix(gamma, BOLTZ, len(p0), dt)
+
+
 def test_rate_coefficients_shape_and_reflecting_top():
     down, up = rate_coefficients(GAMMA, BOLTZ, 6)
     assert down[0] == 0.0
@@ -61,7 +66,7 @@ def test_sample_bookkeeping():
 def test_numpy_backend_runs_and_conserves():
     p0 = np.zeros(31)
     p0[0] = 1.0
-    status, _, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 1e-3, 2000, 500)
+    status, _, max_drift, samples = evolve_populations(p0, _matrix(p0, 1e-3), 2000, 500)
     assert max_drift <= 1e-10
     assert status == STATUS_OK
     np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-12)
@@ -71,7 +76,7 @@ def test_numpy_backend_runs_and_conserves():
 def test_unstable_step_reports_negative_status():
     p0 = np.zeros(51)
     p0[0] = 1.0
-    status, bad_step, _, _ = evolve_populations(p0, GAMMA, BOLTZ, 0.5, 50, 10)
+    status, bad_step, _, _ = evolve_populations(p0, _matrix(p0, 0.5), 50, 10)
     assert status == STATUS_NEGATIVE
     assert bad_step >= 1
 
@@ -93,7 +98,7 @@ def test_sample_to_sample_path_matches_stepwise_loop(n_steps, stride):
     rng = np.random.default_rng(n_steps)
     p0 = rng.random(51)
     p0 /= p0.sum()
-    status, bad_step, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, n_steps, stride)
+    status, bad_step, max_drift, samples = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
     ref_status, ref_bad, _, ref_samples, r = _stepwise(p0, 7e-4, n_steps, stride)
     assert step_matrix_is_stable(r)
     assert (status, bad_step) == (ref_status, ref_bad) == (STATUS_OK, n_steps)
@@ -112,7 +117,7 @@ def test_guard_failure_names_the_first_bad_step_like_the_stepwise_loop(dt, offse
         monkeypatch.setattr(_kernels, "_evolve_sampled", _refuse)
     p0 = np.zeros(51)
     p0[0] = 1.0 + offset
-    status, bad_step, _, _ = evolve_populations(p0, GAMMA, BOLTZ, dt, 50, 10)
+    status, bad_step, _, _ = evolve_populations(p0, _matrix(p0, dt), 50, 10)
     ref_status, ref_bad, _, _, r = _stepwise(p0, dt, 50, 10)
     assert step_matrix_is_stable(r) == stable
     assert (status, bad_step) == (ref_status, ref_bad) == expect
@@ -125,7 +130,7 @@ def test_tripped_stroke_longer_than_the_cap_is_not_rerun_stepwise(cap, expect, m
         monkeypatch.setattr(_kernels, "_evolve_stepwise", _refuse)
     p0 = np.zeros(51)
     p0[0] = 1.0 + 1e-9  # off the simplex: the first sample, at step 10, trips
-    status, bad_step, max_drift, _ = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, 50, 10)
+    status, bad_step, max_drift, _ = evolve_populations(p0, _matrix(p0, 7e-4), 50, 10)
     assert (status, bad_step) == expect
     assert max_drift > _kernels.DRIFT_TOL
 
@@ -232,11 +237,10 @@ def test_samples_equal_the_four_reduction_path_bit_for_bit(n_steps, stride, star
     if start == "random":
         p0 = np.random.default_rng(n_steps).random(51)
         p0 /= p0.sum()
-    status, bad_step, max_drift, samples = evolve_populations(p0, GAMMA, BOLTZ, 7e-4,
-                                                              n_steps, stride)
+    status, bad_step, max_drift, samples = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
     monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
     monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
-    want = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, n_steps, stride)
+    want = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
     assert (status, bad_step, max_drift) == want[:3]
     assert status == STATUS_OK
     assert samples.tobytes() == want[3].tobytes()
@@ -246,13 +250,13 @@ def test_stepwise_loop_and_whole_stroke_jump_equal_the_four_reduction_guard_bit_
     p0 = np.zeros(51)
     p0[0] = 1.0
     got = _stepwise(p0, 7e-4, 2857, 44)
-    jumped = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, 2857, 2857)
+    jumped = evolve_populations(p0, _matrix(p0, 7e-4), 2857, 2857)
     monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
     want = _stepwise(p0, 7e-4, 2857, 44)
     assert got[:3] == want[:3]
     assert got[3].tobytes() == want[3].tobytes()
     monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
-    want_jumped = evolve_populations(p0, GAMMA, BOLTZ, 7e-4, 2857, 2857)
+    want_jumped = evolve_populations(p0, _matrix(p0, 7e-4), 2857, 2857)
     assert jumped[0] == STATUS_OK
     assert jumped[:3] == want_jumped[:3]
     assert jumped[3].tobytes() == want_jumped[3].tobytes()
@@ -264,5 +268,5 @@ def test_nan_state_trips_the_drift_guard_at_the_first_step():
     p0 = np.zeros(51)
     p0[0] = 1.0
     with np.errstate(all="raise"):
-        status, bad_step, _, _ = evolve_populations(p0, 1e300, BOLTZ, 1e-6, 2_000_000, 1000)
+        status, bad_step, _, _ = evolve_populations(p0, _matrix(p0, 1e-6, gamma=1e300), 2_000_000, 1000)
     assert (status, bad_step) == (STATUS_DRIFT, 1)

@@ -3,8 +3,6 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from ottokiln import (
-    BathSpec,
-    OscillatorSpec,
     OttoKilnError,
     RateParams,
     RefrigeratorRegimeError,
@@ -34,7 +32,7 @@ LEDGER = {
 
 
 def make_params(omega=1.5, temperature=1.2, gamma0=0.5):
-    return RateParams(OscillatorSpec(omega), BathSpec(temperature, gamma0))
+    return RateParams(omega, temperature, gamma0)
 
 
 def test_equilibrium_energy_closed_form():
@@ -139,7 +137,7 @@ def test_propagator_matches_scipy_expm():
         mine = propagate_matrix_exponential(dist, params, duration)
         reference = scipy_expm(rate_generator(params, 20) * duration) @ dist.probs
         reference /= reference.sum()
-        assert total_variation(mine, reference) < 1e-12
+        assert 0.5 * np.abs(mine.probs - reference).sum() < 1e-12  # total variation
 
 
 def test_propagator_semigroup_property():

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ottokiln import (
-    BathSpec,
     EngineConfig,
     FockDistribution,
     InitialStateSpec,
-    OscillatorSpec,
     RateParams,
     bose_einstein,
     entropy,
@@ -90,7 +88,7 @@ def test_thermal_energy_matches_closed_form(omega, temperature):
 
 @given(omega=omegas, temperature=temperatures, gamma0=gammas)
 def test_thermal_state_is_a_detailed_balance_fixed_point(omega, temperature, gamma0):
-    params = RateParams(OscillatorSpec(omega), BathSpec(temperature, gamma0))
+    params = RateParams(omega, temperature, gamma0)
     fixed = stationary_distribution(omega, temperature, 50)
     assert np.abs(rate_derivative(fixed, params)).max() <= 1e-12
 
@@ -101,7 +99,7 @@ def test_rate_derivative_conserves_probability(omega, temperature, gamma0, seed)
     rng = np.random.default_rng(seed)
     probs = rng.random(41)
     probs /= probs.sum()
-    params = RateParams(OscillatorSpec(omega), BathSpec(temperature, gamma0))
+    params = RateParams(omega, temperature, gamma0)
     deriv = rate_derivative(FockDistribution(probs), params)
     scale = max(1.0, np.abs(deriv).max())
     assert abs(math.fsum(deriv.tolist())) <= 1e-13 * scale

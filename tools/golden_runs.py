@@ -80,6 +80,9 @@ EDGE_RUNS = [
     ("fail-truncation", "simulate", [], "n_max = 10\n"),
     ("fail-unstable-dt", "simulate", [], "dt = 0.03\n"),
     ("fail-unstable-dt-finite", "sweep", [], "dt = 0.03\n" + FINITE_SMALL),
+    ("fail-too-long-to-rerun", "simulate", [], "gamma0 = 1e5\n"),
+    ("fail-too-long-to-rerun-finite", "sweep", [], "gamma0 = 1e5\n" + FINITE_SMALL),
+    ("fail-nan-drift", "simulate", [], "gamma0 = 1e300\ndt = 1e-6\nn_cycles = 1\n"),
     ("fail-refrigerator", "sweep", [], "sweep_ratio_min = 0.1\nsweep_ratio_max = 0.2\n"),
     ("fail-duplicate-t-h", "sweep", [], "sweep_t_h = 1.2, 1.2000000000001\n"),
     ("fail-tiny-omega", "pump", [], "omega_c = 1e-300\nt_c = 1e300\nt_h = 1e301\n"),
