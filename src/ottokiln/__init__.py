@@ -26,6 +26,7 @@ from .fock import (
     total_variation,
 )
 from .bath import (
+    BathStroke,
     RateParams,
     Trajectory,
     bose_einstein,

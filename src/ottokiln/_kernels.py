@@ -6,8 +6,8 @@ with ``A = dt * G``.  A stroke builds R once and jumps from recorded sample
 to recorded sample with the precomputed power ``R^stride`` (plus one
 ``R^(n_steps % stride)`` for a ragged last gap), so its cost scales with the
 number of samples, not the number of steps.  A StepMatrix holds R and its
-powers.  The caller builds one per stroke and hands it to evolve_populations;
-a caller that repeats a stroke passes the same one to every call.
+powers; bath.BathStroke builds one per stroke and hands it to every
+evolve_populations call of that stroke.
 
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
@@ -18,8 +18,9 @@ check (an unstable dt), or a guard trips on a sample, the stroke reruns the
 stepwise loop, which reports the first bad step.  A tripped stroke longer
 than MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG instead.
 
-A caller that needs only the end state asks for stride = n_steps (one jump
-R^n_steps), and with rerun=False gets a tripped guard back at once instead.
+A caller that needs only the end state (BathStroke.end_state) asks for
+stride = n_steps (one jump R^n_steps), and with rerun=False gets a tripped
+guard back at once instead.
 """
 
 import numpy as np

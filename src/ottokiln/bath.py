@@ -8,7 +8,9 @@ The birth-death rate equation for the populations reads
 with Gamma = gamma0 * (n_BE + 1).  The exp(-omega/T) factor enforces
 detailed balance, so the thermal (geometric) distribution is stationary.
 Integration uses a fixed-step fourth-order scheme (see _kernels) with
-conservation and positivity guards.
+conservation and positivity guards.  A BathStroke fixes one stroke's step
+count and step matrix; its trajectory samples the stroke, and its end_state
+jumps straight to the end.  evolve_isochoric is a one-off stroke's trajectory.
 """
 
 import math
@@ -76,24 +78,22 @@ class Trajectory:
     """Sampled evolution: times[k] pairs with probs[k] (row per sample).
 
     max_drift is the largest |sum - 1| the integrator's guards saw before
-    renormalizing.
+    renormalizing; final is the last sample as a FockDistribution.
     """
 
     times: np.ndarray
     probs: np.ndarray
     sample_stride: int
     max_drift: float
+    final: FockDistribution = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise OttoKilnError("trajectory times must be strictly increasing")
+        object.__setattr__(self, "final", FockDistribution(self.probs[-1]))
 
     def __len__(self):
         return self.times.shape[0]
-
-    @property
-    def final(self):
-        return FockDistribution(self.probs[-1])
 
 
 def rate_derivative(dist, params):
@@ -107,67 +107,87 @@ def default_time_step(duration, gamma, n_max):
     return min(duration / 1000.0, 1.0 / (40.0 * gamma * (n_max + 1)))
 
 
-def stroke_steps(duration, gamma, n_max, dt=None):
-    """(n_steps, step) of a stroke: dt (default: default_time_step) is an
-    upper bound on the step, and the actual step divides the duration
-    exactly."""
-    if not duration > 0:
-        raise OttoKilnError(f"duration must be positive, got {duration}")
-    if dt is None:
-        dt = default_time_step(duration, gamma, n_max)
-    elif not dt > 0:
-        raise OttoKilnError(f"dt must be positive, got {dt}")
-    if dt > duration:
-        raise OttoKilnError(f"dt={dt} exceeds duration={duration}")
-    if not (dt > 0.0 and math.isfinite(duration / dt)):  # the default dt underflows near gamma0 = 1e306
-        raise IntegrationError(
-            f"a stroke of duration {duration} at dt={dt:.3e} has more steps than a float "
-            "can count; reduce gamma0 * tau or set dt"
-        )
-    n_steps = max(1, math.ceil(duration / dt - 1e-12))
-    return n_steps, duration / n_steps
+class BathStroke:
+    """A bath stroke: the oscillator under params for duration, on n_levels
+    levels.  dt (default: default_time_step) is an upper bound on the step,
+    and the actual step divides the duration exactly into n_steps.  The
+    stroke's StepMatrix is built here, once, so a stroke run more than once
+    (each cycle of a run) builds R and its powers once."""
+
+    def __init__(self, params, duration, n_levels, dt=None):
+        if not duration > 0:
+            raise OttoKilnError(f"duration must be positive, got {duration}")
+        if dt is None:
+            dt = default_time_step(duration, params.gamma, n_levels - 1)
+        elif not dt > 0:
+            raise OttoKilnError(f"dt must be positive, got {dt}")
+        if dt > duration:
+            raise OttoKilnError(f"dt={dt} exceeds duration={duration}")
+        if not (dt > 0.0 and math.isfinite(duration / dt)):  # the default dt underflows near gamma0 = 1e306
+            raise IntegrationError(
+                f"a stroke of duration {duration} at dt={dt:.3e} has more steps than a float "
+                "can count; reduce gamma0 * tau or set dt"
+            )
+        self.params, self.n_levels = params, n_levels
+        self.n_steps = max(1, math.ceil(duration / dt - 1e-12))
+        self.step = duration / self.n_steps
+        self.step_matrix = _kernels.StepMatrix(params.gamma, params.boltz_factor, n_levels, self.step)
+
+    def _propagate(self, dist, stride, rerun=True):
+        if dist.n_max + 1 != self.n_levels:
+            raise OttoKilnError(f"a stroke on {self.n_levels} levels cannot run {dist.n_max + 1} levels")
+        return _kernels.evolve_populations(dist.probs, self.step_matrix, self.n_steps, stride, rerun)
+
+    def trajectory(self, dist, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
+        """The stroke from dist, sampled every sample_stride steps (default:
+        about 64 samples).  Returns a Trajectory whose first/last samples are
+        the initial and final states."""
+        n_steps, step = self.n_steps, self.step
+        if sample_stride is None:
+            sample_stride = max(1, n_steps // 64)
+        elif sample_stride < 1:
+            raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
+
+        status, bad_step, max_drift, samples = self._propagate(dist, sample_stride)
+        if status == _kernels.STATUS_DRIFT:
+            raise IntegrationError(
+                f"probability sum drifted beyond {_kernels.DRIFT_TOL:.0e} at step {bad_step} "
+                f"(dt={step:.3e}); reduce the time step"
+            )
+        if status == _kernels.STATUS_TOO_LONG:
+            raise IntegrationError(
+                f"a guard tripped at step {bad_step:.4g} (drift {max_drift:.3g}, limit "
+                f"{_kernels.DRIFT_TOL:.0e}) of a stroke of {n_steps:.4g} steps (dt={step:.3e}), too many "
+                f"to rerun step by step (limit {_kernels.MAX_STEPWISE_STEPS}); reduce gamma0 * tau or set dt"
+            )
+        if status == _kernels.STATUS_NEGATIVE:
+            raise IntegrationError(
+                f"probability below -{_kernels.NEG_FLOOR:.0e} at step {bad_step} "
+                f"(dt={step:.3e}); the step size is unstable"
+            )
+
+        times = _kernels.sample_steps(n_steps, sample_stride) * step
+        traj = Trajectory(times=times, probs=samples, sample_stride=sample_stride,
+                          max_drift=max_drift)
+        traj.final.require_tail(tail_tolerance)
+        return traj
+
+    def end_state(self, dist, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
+        """(final state, max_drift) of the stroke from dist, by one jump
+        R^n_steps.  Where a guard trips, trajectory runs the stroke instead
+        (at sample_stride, then step by step): it raises the error a traced
+        stroke raises, or returns the state a traced stroke reaches."""
+        status, _, max_drift, samples = self._propagate(dist, self.n_steps, rerun=False)
+        if status != _kernels.STATUS_OK:
+            traj = self.trajectory(dist, sample_stride, tail_tolerance)
+            return traj.final, traj.max_drift
+        return FockDistribution(samples[-1]).require_tail(tail_tolerance), max_drift
 
 
-def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None,
-                     tail_tolerance=TAIL_TOLERANCE, step_matrix=None):
-    """Evolve populations at fixed frequency for the given duration.
-
-    The step count and step come from stroke_steps; step_matrix is the
-    stroke's _kernels.StepMatrix, built here when None.  Returns a
-    Trajectory whose first/last samples are the initial and final states.
-    """
-    n_steps, step = stroke_steps(duration, params.gamma, dist.n_max, dt)
-    if sample_stride is None:
-        sample_stride = max(1, n_steps // 64)
-    elif sample_stride < 1:
-        raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
-    if step_matrix is None:
-        step_matrix = _kernels.StepMatrix(params.gamma, params.boltz_factor, dist.n_max + 1, step)
-
-    status, bad_step, max_drift, samples = _kernels.evolve_populations(
-        dist.probs, step_matrix, n_steps, sample_stride)
-    if status == _kernels.STATUS_DRIFT:
-        raise IntegrationError(
-            f"probability sum drifted beyond {_kernels.DRIFT_TOL:.0e} at step {bad_step} "
-            f"(dt={step:.3e}); reduce the time step"
-        )
-    if status == _kernels.STATUS_TOO_LONG:
-        raise IntegrationError(
-            f"a guard tripped at step {bad_step:.4g} (drift {max_drift:.3g}, limit "
-            f"{_kernels.DRIFT_TOL:.0e}) of a stroke of {n_steps:.4g} steps (dt={step:.3e}), too many "
-            f"to rerun step by step (limit {_kernels.MAX_STEPWISE_STEPS}); reduce gamma0 * tau or set dt"
-        )
-    if status == _kernels.STATUS_NEGATIVE:
-        raise IntegrationError(
-            f"probability below -{_kernels.NEG_FLOOR:.0e} at step {bad_step} "
-            f"(dt={step:.3e}); the step size is unstable"
-        )
-
-    times = _kernels.sample_steps(n_steps, sample_stride) * step
-    traj = Trajectory(times=times, probs=samples, sample_stride=sample_stride,
-                      max_drift=max_drift)
-    traj.final.require_tail(tail_tolerance)
-    return traj
+def evolve_isochoric(dist, params, duration, dt=None, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
+    """Evolve populations at fixed frequency for the given duration: one
+    BathStroke's trajectory from dist."""
+    return BathStroke(params, duration, dist.n_max + 1, dt).trajectory(dist, sample_stride, tail_tolerance)
 
 
 def stationary_distribution(omega, temperature, n_max):

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels
-from .bath import RateParams, evolve_isochoric, stroke_steps
+from .bath import BathStroke, RateParams
 from .exceptions import OttoKilnError
 from .fock import (
     FockDistribution,
@@ -66,9 +65,10 @@ class CycleRecord:
     q_pump_gross: float
     dist_a: FockDistribution
     dist_b: FockDistribution
-    dist_c: FockDistribution
     dist_d: FockDistribution
-    dist_a_next: FockDistribution
+    # the ramps freeze the populations: C is B, and the next cycle's start A' is D
+    dist_c = property(lambda self: self.dist_b)
+    dist_a_next = property(lambda self: self.dist_d)
 
     def heat_source(self):
         """Energy charged to the cycle's input: hot-bath heat or pump jump."""
@@ -130,43 +130,15 @@ def pump_populations(dist, target, omega, tail_tolerance=TAIL_TOLERANCE):
     return new_dist, q_pump
 
 
-class _Contact:
-    """A bath stroke of one run of config: the oscillator at omega against
-    the bath at temperature for duration.  Its RateParams, step count and
-    StepMatrix are built at its first use and kept for the run."""
-
-    def __init__(self, label, omega, temperature, duration, config):
-        self.label, self.omega, self.temperature = label, omega, temperature
-        self.duration, self.config = duration, config
-        self.coupling = None
-
-    def run(self, dist, segments, t):
-        """(end state, drift) of the stroke from dist.
-
-        A traced run (segments a list) appends the stroke's samples, their
-        times shifted by t.  A ledger-only run (segments None) propagates by
-        one jump R^n_steps; where a guard trips, evolve_isochoric runs the
-        stroke instead (at sample_stride, then step by step): it raises the
-        error a traced run raises, or returns the state a traced run reaches.
-        """
-        config = self.config
-        if self.coupling is None:
-            params = RateParams(self.omega, self.temperature, config.gamma0)
-            n_steps, step = stroke_steps(self.duration, params.gamma, dist.n_max, config.dt)
-            self.coupling = (params, n_steps,
-                             _kernels.StepMatrix(params.gamma, params.boltz_factor, dist.n_max + 1, step))
-        params, n_steps, step_matrix = self.coupling
-        if segments is None:
-            status, _, drift, samples = _kernels.evolve_populations(
-                dist.probs, step_matrix, n_steps, n_steps, rerun=False)
-            if status == _kernels.STATUS_OK:
-                return FockDistribution(samples[-1]).require_tail(config.tail_tolerance), drift
-        traj = evolve_isochoric(dist, params, self.duration, config.dt, config.sample_stride,
-                                config.tail_tolerance, step_matrix)
-        if segments is not None:
-            segments.append(StrokeSegment(self.label, traj.times + t, np.full(len(traj), self.omega),
-                                          traj.probs))
-        return traj.final, traj.max_drift
+def _contact(dist, label, stroke, segments, t, config):
+    """(end state, drift) of a bath stroke from dist.  A traced run (segments
+    a list) appends the stroke's samples, their times shifted by t; a
+    ledger-only run (segments None) takes the stroke's end state alone."""
+    if segments is None:
+        return stroke.end_state(dist, config.sample_stride, config.tail_tolerance)
+    traj = stroke.trajectory(dist, config.sample_stride, config.tail_tolerance)
+    segments.append(StrokeSegment(label, traj.times + t, np.full(len(traj), stroke.params.omega), traj.probs))
+    return traj.final, traj.max_drift
 
 
 def _ramp(dist, label, omega_from, omega_to, duration, segments, t):
@@ -215,9 +187,10 @@ def run_cycles(dist, config, ledger_only=False):
     CycleRecord per cycle, and the cyclostationarity metric (total-variation
     distance between consecutive cycle-start distributions; first entry NaN).
 
+    The hot and cold BathStroke are built once, before the first cycle.
     ledger_only=True records no samples (the trace's series stay empty):
     each bath stroke is one jump R^n_steps, ramps do nothing, and
-    sample_stride matters only where a jump trips a guard (_Contact.run).
+    sample_stride matters only where a jump trips a guard (BathStroke.end_state).
 
     A cycle is a deterministic function of its start state.  Once a cycle
     starts bitwise equal to its predecessor's start, it and every later
@@ -230,10 +203,10 @@ def run_cycles(dist, config, ledger_only=False):
         raise OttoKilnError(f"run_cycles handles otto and pump modes, not {kind!r}")
     if kind == "otto":
         durations = (config.tau,) * 4
-        hot = _Contact("hot_isochore", omega_h, config.t_h, config.tau, config)
+        hot = BathStroke(RateParams(omega_h, config.t_h, config.gamma0), config.tau, dist.n_max + 1, config.dt)
     else:
         durations = (0.0, config.tau_bc, config.tau_cd, config.tau_db)  # the pump takes no time
-    cold = _Contact("cold_isochore", omega_c, config.t_c, durations[2], config)
+    cold = BathStroke(RateParams(omega_c, config.t_c, config.gamma0), durations[2], dist.n_max + 1, config.dt)
     t_b = durations[0]  # cycle-relative start of the expansion, cold contact and compression
     t_c = t_b + durations[1]
     t_d = t_c + durations[2]
@@ -249,7 +222,7 @@ def run_cycles(dist, config, ledger_only=False):
         a = dist
         cycle_segments = None if ledger_only else []  # sample times relative to the cycle's start
         if kind == "otto":
-            b, drift = hot.run(a, cycle_segments, 0.0)
+            b, drift = _contact(a, "hot_isochore", hot, cycle_segments, 0.0, config)
             trace.max_step_drift = max(trace.max_step_drift, drift)
             n_b = mean_occupation(b)
             q_in, q_pump, q_pump_gross = omega_h * (n_b - mean_occupation(a)), 0.0, 0.0
@@ -258,7 +231,7 @@ def run_cycles(dist, config, ledger_only=False):
             n_b = mean_occupation(b)
             q_in, q_pump_gross = 0.0, omega_h * n_b  # U_B, as internal_energy computes it
         _ramp(b, "expansion", omega_h, omega_c, durations[1], cycle_segments, t_b)
-        dist, drift = cold.run(b, cycle_segments, t_c)
+        dist, drift = _contact(b, "cold_isochore", cold, cycle_segments, t_c, config)
         trace.max_step_drift = max(trace.max_step_drift, drift)
         _ramp(dist, "compression", omega_c, omega_h, durations[3], cycle_segments, t_d)
         n_d = mean_occupation(dist)
@@ -268,7 +241,7 @@ def run_cycles(dist, config, ledger_only=False):
             cycle_index=k, kind=kind, omega_c=omega_c, omega_h=omega_h,
             q_in=q_in, q_out=omega_c * (n_b - n_d), w_out=w_out, w_in=w_in, w_eff=w_out - w_in,
             q_pump=q_pump, q_pump_gross=q_pump_gross,
-            dist_a=a, dist_b=b, dist_c=b, dist_d=dist, dist_a_next=dist,
+            dist_a=a, dist_b=b, dist_d=dist,
         ))
         cycles.append(cycle_segments)
     return trace if ledger_only else _assemble_trace(trace, cycles)
@@ -285,7 +258,7 @@ def _book_repeats(trace, first, cycle_count):
     trace.repeat_from = first
     for k in range(first, cycle_count):
         trace.a_shift_tv.append(0.0)
-        trace.records.append(replace(last, cycle_index=k, dist_a=dist, dist_a_next=dist))
+        trace.records.append(replace(last, cycle_index=k, dist_a=dist))
 
 
 def run_engine(config, ledger_only=False):

@@ -33,8 +33,7 @@ def _record(**overrides):
     fields = dict(cycle_index=0, kind="otto", omega_c=1.0, omega_h=1.5,
                   q_in=1.0, q_out=0.5, w_out=0.6, w_in=0.1, w_eff=0.5,
                   q_pump=0.0, q_pump_gross=0.0,
-                  dist_a=ground, dist_b=ground, dist_c=ground,
-                  dist_d=ground, dist_a_next=ground)
+                  dist_a=ground, dist_b=ground, dist_d=ground)
     fields.update(overrides)
     return CycleRecord(**fields)
 

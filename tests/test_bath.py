@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ottokiln import (
+    BathStroke,
     FockDistribution,
     InitialStateSpec,
     IntegrationError,
@@ -19,6 +20,7 @@ from ottokiln import (
     stationary_distribution,
     total_variation,
 )
+from ottokiln import _kernels
 
 NBAR_COLD = 0.08942548983385201   # 1/(e^2.5 - 1)
 NBAR_HOT = 0.4015511184930129     # 1/(e^1.25 - 1)
@@ -218,6 +220,22 @@ def test_dt_larger_than_duration_rejected():
     start = make_distribution(InitialStateSpec.ground(), 20)
     with pytest.raises(Exception, match="exceeds duration"):
         evolve_isochoric(start, p, 0.5, dt=1.0)
+
+
+def test_a_stroke_builds_its_own_step_matrix():
+    # evolve_isochoric takes no prebuilt step matrix: one built for another
+    # step or ladder would run without error to a wrong end state
+    p = params(1.5, 1.2)
+    start = make_distribution(InitialStateSpec.ground(), 50)
+    stray = _kernels.StepMatrix(p.gamma, p.boltz_factor, 51, 1e-4)
+    with pytest.raises(TypeError, match="step_matrix"):
+        evolve_isochoric(start, p, 2.0, step_matrix=stray)
+    stroke = BathStroke(p, 2.0, 51)
+    assert (stroke.n_steps, stroke.step) == (2860, 2.0 / 2860)  # default dt 6.995e-4, shrunk to divide 2.0
+    down, up = _kernels.rate_coefficients(p.gamma, p.boltz_factor, 51)
+    assert stroke.step_matrix.r.tobytes() == _kernels.rk4_step_matrix(down, up, stroke.step).tobytes()
+    with pytest.raises(OttoKilnError, match="a stroke on 51 levels cannot run 21 levels"):
+        stroke.trajectory(make_distribution(InitialStateSpec.ground(), 20))
 
 
 def test_under_truncated_ladder_is_detected():

@@ -258,15 +258,24 @@ SWEEP_BAD_CONFIGS = {
 PUMP_BAD_CONFIGS = {
     "bath_occupation_underflow": ("omega_c = 1e-300\nt_c = 1e300\n",
                                   "too small for a finite bath occupation"),
+    # the bath strokes are built before the first cycle, so a run without cycles fails too
+    "bath_occupation_underflow_without_cycles": ("omega_c = 1e-300\nt_c = 1e300\nn_cycles = 0\n",
+                                                 "too small for a finite bath occupation"),
+}
+# configs only the engine commands run; a stroke that cannot be discretised
+# fails before the first cycle
+ENGINE_BAD_CONFIGS = {
+    "dt_above_a_stroke_without_cycles": ("dt = 6\nn_cycles = 0\n", "dt=6.0 exceeds duration="),
 }
 BAD_INPUTS = [(command, case) for case in BAD_CONFIGS for command in ("simulate", "pump", "sweep")]
+BAD_INPUTS += [(command, case) for case in ENGINE_BAD_CONFIGS for command in ("simulate", "pump")]
 BAD_INPUTS += [("sweep", case) for case in SWEEP_BAD_CONFIGS]
 BAD_INPUTS += [("pump", case) for case in PUMP_BAD_CONFIGS]
 
 
 @pytest.mark.parametrize("command,case", BAD_INPUTS, ids=[f"{c}-{k}" for c, k in BAD_INPUTS])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, command, case):
-    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS, **PUMP_BAD_CONFIGS}[case]
+    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS, **PUMP_BAD_CONFIGS, **ENGINE_BAD_CONFIGS}[case]
     config = tmp_path / "cfg.txt"
     if text is not None:
         config.write_text(text)

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import ottokiln.cycle
 from ottokiln import (
+    BathStroke,
     ConfigError,
     EngineConfig,
+    FockDistribution,
     InitialStateSpec,
     IntegrationError,
     OttoKilnError,
@@ -388,7 +389,8 @@ def test_run_builds_one_step_matrix_per_bath_contact_per_run(monkeypatch, mode, 
                                                              ledger_only):
     built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
     propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
-    stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
+    traced = count_calls(monkeypatch, BathStroke, "trajectory")
+    ended = count_calls(monkeypatch, BathStroke, "end_state")
     dist = make_distribution(InitialStateSpec.ground(), 50)
     config = ledger_config(mode, 1.0, 5)
     # otto at tau = 1 never repeats a cycle start within 5 cycles; pump cycle 2
@@ -399,8 +401,9 @@ def test_run_builds_one_step_matrix_per_bath_contact_per_run(monkeypatch, mode, 
         assert trace.repeat_from == (None if mode == "otto" else 2)
         assert len(built) == call * bath_strokes
         assert len(propagated) == call * bath_strokes * cycles_run
-        # traced strokes run evolve_isochoric; ledger-only ones never do
-        assert len(stepped) == (0 if ledger_only else call * bath_strokes * cycles_run)
+        # traced strokes run their trajectory; clean ledger-only ones never do
+        assert len(traced) == (0 if ledger_only else call * bath_strokes * cycles_run)
+        assert len(ended) == (call * bath_strokes * cycles_run if ledger_only else 0)
     if ledger_only:  # one jump R^n_steps per stroke: two rows, start and end
         assert all(args[2] == args[3] for args in propagated)
 
@@ -427,7 +430,7 @@ def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broke
         monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
     sampled = count_calls(monkeypatch, _kernels, "_evolve_sampled")
     stepwise = count_calls(monkeypatch, _kernels, "_evolve_stepwise")
-    stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
+    stepped = count_calls(monkeypatch, BathStroke, "trajectory")
     ledger = run_cycles(dist, config, ledger_only=True)
     if broken == "jump_trips":  # each stroke's jump trips, then it reruns at the default stride
         runs = [(args[2], args[3]) for args in sampled]
@@ -449,11 +452,9 @@ def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
     # STATUS_TOO_LONG.
     config = replace(EngineConfig(), gamma0=50.0, tau=20.0, n_cycles=2)
     dist = make_distribution(InitialStateSpec.ground(), 50)
-    params = RateParams(1.5, 1.2, 50.0)
-    n_steps, step = ottokiln.cycle.stroke_steps(20.0, params.gamma, 50, None)
-    assert n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
-    step_matrix = _kernels.StepMatrix(params.gamma, params.boltz_factor, 51, step)
-    jumped = _kernels.evolve_populations(dist.probs, step_matrix, n_steps, n_steps)
+    hot = BathStroke(RateParams(1.5, 1.2, 50.0), 20.0, 51)
+    assert hot.n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
+    jumped = _kernels.evolve_populations(dist.probs, hot.step_matrix, hot.n_steps, hot.n_steps)
     assert jumped[0] == _kernels.STATUS_TOO_LONG
     traced = run_cycles(dist, config)
     ledger = run_cycles(dist, config, ledger_only=True)
@@ -463,12 +464,23 @@ def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
 
 def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):
     config = replace(EngineConfig(), n_cycles=3).validate()
-    stepped = count_calls(monkeypatch, ottokiln.cycle, "evolve_isochoric")
+    stepped = count_calls(monkeypatch, BathStroke, "trajectory")
+    ended = count_calls(monkeypatch, BathStroke, "end_state")
     built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
     sweep = sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau,
                                    mode="finite", engine_config=config)
     assert len(sweep) == 4
-    assert stepped == [] and len(built) == 2 * 4
+    assert stepped == [] and len(ended) == 2 * 3 * 4 and len(built) == 2 * 4
+
+
+@pytest.mark.parametrize("ledger_only", [False, True], ids=["traced", "ledger_only"])
+def test_run_builds_one_distribution_per_stroke_end(monkeypatch, ledger_only):
+    # the start state, then B and D of each of the 5 cycles; a traced stroke
+    # builds its end state once, with its Trajectory
+    built = count_calls(monkeypatch, FockDistribution, "__post_init__")
+    trace = run_engine(replace(EngineConfig(), n_cycles=5), ledger_only=ledger_only)
+    assert trace.repeat_from is None
+    assert len(built) == 1 + 2 * 5
 
 
 def test_unstable_dt_ends_the_finite_sweep_with_the_simulate_error():

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ottokiln import (
+    BathStroke,
     EngineConfig,
     FockDistribution,
     InitialStateSpec,
+    IntegrationError,
     RateParams,
     bose_einstein,
     entropy,
@@ -24,7 +26,7 @@ from ottokiln import (
     run_cycles,
     stationary_distribution,
 )
-from conftest import assert_same_ledgers
+from conftest import assert_same_ledgers, random_distribution
 
 finite = dict(allow_nan=False, allow_infinity=False)
 omegas = st.floats(min_value=0.3, max_value=3.0, **finite)
@@ -140,3 +142,43 @@ def test_ledger_only_run_books_the_traced_ledger(spec, tau, gamma0, t_h, window)
     dist = make_distribution(spec, 50)
     config = EngineConfig(omega_c=1.0, omega_h=omega_h, t_c=0.4, t_h=t_h, gamma0=gamma0, tau=tau, n_cycles=4)
     assert_same_ledgers(run_cycles(dist, config), run_cycles(dist, config, ledger_only=True), 1e-12)
+
+
+def _stroke_end(stroke, dist, sample_stride, traced):
+    """(end populations' bytes, drift) of the stroke from dist, by its
+    trajectory or its end_state, or the text of its IntegrationError."""
+    try:
+        if traced:
+            traj = stroke.trajectory(dist, sample_stride, tail_tolerance=1.0)
+            final, drift = traj.final, traj.max_drift
+        else:
+            final, drift = stroke.end_state(dist, sample_stride, tail_tolerance=1.0)
+    except IntegrationError as exc:
+        return str(exc)
+    return final.probs.tobytes(), drift
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=omegas, temperature=temperatures, gamma0=gammas,
+       duration=st.floats(min_value=0.05, max_value=4.0, **finite),
+       n_levels=st.integers(min_value=2, max_value=40),
+       sample_stride=st.integers(min_value=1, max_value=300),
+       coarse=st.one_of(st.none(), st.floats(min_value=0.5, max_value=2.5, **finite)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_stroke_end_state_is_its_traced_end_bit_for_bit(omega, temperature, gamma0, duration, n_levels,
+                                                         sample_stride, coarse, seed):
+    # coarse is dt times a bound on the fastest rate out of a level: from
+    # about 1.1 up R fails its checks and both paths step one step at a time,
+    # and from about 2 up a step from a random start goes negative and
+    # raises (None: the default dt)
+    params = RateParams(omega, temperature, gamma0)
+    rate_bound = 2.0 * params.gamma * (1.0 + params.boltz_factor) * n_levels
+    dt = None if coarse is None else min(duration, coarse / rate_bound)
+    stroke = BathStroke(params, duration, n_levels, dt)
+    dist = random_distribution(np.random.default_rng(seed), n_levels)
+    ended = _stroke_end(stroke, dist, sample_stride, traced=False)
+    # traced with one sample at its end, the stroke makes end_state's one jump
+    # R^n_steps; stepping one step at a time, it ends the same at any stride
+    strides = [stroke.n_steps] if stroke.step_matrix.stable else [stroke.n_steps, sample_stride]
+    for stride in strides:
+        assert ended == _stroke_end(stroke, dist, stride, traced=True)

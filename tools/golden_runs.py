@@ -13,6 +13,10 @@ imports the package from ROOT/src and, inside OUT:
 Paths are relative to OUT, so two trees run into two directories write the
 same bytes exactly when they behave the same: ``diff -r OUT_A OUT_B``.
 
+A command whose exception escapes ``cli.main`` is recorded like any other
+outcome, and the script then exits 1 and names each such run: no input may
+end in a traceback.
+
 The command set covers the configs of the CI Determinism step, the
 perfbench workload commands of seeds 1 to 5 (read from this checkout's
 ``perfbench/workloads.py``, so both trees run the same commands), config
@@ -86,6 +90,9 @@ EDGE_RUNS = [
     ("fail-refrigerator", "sweep", [], "sweep_ratio_min = 0.1\nsweep_ratio_max = 0.2\n"),
     ("fail-duplicate-t-h", "sweep", [], "sweep_t_h = 1.2, 1.2000000000001\n"),
     ("fail-tiny-omega", "pump", [], "omega_c = 1e-300\nt_c = 1e300\nt_h = 1e301\n"),
+    # the bath strokes are built before the first cycle, so a bad one fails without cycles too
+    ("fail-tiny-omega-no-cycles", "pump", [], "omega_c = 1e-300\nt_c = 1e300\nt_h = 1e301\nn_cycles = 0\n"),
+    ("fail-dt-above-tau-no-cycles", "simulate", [], "dt = 6\nn_cycles = 0\n"),
     ("fail-missing-config", "simulate", ["--config", "missing.cfg"], None),
 ]
 
@@ -125,6 +132,7 @@ def _workload_runs():
 
 
 def _run_command(main, name, command, flags, config_text):
+    """Run one command and record its outcome; True when an exception escaped main."""
     argv = [command]
     if config_text is not None:
         Path(f"{name}.cfg").write_text(config_text, encoding="utf-8")
@@ -133,16 +141,18 @@ def _run_command(main, name, command, flags, config_text):
         argv += ["--out", name]
     argv += flags
     stdout, stderr = io.StringIO(), io.StringIO()
+    raised = False
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a traceback is behaviour too: record it
-            code = f"raised {type(exc).__name__}: {exc}"
+            code, raised = f"raised {type(exc).__name__}: {exc}", True
     Path(f"{name}.txt").write_text(
         f"argv {' '.join(argv)}\nexit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}",
         encoding="utf-8")
+    return raised
 
 
 def _state(ottokiln, recipe):
@@ -203,14 +213,15 @@ def main(argv=None):
     os.chdir(out)
     start = time.perf_counter()
     runs = CI_RUNS + EDGE_RUNS + _workload_runs()
-    for run in runs:
-        _run_command(cli_main, *run)
+    raised = [run[0] for run in runs if _run_command(cli_main, *run)]
     traces = _trace_lines(ottokiln)
     Path("traces.txt").write_text("".join(traces), encoding="utf-8")
     files = sum(len(names) for _, _, names in os.walk(out))
     print(f"{len(runs)} command runs and {len(traces)} engine traces, {files} files under {out} "
           f"in {time.perf_counter() - start:.1f} s")
-    return 0
+    for name in raised:
+        print(f"{name}: an exception escaped cli.main (see {name}.txt)", file=sys.stderr)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
