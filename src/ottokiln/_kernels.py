@@ -12,11 +12,17 @@ evolve_populations call of that stroke.
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
 keeps every step positive and conserving.  The drift check stays, made per
-sample, followed by clamping and renormalization: one sum and one min per
-sample, and a second sum only when an entry is <= 0.  When R fails either
-check (an unstable dt), or a guard trips on a sample, the stroke reruns the
-stepwise loop, which reports the first bad step.  A tripped stroke longer
-than MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG instead.
+sample, followed by renormalization: one sum per sample.  The negativity
+check and the clamp (one min, and a second sum only when an entry is <= 0)
+run on the first sample only.  After it the state is >= 0, and a stable R
+keeps it so: a later product of non-negative numbers can be -0.0 but never
+below, so a later clamp could only turn -0.0 into 0.0.  One np.maximum over
+the later samples after the loop does that, and every stored bit is the one
+a clamp per sample would store.  When R fails either check (an unstable dt),
+or a guard trips on a sample, the stroke reruns the stepwise loop, which
+guards every step in full and reports the first bad step.  A tripped stroke
+longer than MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG
+instead.
 
 A caller that needs only the end state (BathStroke.end_state) asks for
 stride = n_steps (one jump R^n_steps), and with rerun=False gets a tripped
@@ -131,18 +137,30 @@ def _evolve_stepwise(p, r, n_steps, stride, out):
 
 
 def _evolve_sampled(p, step_matrix, n_steps, stride, out):
-    """Jump from sample to sample with R^stride, each jump written straight
-    into its output row; guards checked per sample."""
+    """Jump from sample to sample with R^stride (the last gap with the ragged
+    rest), each jump written straight into its output row.  The first sample
+    takes the full guard; later ones the drift check and renormalization only,
+    and their -0.0 entries become 0.0 after the loop (see the module
+    docstring)."""
     out[0] = p
-    max_drift = 0.0
-    k = 0
-    for idx in range(1, out.shape[0]):
-        gap = min(stride, n_steps - k)
-        p = np.matmul(step_matrix[gap], p, out=out[idx])
-        k += gap
-        status, max_drift = _guard(p, max_drift)
-        if status != STATUS_OK:
-            return status, k, max_drift
+    gap = min(stride, n_steps)
+    jump = step_matrix[gap]
+    p = np.matmul(jump, p, out=out[1])
+    status, max_drift = _guard(p, 0.0)
+    if status != STATUS_OK or gap == n_steps:  # a trip, or one jump over the whole stroke
+        return status, gap, max_drift
+    last = out.shape[0] - 1
+    for idx in range(2, last + 1):
+        if idx == last:
+            jump = step_matrix[n_steps - (last - 1) * stride]
+        p = np.matmul(jump, p, out=out[idx])
+        total = float(np.add.reduce(p))
+        drift = abs(total - 1.0)
+        max_drift = max(max_drift, drift)
+        if not drift <= DRIFT_TOL:
+            return STATUS_DRIFT, min(idx * stride, n_steps), max_drift
+        p /= total
+    np.maximum(out[2:], 0.0, out=out[2:])
     return STATUS_OK, n_steps, max_drift
 
 

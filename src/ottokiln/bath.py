@@ -133,6 +133,18 @@ class BathStroke:
         self.step = duration / self.n_steps
         self.step_matrix = _kernels.StepMatrix(params.gamma, params.boltz_factor, n_levels, self.step)
 
+    def _stride(self, sample_stride):
+        """sample_stride, or the default of about 64 samples per stroke."""
+        if sample_stride is None:
+            return max(1, self.n_steps // 64)
+        if sample_stride < 1:
+            raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
+        return sample_stride
+
+    def sample_count(self, sample_stride=None):
+        """Rows of the stroke's trajectory at sample_stride, both ends included."""
+        return _kernels.sample_count(self.n_steps, self._stride(sample_stride))
+
     def _propagate(self, dist, stride, rerun=True):
         if dist.n_max + 1 != self.n_levels:
             raise OttoKilnError(f"a stroke on {self.n_levels} levels cannot run {dist.n_max + 1} levels")
@@ -143,10 +155,7 @@ class BathStroke:
         about 64 samples).  Returns a Trajectory whose first/last samples are
         the initial and final states."""
         n_steps, step = self.n_steps, self.step
-        if sample_stride is None:
-            sample_stride = max(1, n_steps // 64)
-        elif sample_stride < 1:
-            raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
+        sample_stride = self._stride(sample_stride)
 
         status, bad_step, max_drift, samples = self._propagate(dist, sample_stride)
         if status == _kernels.STATUS_DRIFT:

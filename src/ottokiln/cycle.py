@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bath import BathStroke, RateParams
-from .exceptions import OttoKilnError
+from .exceptions import ConfigError, OttoKilnError
 from .fock import (
     FockDistribution,
     make_distribution,
@@ -44,6 +44,10 @@ from .fock import (
 )
 
 ADIABATIC_SAMPLES = 64
+# Largest population array of a traced run, rows x levels x 8 bytes.  A
+# default simulate --svg --wide at sample_stride = 1 with a 99.9 MB array
+# peaked at 502 MB resident (measured on a 2-core x86 box, numpy 2.4).
+MAX_TRACE_BYTES = 100_000_000
 # cycle-start total-variation shift below which a run counts as cyclostationary
 CYCLOSTATIONARY_TV = 1e-6
 
@@ -178,6 +182,24 @@ def _assemble_trace(trace, cycles):
     return trace
 
 
+def _check_trace_budget(bath_strokes, config, n_levels):
+    """Refuse a traced run whose population array would pass MAX_TRACE_BYTES,
+    before any stroke runs.  Its rows, copied cycles included, are each
+    cycle's bath-stroke samples and two ramps, less the joint sample that
+    every segment but the run's first drops (see _assemble_trace)."""
+    segment_rows = [stroke.sample_count(config.sample_stride) for stroke in bath_strokes]
+    segment_rows += [ADIABATIC_SAMPLES] * 2
+    rows = config.n_cycles * (sum(segment_rows) - len(segment_rows)) + 1 if config.n_cycles else 0
+    need = rows * n_levels * 8
+    if need > MAX_TRACE_BYTES:
+        stride = "the default" if config.sample_stride is None else config.sample_stride
+        raise ConfigError(
+            f"a traced run of n_cycles = {config.n_cycles} at sample_stride = {stride} would record "
+            f"{rows:,} rows of {n_levels} populations, {need / 1e6:,.0f} MB "
+            f"(limit {MAX_TRACE_BYTES / 1e6:,.0f} MB); raise sample_stride or lower n_cycles"
+        )
+
+
 def run_cycles(dist, config, ledger_only=False):
     """Run config.n_cycles cycles of config.mode ("otto" or "pump") from dist.
 
@@ -187,10 +209,12 @@ def run_cycles(dist, config, ledger_only=False):
     CycleRecord per cycle, and the cyclostationarity metric (total-variation
     distance between consecutive cycle-start distributions; first entry NaN).
 
-    The hot and cold BathStroke are built once, before the first cycle.
-    ledger_only=True records no samples (the trace's series stay empty):
-    each bath stroke is one jump R^n_steps, ramps do nothing, and
-    sample_stride matters only where a jump trips a guard (BathStroke.end_state).
+    The hot and cold BathStroke are built once, before the first cycle, and
+    a traced run whose population array would pass MAX_TRACE_BYTES is
+    refused then (a ConfigError).  ledger_only=True records no samples (the
+    trace's series stay empty): each bath stroke is one jump R^n_steps,
+    ramps do nothing, and sample_stride matters only where a jump trips a
+    guard (BathStroke.end_state).
 
     A cycle is a deterministic function of its start state.  Once a cycle
     starts bitwise equal to its predecessor's start, it and every later
@@ -207,6 +231,8 @@ def run_cycles(dist, config, ledger_only=False):
     else:
         durations = (0.0, config.tau_bc, config.tau_cd, config.tau_db)  # the pump takes no time
     cold = BathStroke(RateParams(omega_c, config.t_c, config.gamma0), durations[2], dist.n_max + 1, config.dt)
+    if not ledger_only:
+        _check_trace_budget([hot, cold] if kind == "otto" else [cold], config, dist.n_max + 1)
     t_b = durations[0]  # cycle-relative start of the expansion, cold contact and compression
     t_c = t_b + durations[1]
     t_d = t_c + durations[2]

@@ -3,6 +3,13 @@
 Each check returns a CheckResult with a one-line detail string; the CLI
 renders them as a pass/fail table.  The checks mirror the package's test
 suite but run standalone, without pytest.
+
+A check that reads only a stroke's end state (oracle equivalence,
+convergence order, thermal stationarity, the equilibrium limit) takes it
+from BathStroke.end_state, the one jump R^n_steps that every ledger-only
+stroke and finite-sweep point runs.  The checks that read a stroke's
+samples (monotone relaxation, positivity and normalization, the first law)
+run the traced path, BathStroke.trajectory.
 """
 
 import math
@@ -10,10 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import RateParams, evolve_isochoric, rate_derivative, stationary_distribution
+from .bath import BathStroke, RateParams, evolve_isochoric, rate_derivative, stationary_distribution
 from .config import EngineConfig
 from .cycle import run_engine
-from .fock import FockDistribution, internal_energy, total_variation
+from .fock import TAIL_TOLERANCE, FockDistribution, internal_energy, total_variation
 from .oracle import propagate_matrix_exponential, rate_generator
 
 DETAILED_BALANCE_OMEGAS = (0.5, 1.0, 1.5, 2.0)
@@ -25,6 +32,11 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _end_state(dist, params, duration, dt=None, tail_tolerance=TAIL_TOLERANCE):
+    """The state a bath stroke from dist reaches, by BathStroke.end_state."""
+    return BathStroke(params, duration, dist.n_max + 1, dt).end_state(dist, tail_tolerance=tail_tolerance)[0]
 
 
 def _random_distribution(rng, n_levels):
@@ -68,7 +80,7 @@ def check_oracle_equivalence(n_tuples=12, seed=2024):
         duration = rng.uniform(0.5, 10.0)
         dist = _random_distribution(rng, 21)
         params = RateParams(omega, temp, gamma0)
-        stepped = evolve_isochoric(dist, params, duration, tail_tolerance=1.0).final
+        stepped = _end_state(dist, params, duration, tail_tolerance=1.0)
         exact = propagate_matrix_exponential(dist, params, duration)
         worst = max(worst, total_variation(stepped, exact))
     return CheckResult("stepped integration vs matrix exponential", worst <= 1e-8,
@@ -82,7 +94,7 @@ def check_convergence_order():
     exact = propagate_matrix_exponential(dist, params, 1.0)
     errors = []
     for dt in (1.0 / 100, 1.0 / 200):
-        final = evolve_isochoric(dist, params, 1.0, dt=dt, tail_tolerance=1.0).final
+        final = _end_state(dist, params, 1.0, dt=dt, tail_tolerance=1.0)
         errors.append(total_variation(final, exact))
     ratio = errors[0] / errors[1]
     return CheckResult("fourth-order step convergence", 12.0 <= ratio <= 20.0,
@@ -102,7 +114,7 @@ def check_semigroup():
 def check_thermal_stationarity():
     params = RateParams(1.5, 1.2, 0.5)
     fixed = stationary_distribution(1.5, 1.2, 50)
-    moved = evolve_isochoric(fixed, params, 4.0).final
+    moved = _end_state(fixed, params, 4.0)
     gap = total_variation(fixed, moved)
     return CheckResult("thermal state unchanged by evolution", gap <= 1e-10,
                        f"TV drift over duration 4.0 = {gap:.2e} (limit 1e-10)")
@@ -111,7 +123,7 @@ def check_thermal_stationarity():
 def check_equilibrium_limit():
     params = RateParams(1.5, 1.2, 0.5)
     ground = FockDistribution(np.eye(51)[0])
-    relaxed = evolve_isochoric(ground, params, 16.0).final
+    relaxed = _end_state(ground, params, 16.0)
     gap = total_variation(relaxed, stationary_distribution(1.5, 1.2, 50))
     return CheckResult("relaxation to the thermal state", gap <= 1e-6,
                        f"TV after duration 16 = {gap:.2e} (limit 1e-6)")

@@ -261,21 +261,38 @@ PUMP_BAD_CONFIGS = {
     # the bath strokes are built before the first cycle, so a run without cycles fails too
     "bath_occupation_underflow_without_cycles": ("omega_c = 1e-300\nt_c = 1e300\nn_cycles = 0\n",
                                                  "too small for a finite bath occupation"),
+    # about 1M samples of the cold stroke per cycle: 8.3 GB of populations
+    "long_cold_stroke_at_every_step": ("t_c = 0.001\ntau_cd = 1e3\nsample_stride = 1\n",
+                                       "a traced run of n_cycles = 20 at sample_stride = 1"),
+}
+# configs only the simulate command runs (the pump cycle has no tau stroke)
+SIMULATE_BAD_CONFIGS = {
+    # about 4.8M samples per bath stroke: 69 GB of populations
+    "long_strokes_at_stride_3": ("tau = 1e4\nsample_stride = 3\n",
+                                 "a traced run of n_cycles = 20 at sample_stride = 3"),
 }
 # configs only the engine commands run; a stroke that cannot be discretised
 # fails before the first cycle
 ENGINE_BAD_CONFIGS = {
     "dt_above_a_stroke_without_cycles": ("dt = 6\nn_cycles = 0\n", "dt=6.0 exceeds duration="),
+    # the traced-run row budget: without it, a terabyte sample array ends in a numpy
+    # MemoryError traceback, and the n_max = 200 run runs until memory runs out
+    "stiff_bath_at_stride_3": ("gamma0 = 1e6\nsample_stride = 3\nn_cycles = 1\n",
+                               "a traced run of n_cycles = 1 at sample_stride = 3"),
+    "wide_ladder_at_every_step": ("sample_stride = 1\nn_max = 200\ngamma0 = 50\n",
+                                  "rows of 201 populations"),
 }
 BAD_INPUTS = [(command, case) for case in BAD_CONFIGS for command in ("simulate", "pump", "sweep")]
 BAD_INPUTS += [(command, case) for case in ENGINE_BAD_CONFIGS for command in ("simulate", "pump")]
 BAD_INPUTS += [("sweep", case) for case in SWEEP_BAD_CONFIGS]
 BAD_INPUTS += [("pump", case) for case in PUMP_BAD_CONFIGS]
+BAD_INPUTS += [("simulate", case) for case in SIMULATE_BAD_CONFIGS]
 
 
 @pytest.mark.parametrize("command,case", BAD_INPUTS, ids=[f"{c}-{k}" for c, k in BAD_INPUTS])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, command, case):
-    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS, **PUMP_BAD_CONFIGS, **ENGINE_BAD_CONFIGS}[case]
+    text, expected = {**BAD_CONFIGS, **SWEEP_BAD_CONFIGS, **PUMP_BAD_CONFIGS, **ENGINE_BAD_CONFIGS,
+                      **SIMULATE_BAD_CONFIGS}[case]
     config = tmp_path / "cfg.txt"
     if text is not None:
         config.write_text(text)

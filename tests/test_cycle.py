@@ -27,7 +27,7 @@ from ottokiln import (
     sweep_efficiency_power,
     total_variation,
 )
-from ottokiln import _kernels
+from ottokiln import _kernels, cycle as cycle_module
 from conftest import DIST_FIELDS, LEDGER_FIELDS, assert_same_ledgers
 
 NBAR_COLD = 0.08942548983385201
@@ -583,3 +583,40 @@ def test_default_pump_run_copies_its_cycles_and_a_fast_otto_run_does_not():
     # at tau = 0.3 the cycle-start shift contracts by e^-0.6 per cycle: no exact repeat
     trace = run_engine(replace(EngineConfig(), tau=0.3))
     assert trace.repeat_from is None and trace.a_shift_tv[-1] > 0.0
+
+
+BUDGET_CASES = [  # (mode, overrides, first copied cycle)
+    ("otto", {}, 11),
+    ("otto", {"sample_stride": 7, "n_cycles": 4}, None),
+    ("pump", {}, 2),
+    ("pump", {"sample_stride": 3, "n_max": 80, "omega_h": 2.5, "t_h": 2.0, "n_cycles": 5}, 2),
+    ("otto", {"n_cycles": 1}, None),
+]
+
+
+@pytest.mark.parametrize("mode,overrides,repeat_from", BUDGET_CASES,
+                         ids=[f"{m}-{'-'.join(map(str, o.values())) or 'default'}" for m, o, _ in BUDGET_CASES])
+def test_row_budget_counts_the_rows_of_the_traced_run(monkeypatch, mode, overrides, repeat_from):
+    config = replace(EngineConfig(), mode=mode, **overrides)
+    trace = run_engine(config)
+    assert trace.repeat_from == repeat_from  # copied cycles are counted too
+    monkeypatch.setattr(cycle_module, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(ConfigError) as refused:
+        run_engine(config)
+    assert f" {len(trace.times):,} rows of {config.n_max + 1} populations" in str(refused.value)
+
+
+def test_row_budget_refuses_a_traced_run_one_byte_over_before_any_stroke(monkeypatch):
+    config = replace(EngineConfig(), n_cycles=3)
+    need = len(run_engine(config).times) * 51 * 8
+    monkeypatch.setattr(cycle_module, "MAX_TRACE_BYTES", need)
+    assert len(run_engine(config).records) == 3
+    monkeypatch.setattr(cycle_module, "MAX_TRACE_BYTES", need - 1)
+    monkeypatch.setattr(BathStroke, "trajectory", lambda *args: pytest.fail("a stroke ran"))
+    with pytest.raises(ConfigError, match=r"n_cycles = 3 at sample_stride = the default .* "
+                                          r"\(limit 0 MB\); raise sample_stride or lower n_cycles"):
+        run_engine(config)
+    # a ledger-only run records no rows, and a run without cycles records none
+    assert len(run_engine(config, ledger_only=True).records) == 3
+    monkeypatch.setattr(cycle_module, "MAX_TRACE_BYTES", 0)
+    assert run_engine(replace(config, n_cycles=0)).times.shape == (0,)

@@ -27,9 +27,9 @@ GAMMA = 0.5447127449169259   # 0.5 * (1 + nbar) at omega/T = 2.5
 BOLTZ = 0.0820849986238988
 
 
-def _matrix(p0, dt, gamma=GAMMA):
+def _matrix(p0, dt, gamma=GAMMA, boltz=BOLTZ):
     """The StepMatrix of a stroke at dt on len(p0) levels."""
-    return StepMatrix(gamma, BOLTZ, len(p0), dt)
+    return StepMatrix(gamma, boltz, len(p0), dt)
 
 
 def test_rate_coefficients_shape_and_reflecting_top():
@@ -227,23 +227,89 @@ def test_two_reduction_guard_matches_the_four_reduction_guard(state, max_drift):
     assert np.array_equal(np.signbit(p), np.signbit(ref))
 
 
-@pytest.mark.parametrize("start", ["random", "ground"])
+@pytest.mark.parametrize("start", ["random", "ground", "level-3-frozen-bath"])
 @pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (10, 50), (1, 1), (2857, 44)])
 def test_samples_equal_the_four_reduction_path_bit_for_bit(n_steps, stride, start, monkeypatch):
     # a ground start leaves exact zeros above the first few levels after a
-    # short jump, so the clamp branch is taken too
+    # short jump, so the clamp branch is taken too; a bath with no upward
+    # rate (boltz_factor 0) keeps every level above a level-3 start at exact
+    # zero in every sample, the entries the clamp deferred past the first
+    # sample covers (test_later_samples_store_no_negative_zero stores them as -0.0)
     p0 = np.zeros(51)
     p0[0] = 1.0
+    boltz = BOLTZ
     if start == "random":
         p0 = np.random.default_rng(n_steps).random(51)
         p0 /= p0.sum()
-    status, bad_step, max_drift, samples = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
+    elif start == "level-3-frozen-bath":
+        p0 = np.eye(51)[3]
+        boltz = 0.0
+    status, bad_step, max_drift, samples = evolve_populations(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride)
     monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
     monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
-    want = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
+    want = evolve_populations(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride)
     assert (status, bad_step, max_drift) == want[:3]
     assert status == STATUS_OK
     assert samples.tobytes() == want[3].tobytes()
+    if start == "level-3-frozen-bath":
+        assert np.all(samples[:, 4:] == 0.0) and not np.signbit(samples).any()
+
+
+class _SignedZeroJump:
+    """R^gap as a jump whose product stores each exact zero as -0.0, as a
+    matmul that keeps the sign of a sum of -0.0 products may."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __array_ufunc__(self, ufunc, method, jump, p, out):
+        result = np.matmul(self.matrix, p, out=out[0])
+        result[result == 0.0] = -0.0
+        return result
+
+
+class _SignedZeroStepMatrix(StepMatrix):
+    def __missing__(self, gap):
+        jump = self[gap] = _SignedZeroJump(np.linalg.matrix_power(self.r, gap))
+        return jump
+
+
+@pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (2857, 44)])
+def test_later_samples_store_no_negative_zero(n_steps, stride, monkeypatch):
+    # every sample after the first holds -0.0 above level 3 before the clamp
+    # deferred past the first sample; the samples equal those of a clamp per sample
+    p0 = np.eye(51)[3]
+    status, bad_step, max_drift, samples = evolve_populations(
+        p0, _SignedZeroStepMatrix(GAMMA, 0.0, 51, 7e-4), n_steps, stride)
+    monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
+    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+    want = evolve_populations(p0, _matrix(p0, 7e-4, boltz=0.0), n_steps, stride)
+    assert (status, bad_step, max_drift) == want[:3] and status == STATUS_OK
+    assert samples.tobytes() == want[3].tobytes()
+    assert not np.signbit(samples).any()
+
+
+class _GivenStepMatrix(StepMatrix):
+    """A StepMatrix over a given R, taken as stable."""
+
+    def __init__(self, r):
+        self.r, self.stable = r, True
+
+
+@pytest.mark.parametrize("n_steps,stride,bad_step", [(5, 1, 3), (5, 2, 4), (3, 2, 3)])
+def test_a_later_sample_trips_at_its_step_like_the_four_reduction_path(n_steps, stride, bad_step,
+                                                                        monkeypatch):
+    # the mass walks up a 3-level chain; only the top column gains 2e-10 a
+    # step, so the first sample passes and a later one (the ragged last in
+    # the third case) trips the drift guard
+    r = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0 + 2e-10]])
+    p0 = np.array([1.0, 0.0, 0.0])
+    got = evolve_populations(p0, _GivenStepMatrix(r), n_steps, stride, rerun=False)
+    monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
+    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+    want = evolve_populations(p0, _GivenStepMatrix(r), n_steps, stride, rerun=False)
+    assert got[:3] == want[:3]
+    assert got[:2] == (STATUS_DRIFT, bad_step)
 
 
 def test_stepwise_loop_and_whole_stroke_jump_equal_the_four_reduction_guard_bit_for_bit(monkeypatch):

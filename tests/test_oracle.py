@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -15,6 +18,7 @@ from ottokiln import (
     stationary_distribution,
     total_variation,
 )
+from ottokiln import oracle
 from conftest import random_distribution
 
 # closed-form values, cross-checked by direct summation over 200 levels
@@ -156,3 +160,54 @@ def test_dense_propagation_size_cap():
     big = stationary_distribution(1.0, 0.4, 80)
     with pytest.raises(OttoKilnError, match="n_max"):
         propagate_matrix_exponential(big, params, 1.0)
+
+
+def _expm_with_linalg_norm(matrix):
+    """oracle._expm as it was written with np.linalg.norm, kept as the reference."""
+    norm = np.linalg.norm(matrix, 1)
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
+    scaled = matrix / (2.0 ** squarings)
+    n = matrix.shape[0]
+    result = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 40):
+        term = term @ scaled / k
+        result += term
+        if np.linalg.norm(term, 1) < 1e-18 * np.linalg.norm(result, 1):
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+@pytest.mark.parametrize("n_levels", [2, 21, 51, 64])
+@pytest.mark.parametrize("duration", [1e-3, 0.1, 1.0, 7.3, 50.0])
+@pytest.mark.parametrize("params", [make_params(), make_params(1.0, 0.4, 0.9),
+                                    make_params(1.0, 1e-3)],  # exp(-omega/T) underflows to 0
+                         ids=["hot", "cold", "frozen"])
+def test_expm_equals_the_linalg_norm_loop_bit_for_bit(n_levels, duration, params):
+    generator = rate_generator(params, n_levels - 1) * duration
+    assert oracle._expm(generator).tobytes() == _expm_with_linalg_norm(generator).tobytes()
+
+
+@pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+def test_non_finite_duration_is_refused_by_name(duration):
+    dist = stationary_distribution(1.0, 0.4, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(OttoKilnError, match=f"duration must be finite, got {duration}"):
+            propagate_matrix_exponential(dist, make_params(), duration)
+
+
+def test_lost_probability_prints_the_sum_as_a_float():
+    # expm of a generator scaled by 1e300 underflows the propagator to zero
+    dist = stationary_distribution(1.0, 0.4, 20)
+    with pytest.raises(OttoKilnError, match=r"propagator lost probability: sum 0\.0$"):
+        propagate_matrix_exponential(dist, make_params(), 1e300)
+
+
+def test_a_nan_propagator_fails_the_sum_check(monkeypatch):
+    monkeypatch.setattr(oracle, "_expm", lambda matrix: np.full_like(matrix, np.nan))
+    dist = stationary_distribution(1.0, 0.4, 20)
+    with pytest.raises(OttoKilnError, match="propagator lost probability: sum nan$"):
+        propagate_matrix_exponential(dist, make_params(), 1.0)

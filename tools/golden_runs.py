@@ -93,6 +93,11 @@ EDGE_RUNS = [
     # the bath strokes are built before the first cycle, so a bad one fails without cycles too
     ("fail-tiny-omega-no-cycles", "pump", [], "omega_c = 1e-300\nt_c = 1e300\nt_h = 1e301\nn_cycles = 0\n"),
     ("fail-dt-above-tau-no-cycles", "simulate", [], "dt = 6\nn_cycles = 0\n"),
+    # traced runs whose population array would pass the row budget
+    ("fail-budget-stiff-pump", "pump", [], "gamma0 = 1e6\nsample_stride = 3\nn_cycles = 1\n"),
+    ("fail-budget-wide-ladder", "simulate", [], "sample_stride = 1\nn_max = 200\ngamma0 = 50\n"),
+    ("fail-budget-long-strokes", "simulate", [], "tau = 1e4\nsample_stride = 3\n"),
+    ("fail-budget-long-cold-pump", "pump", [], "t_c = 0.001\ntau_cd = 1e3\nsample_stride = 1\n"),
     ("fail-missing-config", "simulate", ["--config", "missing.cfg"], None),
 ]
 
