@@ -85,16 +85,16 @@ def generator_matrix(down, up):
 def rk4_step_matrix(down, up, dt):
     """One-step update matrix of the classical fourth-order scheme.
 
-    A rate too large for dt overflows R to inf/nan without a warning; such an
-    R fails step_matrix_is_stable and its first step trips a guard."""
+    A rate too large for dt overflows R to inf/nan (StepMatrix builds it
+    without a warning); such an R fails step_matrix_is_stable and its first
+    step trips a guard."""
     a = generator_matrix(down, up) * dt
     n = a.shape[0]
     r = np.eye(n) + a
     term = a
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in (2.0, 3.0, 4.0):
-            term = term @ a / k
-            r += term
+    for k in (2.0, 3.0, 4.0):
+        term = term @ a / k
+        r += term
     return r
 
 
@@ -175,8 +175,8 @@ class StepMatrix(dict):
     its powers: step_matrix[gap] is R^gap, built at its first use."""
 
     def __init__(self, gamma, boltz_factor, n_levels, dt):
-        down, up = rate_coefficients(gamma, boltz_factor, n_levels)
-        self.r = rk4_step_matrix(down, up, float(dt))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.r = rk4_step_matrix(*rate_coefficients(gamma, boltz_factor, n_levels), float(dt))
         self.stable = step_matrix_is_stable(self.r)
 
     def __missing__(self, gap):

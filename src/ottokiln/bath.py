@@ -123,7 +123,8 @@ class BathStroke:
             raise OttoKilnError(f"dt must be positive, got {dt}")
         if dt > duration:
             raise OttoKilnError(f"dt={dt} exceeds duration={duration}")
-        if not (dt > 0.0 and math.isfinite(duration / dt)):  # the default dt underflows near gamma0 = 1e306
+        # up to 2**53 a float counts steps exactly, and no power of a stable R overflows
+        if not (dt > 0.0 and duration / dt <= 2.0 ** 53):  # the default dt underflows near gamma0 = 1e306
             raise IntegrationError(
                 f"a stroke of duration {duration} at dt={dt:.3e} has more steps than a float "
                 "can count; reduce gamma0 * tau or set dt"
@@ -176,19 +177,18 @@ class BathStroke:
             )
 
         times = _kernels.sample_steps(n_steps, sample_stride) * step
-        traj = Trajectory(times=times, probs=samples, sample_stride=sample_stride,
-                          max_drift=max_drift)
+        traj = Trajectory(times=times, probs=samples, sample_stride=sample_stride, max_drift=max_drift)
         traj.final.require_tail(tail_tolerance)
         return traj
 
-    def end_state(self, dist, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
+    def end_state(self, dist, tail_tolerance=TAIL_TOLERANCE):
         """(final state, max_drift) of the stroke from dist, by one jump
-        R^n_steps.  Where a guard trips, trajectory runs the stroke instead
-        (at sample_stride, then step by step): it raises the error a traced
-        stroke raises, or returns the state a traced stroke reaches."""
+        R^n_steps.  Where a guard trips, the stroke's default-stride
+        trajectory runs it instead (then step by step): it raises the error
+        that trajectory raises, or returns the state it reaches."""
         status, _, max_drift, samples = self._propagate(dist, self.n_steps, rerun=False)
         if status != _kernels.STATUS_OK:
-            traj = self.trajectory(dist, sample_stride, tail_tolerance)
+            traj = self.trajectory(dist, None, tail_tolerance)
             return traj.final, traj.max_drift
         return FockDistribution(samples[-1]).require_tail(tail_tolerance), max_drift
 

@@ -71,9 +71,7 @@ class EngineConfig:
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if not self.omega_c < self.omega_h:
-            raise ConfigError(
-                f"omega_c must be below omega_h, got {self.omega_c} >= {self.omega_h}"
-            )
+            raise ConfigError(f"omega_c must be below omega_h, got {self.omega_c} >= {self.omega_h}")
         if self.mode in ("otto", "sweep") and not self.t_c < self.t_h:
             raise ConfigError(f"t_c must be below t_h, got {self.t_c} >= {self.t_h}")
         if self.n_cycles < 0:
@@ -88,6 +86,8 @@ class EngineConfig:
                 f"n_max must be <= {MAX_N_MAX}, got {self.n_max}: one dense step matrix "
                 f"on {self.n_max + 1} levels would need {matrix_mb:,.0f} MB"
             )
+        if not self.omega_h * (self.n_max + 1) < math.inf:  # the top level's energy, and the ramps' frequencies
+            raise ConfigError(f"omega_h * (n_max + 1) must be finite, got {self.omega_h} * {self.n_max + 1}")
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ConfigError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.csv_levels < 1:

@@ -139,7 +139,7 @@ def _contact(dist, label, stroke, segments, t, config):
     a list) appends the stroke's samples, their times shifted by t; a
     ledger-only run (segments None) takes the stroke's end state alone."""
     if segments is None:
-        return stroke.end_state(dist, config.sample_stride, config.tail_tolerance)
+        return stroke.end_state(dist, config.tail_tolerance)
     traj = stroke.trajectory(dist, config.sample_stride, config.tail_tolerance)
     segments.append(StrokeSegment(label, traj.times + t, np.full(len(traj), stroke.params.omega), traj.probs))
     return traj.final, traj.max_drift
@@ -212,9 +212,8 @@ def run_cycles(dist, config, ledger_only=False):
     The hot and cold BathStroke are built once, before the first cycle, and
     a traced run whose population array would pass MAX_TRACE_BYTES is
     refused then (a ConfigError).  ledger_only=True records no samples (the
-    trace's series stay empty): each bath stroke is one jump R^n_steps,
-    ramps do nothing, and sample_stride matters only where a jump trips a
-    guard (BathStroke.end_state).
+    trace's series stay empty) and reads no sample_stride: each bath stroke
+    is its BathStroke.end_state, and ramps do nothing.
 
     A cycle is a deterministic function of its start state.  Once a cycle
     starts bitwise equal to its predecessor's start, it and every later

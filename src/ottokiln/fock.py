@@ -126,10 +126,10 @@ def make_distribution(spec, n_max=DEFAULT_N_MAX, tail_tolerance=TAIL_TOLERANCE):
     elif spec.kind == "gaussian":
         if spec.center >= n_max:
             raise UnderTruncationError(f"gaussian center {spec.center} must lie below n_max={n_max}")
-        x = (np.arange(n) - spec.center) * (spec.omega_ref / spec.temperature_ref)
+        x = (np.arange(n) - spec.center) * min(spec.omega_ref / spec.temperature_ref, 28.0)  # exp(-28 ** 2) is 0
         probs = np.exp(-x * x)
     elif spec.kind == "boltzmann":
-        probs = np.exp(-(spec.omega / spec.temperature) * np.arange(n))
+        probs = np.exp(-min(spec.omega / spec.temperature, 746.0) * np.arange(n))  # exp(-746 n) is 0 for n >= 1
     else:
         raise OttoKilnError(f"unknown initial-state kind {spec.kind!r}")
     probs /= probs.sum()

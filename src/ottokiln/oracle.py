@@ -136,8 +136,9 @@ def _expm(matrix):
         result += term
         if _norm1(term) < 1e-18 * _norm1(result):
             break
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the caller's sum check
+        for _ in range(squarings):
+            result = result @ result
     return result
 
 

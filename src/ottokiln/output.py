@@ -372,10 +372,10 @@ def write_svg_chart(path, x, y, title, x_label, y_label):
     plot_w, plot_h = width - pad_l - pad_r, height - pad_t - pad_b
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(y.min()), float(y.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi == x_lo:  # one value: a span of 1 or |value|, the larger, so that it never rounds away
+        x_hi = x_lo + max(1.0, abs(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo))
 
     def sx(v):
         return pad_l + (v - x_lo) / (x_hi - x_lo) * plot_w

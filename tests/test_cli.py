@@ -231,6 +231,8 @@ BAD_CONFIGS = {
     "missing_file": (None, "cannot read config file"),
     "inverted_sweep_bounds": ("sweep_ratio_min = 0.8\nsweep_ratio_max = 0.6\n", "sweep_ratio_min must be below"),
     "infinite_sweep_t_h": ("sweep_t_h = inf\n", "line 1: sweep_t_h"),
+    # the ramps' frequencies and the top level's energy overflow
+    "largest_float_omega_h": ("omega_h = 1.7976931348623157e308\n", "omega_h * (n_max + 1) must be finite"),
     # just above the bound: if the bound were lost, the run would still fit in memory
     "n_max_above_bound": ("n_max = 1001\n", "n_max must be <= 1000"),
     # a 72.8 TiB ratio grid: without the bound the sweep ends in a MemoryError
@@ -264,6 +266,9 @@ PUMP_BAD_CONFIGS = {
     # about 1M samples of the cold stroke per cycle: 8.3 GB of populations
     "long_cold_stroke_at_every_step": ("t_c = 0.001\ntau_cd = 1e3\nsample_stride = 1\n",
                                        "a traced run of n_cycles = 20 at sample_stride = 1"),
+    # a cold stroke of about 1e304 steps, whose step indices overflow int64
+    "extreme_rates_and_durations": ("gamma0 = 1e300\nt_c = 1e-300\nt_h = 1e300\ntau_db = 1e-300\n",
+                                    "has more steps than a float can count"),
 }
 # configs only the simulate command runs (the pump cycle has no tau stroke)
 SIMULATE_BAD_CONFIGS = {
@@ -281,6 +286,9 @@ ENGINE_BAD_CONFIGS = {
                                "a traced run of n_cycles = 1 at sample_stride = 3"),
     "wide_ladder_at_every_step": ("sample_stride = 1\nn_max = 200\ngamma0 = 50\n",
                                   "rows of 201 populations"),
+    # strokes of 2**53 steps or more: past that a float cannot count the steps
+    "dt_far_below_a_stroke": ("dt = 1e-300\ntau = 1e-9\n", "has more steps than a float can count"),
+    "rate_far_above_the_stroke": ("gamma0 = 1e300\n", "has more steps than a float can count"),
 }
 BAD_INPUTS = [(command, case) for case in BAD_CONFIGS for command in ("simulate", "pump", "sweep")]
 BAD_INPUTS += [(command, case) for case in ENGINE_BAD_CONFIGS for command in ("simulate", "pump")]
@@ -328,16 +336,21 @@ def test_sweep_charts_hold_one_hot_temperature_each(tmp_path, t_h, tags):
         assert title in (out / f"eta_power_th{tag}.svg").read_text()
 
 
-@pytest.mark.parametrize("gamma0", ["1e5", "1e300", "1e306"])
-def test_rate_too_fast_for_the_step_count_ends_in_one_error_line(tmp_path, gamma0):
+TOO_FAST = [("simulate", "1e5"), ("simulate", "1e300"), ("simulate", "1e306"), ("pump", "1e300")]
+
+
+@pytest.mark.parametrize("command,gamma0", TOO_FAST,
+                         ids=[g if c == "simulate" else f"{c}-{g}" for c, g in TOO_FAST])
+def test_rate_too_fast_for_the_step_count_ends_in_one_error_line(tmp_path, command, gamma0):
     # each run has a stroke of 6e8 or more steps, too many to rerun step by
-    # step when its sample-to-sample path trips a guard; the subprocess
-    # timeout turns an unbounded rerun into a failure instead of a stalled suite
+    # step when its sample-to-sample path trips a guard, or more than 2**53;
+    # the subprocess shows numpy's warnings, and its timeout turns an
+    # unbounded rerun into a failure instead of a stalled suite
     config = tmp_path / "cfg.txt"
     config.write_text(f"gamma0 = {gamma0}\nn_cycles = 1\n")
     src = str(Path(ottokiln.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "ottokiln.cli", "simulate", "--config", str(config),
+    done = subprocess.run([sys.executable, "-m", "ottokiln.cli", command, "--config", str(config),
                            "--out", str(tmp_path / "x")],
                           capture_output=True, text=True, env=env, timeout=30)
     assert done.returncode == 1

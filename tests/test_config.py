@@ -217,6 +217,12 @@ def test_n_max_above_the_dense_matrix_bound_rejected():
         EngineConfig(n_max=MAX_N_MAX + 1).validate()
 
 
+def test_omega_h_whose_top_level_energy_overflows_rejected():
+    assert EngineConfig(omega_h=1.7e308 / 51).validate().omega_h == 1.7e308 / 51
+    with pytest.raises(ConfigError, match=r"omega_h \* \(n_max \+ 1\) must be finite, got 1e\+307 \* 51"):
+        EngineConfig(omega_h=1e307).validate()
+
+
 def test_sweep_points_above_the_memory_bound_rejected():
     # validation only: no ratio grid is built for the rejected sweep
     config = EngineConfig(sweep_t_h=(1.2,), sweep_ratio_steps=MAX_SWEEP_POINTS).validate()

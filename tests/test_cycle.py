@@ -444,11 +444,11 @@ def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broke
     assert_same_ledgers(traced, ledger, 0.0)
 
 
-def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
+def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_default_stride():
     # gamma0 = 50, tau = 20: 2,859,165 steps per hot stroke; one jump
     # R^n_steps drifts 1.4e-10, beyond DRIFT_TOL, while the 64 jumps of the
     # default stride drift 2.3e-12.  The stroke is too long to rerun step by
-    # step, so without the rerun at the sample stride the run would end in
+    # step, so without the rerun at the default stride the run would end in
     # STATUS_TOO_LONG.
     config = replace(EngineConfig(), gamma0=50.0, tau=20.0, n_cycles=2)
     dist = make_distribution(InitialStateSpec.ground(), 50)
@@ -460,6 +460,32 @@ def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_sample_stride():
     ledger = run_cycles(dist, config, ledger_only=True)
     assert_same_ledgers(traced, ledger, 0.0)
     assert ledger.max_step_drift == traced.max_step_drift <= _kernels.DRIFT_TOL
+
+
+def test_ledger_only_run_reads_no_sample_stride_where_every_jump_trips(monkeypatch):
+    config = ledger_config("otto", 1.0, 3)
+    traced = run_cycles(make_distribution(InitialStateSpec.equal_lowest(3), 50), config)
+    monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
+    for sample_stride in (None, 1, 7):  # each tripped jump reruns at the stroke's default stride
+        ledger = run_cycles(traced.records[0].dist_a, replace(config, sample_stride=sample_stride),
+                            ledger_only=True)
+        assert_same_ledgers(traced, ledger, 0.0)
+        assert ledger.max_step_drift == traced.max_step_drift
+
+
+@pytest.mark.parametrize("mode", ["otto", "pump"])
+def test_stiff_ledger_only_run_at_every_step_reruns_at_most_64_jumps(monkeypatch, mode):
+    # the "stiff" golden trace config: 2.2M to 2.9M steps per bath stroke,
+    # whose one jump R^n_steps trips the drift guard; at sample_stride = 1 a
+    # rerun at the sample stride would record millions of rows
+    config = replace(EngineConfig(), mode=mode, gamma0=50.0, tau=20.0, tau_cd=20.0, n_cycles=2)
+    traced = run_engine(config)
+    propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
+    ledger = run_engine(replace(config, sample_stride=1), ledger_only=True)
+    assert_same_ledgers(traced, ledger, 0.0)
+    strides = [(n_steps, stride) for _, _, n_steps, stride, *_ in propagated]
+    assert all(stride >= n_steps // 64 for n_steps, stride in strides)
+    assert any(stride < n_steps for n_steps, stride in strides)  # a tripped jump reran
 
 
 def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):

@@ -60,6 +60,19 @@ def test_gaussian_state_is_normalized_and_peaked_at_center():
     assert dist.probs[1] == pytest.approx(dist.probs[3], rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec,level", [
+    (InitialStateSpec.boltzmann(1e300, 1e-300), 0),  # omega/T overflows to inf
+    (InitialStateSpec.boltzmann(800.0, 1.0), 0),
+    (InitialStateSpec.gaussian(2, 1e300, 1e-300), 2),
+    (InitialStateSpec.gaussian(2, 1e300, 1.2), 2),  # (n - center)^2 (omega/T)^2 overflows
+    (InitialStateSpec.gaussian(0, 30.0, 1.0), 0),
+], ids=["boltzmann-inf", "boltzmann-800", "gaussian-inf", "gaussian-square-overflows", "gaussian-30"])
+def test_state_too_sharp_for_a_float_is_its_one_level_limit(spec, level):
+    dist = make_distribution(spec, 50)
+    assert dist.probs[level] == 1.0 and dist.probs.sum() == 1.0
+
+
 def test_internal_energy_examples():
     ground = make_distribution(InitialStateSpec.ground(), 50)
     assert internal_energy(ground, 2.7) == 0.0

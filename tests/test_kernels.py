@@ -328,6 +328,13 @@ def test_stepwise_loop_and_whole_stroke_jump_equal_the_four_reduction_guard_bit_
     assert jumped[3].tobytes() == want_jumped[3].tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1.5e306, 3e306, 1.7e308])
+def test_step_matrix_whose_generator_overflows_is_unstable_without_warnings(gamma):
+    # the rates, not only the powers of the generator, overflow at dt = 1
+    assert not StepMatrix(gamma, BOLTZ, 51, 1.0).stable
+
+
 def test_nan_state_trips_the_drift_guard_at_the_first_step():
     # a rate far too large for dt overflows R to inf/nan: not a stable matrix,
     # so the stepwise loop runs and stops at step 1 instead of stepping NaNs

@@ -206,6 +206,14 @@ def test_lost_probability_prints_the_sum_as_a_float():
         propagate_matrix_exponential(dist, make_params(), 1e300)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_propagator_fails_the_sum_check_without_warnings():
+    # squaring expm of a generator scaled by 1e30 overflows the propagator
+    dist = stationary_distribution(1.0, 0.4, 20)
+    with pytest.raises(OttoKilnError, match=r"propagator lost probability: sum inf$"):
+        propagate_matrix_exponential(dist, make_params(), 1e30)
+
+
 def test_a_nan_propagator_fails_the_sum_check(monkeypatch):
     monkeypatch.setattr(oracle, "_expm", lambda matrix: np.full_like(matrix, np.nan))
     dist = stationary_distribution(1.0, 0.4, 20)

@@ -151,3 +151,12 @@ def test_svg_polyline_matches_per_point_rendering(tmp_path, trace):
         write_svg_chart(tmp_path / "chart.svg", x, y, "title", "x", "y")
         svg = (tmp_path / "chart.svg").read_text()
         assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == reference_polyline(x, y)
+
+
+@pytest.mark.parametrize("value", [0.25, 3.0, -1.84608102585e26, 1e300])
+def test_svg_chart_of_one_value_spans_at_least_the_value(tmp_path, value):
+    # a unit span rounds away beside -1.8e26: the span is the value's own
+    write_svg_chart(tmp_path / "chart.svg", [1, 2], [value, value], "title", "x", "y")
+    svg = (tmp_path / "chart.svg").read_text()
+    assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == "72.00,372.00 696.00,372.00"
+    assert f'font-size="11">{fmt(value + max(1.0, abs(value)))}</text>' in svg

@@ -144,15 +144,16 @@ def test_ledger_only_run_books_the_traced_ledger(spec, tau, gamma0, t_h, window)
     assert_same_ledgers(run_cycles(dist, config), run_cycles(dist, config, ledger_only=True), 1e-12)
 
 
-def _stroke_end(stroke, dist, sample_stride, traced):
+def _stroke_end(stroke, dist, traced_stride=None):
     """(end populations' bytes, drift) of the stroke from dist, by its
-    trajectory or its end_state, or the text of its IntegrationError."""
+    trajectory at traced_stride or (None) its end_state, or the text of its
+    IntegrationError."""
     try:
-        if traced:
-            traj = stroke.trajectory(dist, sample_stride, tail_tolerance=1.0)
+        if traced_stride is not None:
+            traj = stroke.trajectory(dist, traced_stride, tail_tolerance=1.0)
             final, drift = traj.final, traj.max_drift
         else:
-            final, drift = stroke.end_state(dist, sample_stride, tail_tolerance=1.0)
+            final, drift = stroke.end_state(dist, tail_tolerance=1.0)
     except IntegrationError as exc:
         return str(exc)
     return final.probs.tobytes(), drift
@@ -176,9 +177,9 @@ def test_stroke_end_state_is_its_traced_end_bit_for_bit(omega, temperature, gamm
     dt = None if coarse is None else min(duration, coarse / rate_bound)
     stroke = BathStroke(params, duration, n_levels, dt)
     dist = random_distribution(np.random.default_rng(seed), n_levels)
-    ended = _stroke_end(stroke, dist, sample_stride, traced=False)
+    ended = _stroke_end(stroke, dist)
     # traced with one sample at its end, the stroke makes end_state's one jump
     # R^n_steps; stepping one step at a time, it ends the same at any stride
     strides = [stroke.n_steps] if stroke.step_matrix.stable else [stroke.n_steps, sample_stride]
     for stride in strides:
-        assert ended == _stroke_end(stroke, dist, stride, traced=True)
+        assert ended == _stroke_end(stroke, dist, stride)

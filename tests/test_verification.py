@@ -46,7 +46,7 @@ def test_sample_reading_checks_run_the_traced_path(monkeypatch):
 
 
 def test_a_stroke_one_step_short_fails_the_oracle_check(monkeypatch):
-    def one_step_short(self, dist, sample_stride=None, tail_tolerance=None):
+    def one_step_short(self, dist, tail_tolerance=None):
         jump = np.linalg.matrix_power(self.step_matrix.r, self.n_steps - 1)
         probs = jump @ dist.probs
         return FockDistribution(probs / probs.sum()), 0.0

@@ -50,6 +50,9 @@ CI_RUNS = [
 ]
 
 FINITE_SMALL = "sweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 3\nn_cycles = 3\n"
+# ci-retry at sample_stride = 1 and one cycle
+RETRY_EVERY_STEP = ("gamma0 = 50\ntau = 20\nsweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 2\n"
+                    "sample_stride = 1\nn_cycles = 1\n")
 
 EDGE_RUNS = [
     ("edge-simulate-no-cycles", "simulate", ["--svg"], "n_cycles = 0\n"),
@@ -69,6 +72,11 @@ EDGE_RUNS = [
     ("edge-mode-upper-case", "simulate", [], "mode = OTTO\nn_cycles = 2\n"),
     ("edge-sweep-mode-upper-case", "sweep", [], FINITE_SMALL.replace("finite", "FINITE")),
     ("edge-relaxation-time", "pump", [], "relaxation_time = 2\nn_cycles = 3\n"),
+    # ledger-only strokes whose one jump trips the drift guard rerun at the default stride, not at sample_stride
+    ("edge-finite-retry-every-step", "sweep", [], RETRY_EVERY_STEP),
+    # states whose omega/T overflows: the limit distribution, without numpy warnings
+    ("edge-infinite-ratio-states", "pump", [],
+     "initial_state = boltzmann:1e300:1e-300\npump_target = gaussian:2:1e300:1e-300\nn_cycles = 2\n"),
     ("fail-unknown-key", "simulate", [], "bogus = 1\n"),
     ("fail-float-text", "simulate", [], "tau = two\n"),
     ("fail-int-fraction", "simulate", [], "n_cycles = 2.5\n"),
@@ -87,6 +95,13 @@ EDGE_RUNS = [
     ("fail-too-long-to-rerun", "simulate", [], "gamma0 = 1e5\n"),
     ("fail-too-long-to-rerun-finite", "sweep", [], "gamma0 = 1e5\n" + FINITE_SMALL),
     ("fail-nan-drift", "simulate", [], "gamma0 = 1e300\ndt = 1e-6\nn_cycles = 1\n"),
+    ("fail-finite-retry-every-step-stiff", "sweep", [], RETRY_EVERY_STEP.replace("gamma0 = 50", "gamma0 = 2000")),
+    # strokes of more than 2**53 steps
+    ("fail-steps-uncountable", "simulate", [], "dt = 1e-300\ntau = 1e-9\n"),
+    ("fail-steps-uncountable-pump", "pump", [], "gamma0 = 1e300\nt_c = 1e-300\nt_h = 1e300\ntau_db = 1e-300\n"),
+    ("fail-steps-uncountable-rate", "pump", [], "gamma0 = 1e300\n"),
+    # rates whose generator overflows at the given dt
+    ("fail-generator-overflow", "simulate", [], "gamma0 = 1.5e306\ndt = 1\nn_cycles = 1\n"),
     ("fail-refrigerator", "sweep", [], "sweep_ratio_min = 0.1\nsweep_ratio_max = 0.2\n"),
     ("fail-duplicate-t-h", "sweep", [], "sweep_t_h = 1.2, 1.2000000000001\n"),
     ("fail-tiny-omega", "pump", [], "omega_c = 1e-300\nt_c = 1e300\nt_h = 1e301\n"),
