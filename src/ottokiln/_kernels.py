@@ -19,17 +19,20 @@ keeps it so: a later product of non-negative numbers can be -0.0 but never
 below, so a later clamp could only turn -0.0 into 0.0.  One np.maximum over
 the later samples after the loop does that, and every stored bit is the one
 a clamp per sample would store.  When R fails either check (an unstable dt),
-or a guard trips on a sample, the stroke reruns the stepwise loop, which
-guards every step in full and reports the first bad step.  A tripped stroke
-longer than MAX_STEPWISE_STEPS is not rerun: it reports STATUS_TOO_LONG
-instead.
+the stepwise loop runs instead: it guards every step in full and names the
+first bad step.
 
-A caller that needs only the end state (BathStroke.end_state) asks for
-stride = n_steps (one jump R^n_steps), and with rerun=False gets a tripped
-guard back at once instead.
+evolve_populations owns the whole guard ladder.  A stroke recorded only at
+its two ends (stride >= n_steps: one jump R^n_steps) whose jump trips runs at
+default_stride first and keeps its last sample.  A trip on a sample there,
+or of any other stroke, reruns the stepwise loop if the stroke has at most
+MAX_STEPWISE_STEPS steps.  A trip that no rung recovers raises
+IntegrationError.
 """
 
 import numpy as np
+
+from .exceptions import IntegrationError
 
 # Guards; values are contractual for the integrator.
 DRIFT_TOL = 1e-10
@@ -39,11 +42,10 @@ NEG_FLOOR = 1e-12
 # OpenBLAS), so this bounds the rerun near 1 s.
 MAX_STEPWISE_STEPS = 100_000
 
-# Kernel status codes.
-STATUS_OK = 0
-STATUS_DRIFT = 1
-STATUS_NEGATIVE = 2
-STATUS_TOO_LONG = 3  # a guard tripped on a sample of a stroke too long to rerun stepwise
+# The guards' trip signals (None: no trip), each the text of the error a
+# final trip raises, with the bad step and dt left to fill in.
+_DRIFT = f"probability sum drifted beyond {DRIFT_TOL:.0e} at step {{step}} (dt={{dt:.3e}}); reduce the time step"
+_NEGATIVE = f"probability below -{NEG_FLOOR:.0e} at step {{step}} (dt={{dt:.3e}}); the step size is unstable"
 
 
 def rate_coefficients(gamma, boltz_factor, n_levels):
@@ -100,7 +102,7 @@ def rk4_step_matrix(down, up, dt):
 
 def _guard(p, max_drift):
     """Drift and negativity checks on one state, then clamp and renormalize
-    it in place.  Returns (status, max_drift).
+    it in place.  Returns (trip, max_drift).
 
     One sum and one min: the clamp can change p only when an entry is <= 0
     (it turns -0.0 into 0.0), so only then is the sum taken again.  A NaN
@@ -109,31 +111,32 @@ def _guard(p, max_drift):
     drift = abs(total - 1.0)
     max_drift = max(max_drift, drift)
     if not drift <= DRIFT_TOL:
-        return STATUS_DRIFT, max_drift
+        return _DRIFT, max_drift
     low = np.minimum.reduce(p)
     if low < -NEG_FLOOR:
-        return STATUS_NEGATIVE, max_drift
+        return _NEGATIVE, max_drift
     if low <= 0.0:
         np.maximum(p, 0.0, out=p)
         total = np.add.reduce(p)
     p /= total
-    return STATUS_OK, max_drift
+    return None, max_drift
 
 
 def _evolve_stepwise(p, r, n_steps, stride, out):
-    """Reference loop: one step at a time, guards checked after every step."""
+    """Reference loop: one step at a time, guards checked after every step.
+    Returns (trip, step, max_drift): step is the first bad step, or n_steps."""
     out[0] = p
     idx = 1
     max_drift = 0.0
     for k in range(1, n_steps + 1):
         p = r @ p
-        status, max_drift = _guard(p, max_drift)
-        if status != STATUS_OK:
-            return status, k, max_drift
+        trip, max_drift = _guard(p, max_drift)
+        if trip:
+            return trip, k, max_drift
         if k % stride == 0 or k == n_steps:
             out[idx] = p
             idx += 1
-    return STATUS_OK, n_steps, max_drift
+    return None, n_steps, max_drift
 
 
 def _evolve_sampled(p, step_matrix, n_steps, stride, out):
@@ -146,9 +149,9 @@ def _evolve_sampled(p, step_matrix, n_steps, stride, out):
     gap = min(stride, n_steps)
     jump = step_matrix[gap]
     p = np.matmul(jump, p, out=out[1])
-    status, max_drift = _guard(p, 0.0)
-    if status != STATUS_OK or gap == n_steps:  # a trip, or one jump over the whole stroke
-        return status, gap, max_drift
+    trip, max_drift = _guard(p, 0.0)
+    if trip or gap == n_steps:  # a trip, or one jump over the whole stroke
+        return trip, gap, max_drift
     last = out.shape[0] - 1
     for idx in range(2, last + 1):
         if idx == last:
@@ -158,10 +161,10 @@ def _evolve_sampled(p, step_matrix, n_steps, stride, out):
         drift = abs(total - 1.0)
         max_drift = max(max_drift, drift)
         if not drift <= DRIFT_TOL:
-            return STATUS_DRIFT, min(idx * stride, n_steps), max_drift
+            return _DRIFT, min(idx * stride, n_steps), max_drift
         p /= total
     np.maximum(out[2:], 0.0, out=out[2:])
-    return STATUS_OK, n_steps, max_drift
+    return None, n_steps, max_drift
 
 
 def step_matrix_is_stable(r):
@@ -171,17 +174,24 @@ def step_matrix_is_stable(r):
 
 
 class StepMatrix(dict):
-    """A stroke's step matrix R, whether it passes step_matrix_is_stable, and
-    its powers: step_matrix[gap] is R^gap, built at its first use."""
+    """A stroke's step matrix R at step dt, whether it passes
+    step_matrix_is_stable, and its powers: step_matrix[gap] is R^gap, built
+    at its first use."""
 
     def __init__(self, gamma, boltz_factor, n_levels, dt):
+        self.dt = float(dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.r = rk4_step_matrix(*rate_coefficients(gamma, boltz_factor, n_levels), float(dt))
+            self.r = rk4_step_matrix(*rate_coefficients(gamma, boltz_factor, n_levels), self.dt)
         self.stable = step_matrix_is_stable(self.r)
 
     def __missing__(self, gap):
         jump = self[gap] = np.linalg.matrix_power(self.r, gap)
         return jump
+
+
+def default_stride(n_steps):
+    """The stride of about 64 samples per stroke."""
+    return max(1, n_steps // 64)
 
 
 def sample_count(n_steps, stride):
@@ -194,26 +204,32 @@ def sample_steps(n_steps, stride):
     return np.append(np.arange(0, n_steps, stride, dtype=np.int64), n_steps)
 
 
-def evolve_populations(p0, step_matrix, n_steps, stride, rerun=True):
+def evolve_populations(p0, step_matrix, n_steps, stride):
     """Step the population vector n_steps times with the stroke's StepMatrix,
     recording every stride-th state.
 
-    Returns (status, bad_step, max_drift, samples): samples has sample_count
-    rows (initial state first, final state last) and max_drift is the largest
-    |sum - 1| seen at a guard before renormalization (per sample on the
-    sample-to-sample path, per step on the stepwise fallback).  On
-    STATUS_TOO_LONG, bad_step is the step of the sample that tripped.
-
-    With rerun=False, a guard that trips on a sample returns its status at once.
+    Returns (samples, max_drift): samples has sample_count rows (initial
+    state first, final state last); max_drift is the largest |sum - 1| a
+    guard saw before renormalizing, per sample or, stepwise, per step.  A
+    trip the ladder (see the module docstring) does not recover raises
+    IntegrationError.
     """
     out = np.empty((sample_count(n_steps, stride), len(p0)))
     if step_matrix.stable:
-        status, bad_step, max_drift = _evolve_sampled(p0, step_matrix, n_steps, stride, out)
-        if status == STATUS_OK or not rerun:
-            return status, bad_step, max_drift, out
+        trip, bad_step, max_drift = _evolve_sampled(p0, step_matrix, n_steps, stride, out)
+        if not trip:
+            return out, max_drift
+        if stride >= n_steps > default_stride(n_steps):  # ends only: the default stride first
+            samples, max_drift = evolve_populations(p0, step_matrix, n_steps, default_stride(n_steps))
+            return samples[[0, -1]], max_drift
         if n_steps > MAX_STEPWISE_STEPS:
-            return STATUS_TOO_LONG, bad_step, max_drift, out
-    # an unstable step matrix, or a guard tripped on a sample: the stepwise
-    # loop decides, and names the first bad step
-    status, bad_step, max_drift = _evolve_stepwise(p0, step_matrix.r, n_steps, stride, out)
-    return status, bad_step, max_drift, out
+            raise IntegrationError(
+                f"a guard tripped at step {bad_step:.4g} (drift {max_drift:.3g}, limit {DRIFT_TOL:.0e}) "
+                f"of a stroke of {n_steps:.4g} steps (dt={step_matrix.dt:.3e}), too many "
+                f"to rerun step by step (limit {MAX_STEPWISE_STEPS}); reduce gamma0 * tau or set dt"
+            )
+    # an unstable step matrix, or a tripped sample: the stepwise loop decides
+    trip, bad_step, max_drift = _evolve_stepwise(p0, step_matrix.r, n_steps, stride, out)
+    if trip:
+        raise IntegrationError(trip.format(step=bad_step, dt=step_matrix.dt))
+    return out, max_drift

@@ -137,7 +137,7 @@ class BathStroke:
     def _stride(self, sample_stride):
         """sample_stride, or the default of about 64 samples per stroke."""
         if sample_stride is None:
-            return max(1, self.n_steps // 64)
+            return _kernels.default_stride(self.n_steps)
         if sample_stride < 1:
             raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
         return sample_stride
@@ -146,50 +146,30 @@ class BathStroke:
         """Rows of the stroke's trajectory at sample_stride, both ends included."""
         return _kernels.sample_count(self.n_steps, self._stride(sample_stride))
 
-    def _propagate(self, dist, stride, rerun=True):
+    def _probs(self, dist):
+        """dist's populations, which must lie on the stroke's levels."""
         if dist.n_max + 1 != self.n_levels:
             raise OttoKilnError(f"a stroke on {self.n_levels} levels cannot run {dist.n_max + 1} levels")
-        return _kernels.evolve_populations(dist.probs, self.step_matrix, self.n_steps, stride, rerun)
+        return dist.probs
 
     def trajectory(self, dist, sample_stride=None, tail_tolerance=TAIL_TOLERANCE):
         """The stroke from dist, sampled every sample_stride steps (default:
         about 64 samples).  Returns a Trajectory whose first/last samples are
         the initial and final states."""
-        n_steps, step = self.n_steps, self.step
         sample_stride = self._stride(sample_stride)
-
-        status, bad_step, max_drift, samples = self._propagate(dist, sample_stride)
-        if status == _kernels.STATUS_DRIFT:
-            raise IntegrationError(
-                f"probability sum drifted beyond {_kernels.DRIFT_TOL:.0e} at step {bad_step} "
-                f"(dt={step:.3e}); reduce the time step"
-            )
-        if status == _kernels.STATUS_TOO_LONG:
-            raise IntegrationError(
-                f"a guard tripped at step {bad_step:.4g} (drift {max_drift:.3g}, limit "
-                f"{_kernels.DRIFT_TOL:.0e}) of a stroke of {n_steps:.4g} steps (dt={step:.3e}), too many "
-                f"to rerun step by step (limit {_kernels.MAX_STEPWISE_STEPS}); reduce gamma0 * tau or set dt"
-            )
-        if status == _kernels.STATUS_NEGATIVE:
-            raise IntegrationError(
-                f"probability below -{_kernels.NEG_FLOOR:.0e} at step {bad_step} "
-                f"(dt={step:.3e}); the step size is unstable"
-            )
-
-        times = _kernels.sample_steps(n_steps, sample_stride) * step
+        samples, max_drift = _kernels.evolve_populations(self._probs(dist), self.step_matrix, self.n_steps,
+                                                         sample_stride)
+        times = _kernels.sample_steps(self.n_steps, sample_stride) * self.step
         traj = Trajectory(times=times, probs=samples, sample_stride=sample_stride, max_drift=max_drift)
         traj.final.require_tail(tail_tolerance)
         return traj
 
     def end_state(self, dist, tail_tolerance=TAIL_TOLERANCE):
         """(final state, max_drift) of the stroke from dist, by one jump
-        R^n_steps.  Where a guard trips, the stroke's default-stride
-        trajectory runs it instead (then step by step): it raises the error
-        that trajectory raises, or returns the state it reaches."""
-        status, _, max_drift, samples = self._propagate(dist, self.n_steps, rerun=False)
-        if status != _kernels.STATUS_OK:
-            traj = self.trajectory(dist, None, tail_tolerance)
-            return traj.final, traj.max_drift
+        R^n_steps: its trajectory recorded at its two ends, whose guard
+        ladder (see _kernels) reruns a tripped jump at the default stride."""
+        samples, max_drift = _kernels.evolve_populations(self._probs(dist), self.step_matrix, self.n_steps,
+                                                         self.n_steps)
         return FockDistribution(samples[-1]).require_tail(tail_tolerance), max_drift
 
 

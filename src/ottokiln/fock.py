@@ -126,6 +126,9 @@ def make_distribution(spec, n_max=DEFAULT_N_MAX, tail_tolerance=TAIL_TOLERANCE):
     elif spec.kind == "gaussian":
         if spec.center >= n_max:
             raise UnderTruncationError(f"gaussian center {spec.center} must lie below n_max={n_max}")
+        if not (0 < spec.omega_ref < np.inf and 0 < spec.temperature_ref < np.inf):
+            raise OttoKilnError("a gaussian needs a positive, finite reference frequency and temperature; "
+                                "build it with InitialStateSpec.gaussian(center, omega_ref, temperature_ref)")
         x = (np.arange(n) - spec.center) * min(spec.omega_ref / spec.temperature_ref, 28.0)  # exp(-28 ** 2) is 0
         probs = np.exp(-x * x)
     elif spec.kind == "boltzmann":

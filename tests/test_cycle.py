@@ -413,7 +413,7 @@ def _tripped_jump(original):
     reported as a drift trip."""
     def sampled(p, step_matrix, n_steps, stride, out):
         if stride >= n_steps:
-            return _kernels.STATUS_DRIFT, n_steps, 1.0
+            return _kernels._DRIFT, n_steps, 1.0
         return original(p, step_matrix, n_steps, stride, out)
     return sampled
 
@@ -437,9 +437,10 @@ def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broke
         assert len(runs) == 2 * 2 * 3
         assert all(stride == n_steps for n_steps, stride in runs[::2])
         assert all(stride == max(1, n_steps // 64) for n_steps, stride in runs[1::2])
-        assert len(stepped) == 2 * 3 and stepwise == []
+        assert stepwise == []
     else:  # the ledger-only call steps one step at a time, as the traced stroke does
-        assert sampled == [] and len(stepwise) == 2 * 3 and stepped == []
+        assert sampled == [] and len(stepwise) == 2 * 3
+    assert stepped == []  # the kernel reruns the stroke, not its trajectory
     # the ledger-only stroke takes the traced stroke's path: equal bit for bit
     assert_same_ledgers(traced, ledger, 0.0)
 
@@ -449,17 +450,25 @@ def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_default_stride():
     # R^n_steps drifts 1.4e-10, beyond DRIFT_TOL, while the 64 jumps of the
     # default stride drift 2.3e-12.  The stroke is too long to rerun step by
     # step, so without the rerun at the default stride the run would end in
-    # STATUS_TOO_LONG.
+    # the too-long error.
     config = replace(EngineConfig(), gamma0=50.0, tau=20.0, n_cycles=2)
     dist = make_distribution(InitialStateSpec.ground(), 50)
     hot = BathStroke(RateParams(1.5, 1.2, 50.0), 20.0, 51)
     assert hot.n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
-    jumped = _kernels.evolve_populations(dist.probs, hot.step_matrix, hot.n_steps, hot.n_steps)
-    assert jumped[0] == _kernels.STATUS_TOO_LONG
+    out = np.empty((2, 51))
+    jumped = _kernels._evolve_sampled(dist.probs, hot.step_matrix, hot.n_steps, hot.n_steps, out)
+    assert jumped[:2] == (_kernels._DRIFT, hot.n_steps) and jumped[2] > _kernels.DRIFT_TOL
+    with pytest.raises(IntegrationError, match=r"^a guard tripped at step 2\.859e\+06 \(drift 1\.44e-10, limit "
+                                               r"1e-10\) of a stroke of 2\.859e\+06 steps .* too many to rerun"):
+        _kernels.evolve_populations(dist.probs, hot.step_matrix, hot.n_steps, hot.n_steps - 1)
     traced = run_cycles(dist, config)
     ledger = run_cycles(dist, config, ledger_only=True)
     assert_same_ledgers(traced, ledger, 0.0)
     assert ledger.max_step_drift == traced.max_step_drift <= _kernels.DRIFT_TOL
+    # traced at its two ends only, the run books the ledger-only records
+    ends_only = run_cycles(dist, replace(config, sample_stride=10**9))
+    assert_same_ledgers(ledger, ends_only, 0.0)
+    assert ends_only.max_step_drift == ledger.max_step_drift
 
 
 def test_ledger_only_run_reads_no_sample_stride_where_every_jump_trips(monkeypatch):
@@ -471,6 +480,22 @@ def test_ledger_only_run_reads_no_sample_stride_where_every_jump_trips(monkeypat
                             ledger_only=True)
         assert_same_ledgers(traced, ledger, 0.0)
         assert ledger.max_step_drift == traced.max_step_drift
+
+
+@pytest.mark.parametrize("mode", ["otto", "pump"])
+def test_traced_run_at_an_ends_only_stride_books_the_ledger_only_records_where_jumps_trip(monkeypatch, mode):
+    # a traced stroke recorded at its two ends only takes the ledger-only
+    # stroke's rung where its jump trips: the default stride, its last sample
+    config = ledger_config(mode, 1.0, 3)
+    dist = make_distribution(InitialStateSpec.equal_lowest(3), 50)
+    monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
+    propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
+    ledger = run_cycles(dist, config, ledger_only=True)
+    longest = max(args[2] for args in propagated)  # the longest stroke's n_steps
+    for sample_stride in (longest, 10**9):
+        traced = run_cycles(dist, replace(config, sample_stride=sample_stride))
+        assert_same_ledgers(ledger, traced, 0.0)
+        assert traced.max_step_drift == ledger.max_step_drift
 
 
 @pytest.mark.parametrize("mode", ["otto", "pump"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ottokiln import (
+    EngineConfig,
     FockDistribution,
     InitialStateSpec,
     OttoKilnError,
@@ -13,6 +14,7 @@ from ottokiln import (
     internal_energy,
     make_distribution,
     mean_occupation,
+    run_engine,
     total_variation,
 )
 
@@ -157,3 +159,14 @@ def test_invalid_spec_parameters_rejected():
         InitialStateSpec.boltzmann(np.inf, 0.4)
     with pytest.raises(OttoKilnError):
         InitialStateSpec.gaussian(2, 1.5, np.inf)
+
+
+@pytest.mark.parametrize("field", ["initial_state", "pump_target"])
+def test_gaussian_without_a_reference_is_refused_with_its_builder(field):
+    # the form the config parser builds before it fills in omega_h and t_h
+    bare = InitialStateSpec(kind="gaussian", center=2)
+    text = re.escape("build it with InitialStateSpec.gaussian(center, omega_ref, temperature_ref)")
+    with pytest.raises(OttoKilnError, match=text):
+        make_distribution(bare, 50)
+    with pytest.raises(OttoKilnError, match=text):
+        run_engine(EngineConfig(mode="pump", n_cycles=1, **{field: bare}))

@@ -74,6 +74,9 @@ EDGE_RUNS = [
     ("edge-relaxation-time", "pump", [], "relaxation_time = 2\nn_cycles = 3\n"),
     # ledger-only strokes whose one jump trips the drift guard rerun at the default stride, not at sample_stride
     ("edge-finite-retry-every-step", "sweep", [], RETRY_EVERY_STEP),
+    # traced strokes recorded at their two ends only take the same rung where their one jump trips
+    ("edge-simulate-ends-only-retry", "simulate", [],
+     "gamma0 = 50\ntau = 20\nsample_stride = 1000000000\nn_cycles = 2\n"),
     # states whose omega/T overflows: the limit distribution, without numpy warnings
     ("edge-infinite-ratio-states", "pump", [],
      "initial_state = boltzmann:1e300:1e-300\npump_target = gaussian:2:1e300:1e-300\nn_cycles = 2\n"),
