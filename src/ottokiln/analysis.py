@@ -2,13 +2,13 @@
 
 The efficiency-power sweep walks the frequency ratio omega_c/omega_h at
 fixed bath temperatures and returns a Sweep: one numpy column per field,
-rows sorted by (t_h, ratio).  In the default "balance" mode each point
-assumes complete thermalization on both isochores, where the ledger is
-available in closed form; the whole grid is evaluated at once, bit for bit
-equal to the scalar oracle analytic_cycle_thermal_balance, which stays the
-cross-check and raises the error of the first invalid point.  The "finite"
-mode runs the stepped engine per point instead, ledger only (no samples, one
-map per bath stroke), and flags non-converged runs.
+rows sorted by (t_h, ratio).  A balance sweep (no engine config) assumes
+complete thermalization on both isochores, where the ledger is available in
+closed form; the whole grid is evaluated at once, bit for bit equal to the
+scalar oracle analytic_cycle_thermal_balance, which stays the cross-check
+and raises the error of the first invalid point.  A finite sweep, given an
+engine config, runs the stepped engine per point instead, ledger only (no
+samples, one map per bath stroke), and flags non-converged runs.
 """
 
 import math
@@ -162,22 +162,18 @@ def _balance_columns(omega_c, t_c, t_h, ratio, tau):
 
 
 def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1.0,
-                           mode="balance", engine_config=None, ratio_steps=99):
+                           engine_config=None, ratio_steps=99):
     """Efficiency and power per (t_h, ratio) point, as a Sweep.
 
     ratio_grid=None uses the default grid of ratio_steps points per hot
     temperature.  Power is w_eff over the four-stroke cycle time 4*tau.
-    "balance" mode evaluates the closed-form ledger over the whole grid at
-    once.  In "finite" mode the engine template engine_config is rerun per
-    point, in input order (its omega_c/omega_h, t_c/t_h are overridden), and
-    points whose final cycle-start shift is not below the cyclostationarity
-    threshold (EngineTrace.converged) are flagged converged=False.
+    Without engine_config the sweep is in balance: the closed-form ledger
+    over the whole grid at once.  Given an EngineConfig, the sweep is finite:
+    it is rerun per point, in input order, as an otto run (omega_c/omega_h,
+    t_c/t_h and tau overridden), and points whose final cycle-start shift is
+    not below the cyclostationarity threshold (EngineTrace.converged) are
+    flagged converged=False.
     """
-    if mode not in ("balance", "finite"):
-        raise OttoKilnError(f"unknown sweep mode {mode!r}")
-    if mode == "finite" and engine_config is None:
-        raise OttoKilnError("finite-time sweep needs an engine_config template")
-
     t_h_parts, ratio_parts = [np.zeros(0)], [np.zeros(0)]
     for t_h in t_h_list:
         if not t_h > t_c:
@@ -186,7 +182,7 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
         ratio_parts.append(grid)
         t_h_parts.append(np.full(grid.shape, float(t_h)))
     t_h, ratio = np.concatenate(t_h_parts), np.concatenate(ratio_parts)
-    if mode == "balance":
+    if engine_config is None:
         return Sweep.sorted(t_h, ratio, *_balance_columns(omega_c, t_c, t_h, ratio, tau))
 
     efficiency, power, converged = [], [], []

@@ -111,14 +111,14 @@ def _run_simulation(args, mode):
 
 def _run_sweep(args):
     config = _load(args, "sweep")
-    if config.sweep_ratio_min is not None:  # validate() pairs the bounds
+    if config.sweep_ratio_min is not None:  # EngineConfig pairs the bounds
         ratios = np.linspace(config.sweep_ratio_min, config.sweep_ratio_max,
                              config.sweep_ratio_steps)
     else:
         ratios = None
     sweep = sweep_efficiency_power(
         config.t_c, config.sweep_t_h, ratios, config.tau,
-        omega_c=config.omega_c, mode=config.sweep_mode, engine_config=config,
+        omega_c=config.omega_c, engine_config=config if config.sweep_mode == "finite" else None,
         ratio_steps=config.sweep_ratio_steps,
     )
     out = args.out
@@ -130,7 +130,7 @@ def _run_sweep(args):
             _, starts = np.unique(sweep.t_h, return_index=True)
             for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(sweep)]):
                 rows = slice(lo, hi)
-                t_h = text["t_h"][lo]  # %.12g: validate() keeps the t_h distinct at that precision
+                t_h = text["t_h"][lo]  # %.12g: EngineConfig keeps the t_h distinct at that precision
                 tag = t_h.replace(".", "p")
                 write_dat(out / f"eta_power_th{tag}.dat", text, ["power", "efficiency"], rows)
                 write_svg_chart(out / f"eta_power_th{tag}.svg", sweep.power[rows], sweep.efficiency[rows],

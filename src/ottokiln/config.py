@@ -56,7 +56,7 @@ class EngineConfig:
     csv_levels: int = 8
     tail_tolerance: float = TAIL_TOLERANCE
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         positives = [
@@ -123,7 +123,6 @@ class EngineConfig:
             raise ConfigError("sweep_ratio_min and sweep_ratio_max must be set together")
         if lo is not None and not lo < hi:
             raise ConfigError(f"sweep_ratio_min must be below sweep_ratio_max, got {lo} >= {hi}")
-        return self
 
 
 # Every EngineConfig field is a key of the same name and type; relaxation_time
@@ -144,26 +143,15 @@ def _parse_state_spec(key, raw, line):
             return InitialStateSpec.equal_lowest(int(parts[1]))
         if kind == "boltzmann" and len(parts) == 3:
             return InitialStateSpec.boltzmann(float(parts[1]), float(parts[2]))
-        if kind == "gaussian" and len(parts) in (1, 2, 4):
-            center = int(parts[1]) if len(parts) >= 2 else 2
-            if len(parts) == 4:
-                return InitialStateSpec.gaussian(center, float(parts[2]), float(parts[3]))
-            if center < 0:
-                raise OttoKilnError(f"gaussian center must be >= 0, got {center}")
-            # reference frequency/temperature filled in from omega_h/t_h once validated
-            return InitialStateSpec(kind="gaussian", center=center)
+        if kind == "gaussian" and len(parts) in (1, 2, 4):  # without references, parse_config resolves it
+            references = map(float, parts[2:]) if len(parts) == 4 else (None, None)
+            return InitialStateSpec.gaussian(int(parts[1]) if len(parts) >= 2 else 2, *references)
     except (ValueError, OttoKilnError) as exc:
         raise ConfigError(f"{key}: invalid state spec {raw!r} ({exc})", line) from exc
     raise ConfigError(
         f"{key}: unknown state spec {raw!r}; expected ground, level:N, equal_lowest:K, "
         "boltzmann:OMEGA:T or gaussian[:CENTER[:OMEGA_REF:T_REF]]", line,
     )
-
-
-def _resolve_gaussian(spec, omega_h, t_h):
-    if spec.kind == "gaussian" and spec.omega_ref == 0.0:
-        return InitialStateSpec.gaussian(spec.center, omega_h, t_h)
-    return spec
 
 
 def _convert(key, raw, line):
@@ -235,12 +223,13 @@ def parse_config(text, mode_override=None):
             )
         kwargs["mode"] = mode_override
 
-    config = EngineConfig(**kwargs).validate()
-    return replace(
-        config,
-        initial_state=_resolve_gaussian(config.initial_state, config.omega_h, config.t_h),
-        pump_target=_resolve_gaussian(config.pump_target, config.omega_h, config.t_h),
-    )
+    config = EngineConfig(**kwargs)
+    resolved = {}  # an unresolved gaussian takes omega_h and t_h as its references, once they are validated
+    for name in ("initial_state", "pump_target"):
+        spec = getattr(config, name)
+        if spec.kind == "gaussian" and spec.omega_ref is None:
+            resolved[name] = replace(spec, omega_ref=config.omega_h, temperature_ref=config.t_h)
+    return replace(config, **resolved) if resolved else config
 
 
 def load_config(path, mode_override=None):

@@ -220,7 +220,6 @@ def run_cycles(dist, config, ledger_only=False):
     cycle repeat the predecessor bit for bit, so they are booked as copies
     of it instead of being run (trace.repeat_from is the first copy's index).
     """
-    config.validate()
     kind, omega_c, omega_h = config.mode, config.omega_c, config.omega_h
     if kind not in ("otto", "pump"):
         raise OttoKilnError(f"run_cycles handles otto and pump modes, not {kind!r}")
@@ -289,6 +288,5 @@ def _book_repeats(trace, first, cycle_count):
 def run_engine(config, ledger_only=False):
     """Run config.n_cycles cycles of the config's mode from its initial state
     (run_cycles from the start distribution, ledger_only as there)."""
-    config.validate()  # before the start distribution, which reads n_max and tail_tolerance
     dist = make_distribution(config.initial_state, config.n_max, config.tail_tolerance)
     return run_cycles(dist, config, ledger_only)

@@ -62,17 +62,36 @@ class InitialStateSpec:
     Kinds: "ground", "level" (single level n), "equal_lowest" (uniform on the
     k lowest levels), "gaussian" (populations ~ exp(-[(n - center) * omega_ref
     / temperature_ref]^2)), "boltzmann" (thermal at the given frequency and
-    temperature).
+    temperature).  Building a spec (dataclasses.replace too) checks its kind
+    and the fields that kind reads, raising OttoKilnError.  A gaussian whose
+    references are both None is unresolved: parse_config fills in omega_h and
+    t_h, and make_distribution refuses it.
     """
 
     kind: str
     level: int = 0
     count: int = 0
     center: int = 0
-    omega_ref: float = 0.0
-    temperature_ref: float = 0.0
+    omega_ref: float = None
+    temperature_ref: float = None
     omega: float = 0.0
     temperature: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("ground", "level", "equal_lowest", "gaussian", "boltzmann"):
+            raise OttoKilnError(f"unknown initial-state kind {self.kind!r}")
+        if self.kind == "level" and self.level < 0:
+            raise OttoKilnError(f"level must be >= 0, got {self.level}")
+        if self.kind == "equal_lowest" and self.count < 1:
+            raise OttoKilnError(f"equal_lowest needs at least one level, got {self.count}")
+        if self.kind == "gaussian":
+            if self.center < 0:
+                raise OttoKilnError(f"gaussian center must be >= 0, got {self.center}")
+            refs = (self.omega_ref, self.temperature_ref)
+            if refs != (None, None) and not _positive_finite(*refs):
+                raise OttoKilnError("gaussian reference frequency and temperature must be positive and finite")
+        if self.kind == "boltzmann" and not _positive_finite(self.omega, self.temperature):
+            raise OttoKilnError("boltzmann frequency and temperature must be positive and finite")
 
     @classmethod
     def ground(cls):
@@ -80,29 +99,23 @@ class InitialStateSpec:
 
     @classmethod
     def single_level(cls, level):
-        if level < 0:
-            raise OttoKilnError(f"level must be >= 0, got {level}")
         return cls(kind="level", level=level)
 
     @classmethod
     def equal_lowest(cls, count):
-        if count < 1:
-            raise OttoKilnError(f"equal_lowest needs at least one level, got {count}")
         return cls(kind="equal_lowest", count=count)
 
     @classmethod
     def gaussian(cls, center, omega_ref, temperature_ref):
-        if center < 0:
-            raise OttoKilnError(f"gaussian center must be >= 0, got {center}")
-        if not (0 < omega_ref < np.inf and 0 < temperature_ref < np.inf):
-            raise OttoKilnError("gaussian reference frequency and temperature must be positive and finite")
         return cls(kind="gaussian", center=center, omega_ref=omega_ref, temperature_ref=temperature_ref)
 
     @classmethod
     def boltzmann(cls, omega, temperature):
-        if not (0 < omega < np.inf and 0 < temperature < np.inf):
-            raise OttoKilnError("boltzmann frequency and temperature must be positive and finite")
         return cls(kind="boltzmann", omega=omega, temperature=temperature)
+
+
+def _positive_finite(*values):
+    return all(value is not None and 0 < value < np.inf for value in values)
 
 
 def make_distribution(spec, n_max=DEFAULT_N_MAX, tail_tolerance=TAIL_TOLERANCE):
@@ -126,15 +139,13 @@ def make_distribution(spec, n_max=DEFAULT_N_MAX, tail_tolerance=TAIL_TOLERANCE):
     elif spec.kind == "gaussian":
         if spec.center >= n_max:
             raise UnderTruncationError(f"gaussian center {spec.center} must lie below n_max={n_max}")
-        if not (0 < spec.omega_ref < np.inf and 0 < spec.temperature_ref < np.inf):
+        if spec.omega_ref is None:
             raise OttoKilnError("a gaussian needs a positive, finite reference frequency and temperature; "
                                 "build it with InitialStateSpec.gaussian(center, omega_ref, temperature_ref)")
         x = (np.arange(n) - spec.center) * min(spec.omega_ref / spec.temperature_ref, 28.0)  # exp(-28 ** 2) is 0
         probs = np.exp(-x * x)
-    elif spec.kind == "boltzmann":
+    else:  # boltzmann
         probs = np.exp(-min(spec.omega / spec.temperature, 746.0) * np.arange(n))  # exp(-746 n) is 0 for n >= 1
-    else:
-        raise OttoKilnError(f"unknown initial-state kind {spec.kind!r}")
     probs /= probs.sum()
     dist = FockDistribution(probs)
     dist.require_tail(tail_tolerance)

@@ -2,7 +2,8 @@
 
 Everything here is derivable with pencil and paper (geometric sums) or with
 a textbook matrix exponential, deliberately sharing no code path with the
-stepped integrator it validates.
+stepped integrator it validates: rate_generator writes the generator out
+from bath's rate equation instead of taking it from _kernels.
 """
 
 import math
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import generator_matrix, rate_coefficients
 from .exceptions import OttoKilnError, RefrigeratorRegimeError
 from .bath import bose_einstein
 from .fock import FockDistribution
@@ -107,9 +107,14 @@ def analytic_cycle_thermal_balance(omega_c, omega_h, t_c, t_h):
 
 
 def rate_generator(params, n_max):
-    """Dense generator of the rate equation on levels 0..n_max."""
-    down, up = rate_coefficients(params.gamma, params.boltz_factor, n_max + 1)
-    return generator_matrix(down, up)
+    """Dense generator G of the rate equation on levels 0..n_max: column n
+    holds the rates out of level n, down 2 gamma n and up 2 gamma b (n + 1)
+    (zero from the top level), and -(down + up) on the diagonal."""
+    levels = np.arange(n_max + 1, dtype=np.float64)
+    down = 2.0 * params.gamma * levels
+    up = 2.0 * params.gamma * params.boltz_factor * (levels + 1.0)
+    up[-1] = 0.0
+    return np.diag(-(down + up)) + np.diag(down[1:], 1) + np.diag(up[:-1], -1)
 
 
 def _norm1(matrix):

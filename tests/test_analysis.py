@@ -134,18 +134,12 @@ def test_sweep_points_sorted_deterministically():
 
 def test_finite_time_sweep_runs_the_engine():
     template = replace(EngineConfig(), n_cycles=12, n_max=40)
-    points = sweep_efficiency_power(0.4, [1.2], ratio_grid=[0.5, 2.0 / 3.0], tau=1.0,
-                                    mode="finite", engine_config=template)
+    points = sweep_efficiency_power(0.4, [1.2], ratio_grid=[0.5, 2.0 / 3.0], tau=1.0, engine_config=template)
     assert len(points) == 2
     for point in points:
         assert point.converged
         assert point.efficiency == pytest.approx(1.0 - point.ratio, abs=1e-3)
         assert point.power > 0.0
-
-
-def test_finite_time_sweep_requires_template():
-    with pytest.raises(OttoKilnError):
-        sweep_efficiency_power(0.4, [1.2], mode="finite")
 
 
 def test_sweep_rejects_invalid_temperatures_and_ratios():

@@ -193,9 +193,11 @@ def test_missing_value_and_missing_equals_sign():
 
 
 def test_validate_catches_bad_defaults_combinations():
-    config = EngineConfig(n_cycles=-1)
+    # an EngineConfig checks itself where it is built, replace() included
     with pytest.raises(ConfigError, match="n_cycles"):
-        config.validate()
+        EngineConfig(n_cycles=-1)
+    with pytest.raises(ConfigError, match="n_cycles"):
+        replace(EngineConfig(), n_cycles=-1)
 
 
 def test_finite_sweep_needs_a_cycle():
@@ -209,27 +211,27 @@ def test_finite_sweep_needs_a_cycle():
 
 def test_n_max_above_the_dense_matrix_bound_rejected():
     # validation only: nothing is allocated for the rejected ladder
-    assert EngineConfig(n_max=MAX_N_MAX).validate().n_max == MAX_N_MAX
+    assert EngineConfig(n_max=MAX_N_MAX).n_max == MAX_N_MAX
     with pytest.raises(ConfigError, match=r"n_max must be <= 1000, got 50000: .* 50001 levels "
                                           r"would need 20,001 MB"):
         parse_config("n_max = 50000\n")
     with pytest.raises(ConfigError, match=r"got 1001: .* would need 8 MB"):
-        EngineConfig(n_max=MAX_N_MAX + 1).validate()
+        EngineConfig(n_max=MAX_N_MAX + 1)
 
 
 def test_omega_h_whose_top_level_energy_overflows_rejected():
-    assert EngineConfig(omega_h=1.7e308 / 51).validate().omega_h == 1.7e308 / 51
+    assert EngineConfig(omega_h=1.7e308 / 51).omega_h == 1.7e308 / 51
     with pytest.raises(ConfigError, match=r"omega_h \* \(n_max \+ 1\) must be finite, got 1e\+307 \* 51"):
-        EngineConfig(omega_h=1e307).validate()
+        EngineConfig(omega_h=1e307)
 
 
 def test_sweep_points_above_the_memory_bound_rejected():
     # validation only: no ratio grid is built for the rejected sweep
-    config = EngineConfig(sweep_t_h=(1.2,), sweep_ratio_steps=MAX_SWEEP_POINTS).validate()
+    config = EngineConfig(sweep_t_h=(1.2,), sweep_ratio_steps=MAX_SWEEP_POINTS)
     assert config.sweep_ratio_steps == MAX_SWEEP_POINTS
     with pytest.raises(ConfigError, match=r"at most 1,000,000 points, got 1,000,002 \(500,001 ratios "
                                           r"x 2 hot temperatures\): it would need about 230 MB"):
-        EngineConfig(sweep_t_h=(1.2, 1.6), sweep_ratio_steps=500_001).validate()
+        EngineConfig(sweep_t_h=(1.2, 1.6), sweep_ratio_steps=500_001)
     with pytest.raises(ConfigError, match=r"got 40,000,000,000,000 .* about 9,200,000,000 MB"):
         parse_config("sweep_ratio_steps = 10000000000000\n")
 
@@ -290,6 +292,6 @@ def test_any_document_gives_a_validated_config_or_a_config_error(entries):
         config = parse_config(text)
     except ConfigError:
         return
-    assert config.validate() is config
+    assert replace(config) == config  # the parsed config passes its own construction check
     for spec in (config.initial_state, config.pump_target):
         assert spec.kind != "gaussian" or spec.omega_ref > 0

@@ -514,12 +514,11 @@ def test_stiff_ledger_only_run_at_every_step_reruns_at_most_64_jumps(monkeypatch
 
 
 def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):
-    config = replace(EngineConfig(), n_cycles=3).validate()
+    config = replace(EngineConfig(), n_cycles=3)
     stepped = count_calls(monkeypatch, BathStroke, "trajectory")
     ended = count_calls(monkeypatch, BathStroke, "end_state")
     built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
-    sweep = sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau,
-                                   mode="finite", engine_config=config)
+    sweep = sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau, engine_config=config)
     assert len(sweep) == 4
     assert stepped == [] and len(ended) == 2 * 3 * 4 and len(built) == 2 * 4
 
@@ -536,13 +535,12 @@ def test_run_builds_one_distribution_per_stroke_end(monkeypatch, ledger_only):
 
 def test_unstable_dt_ends_the_finite_sweep_with_the_simulate_error():
     # at dt = 0.03 the stepwise loop names step 55 as the first negative one
-    config = replace(EngineConfig(), dt=0.03).validate()
+    config = replace(EngineConfig(), dt=0.03)
     ratio = config.omega_c / config.omega_h
     with pytest.raises(IntegrationError) as simulated:
         run_engine(replace(config, omega_h=config.omega_c / ratio))
     with pytest.raises(IntegrationError) as swept:
-        sweep_efficiency_power(config.t_c, [config.t_h], [ratio], config.tau,
-                               mode="finite", engine_config=config)
+        sweep_efficiency_power(config.t_c, [config.t_h], [ratio], config.tau, engine_config=config)
     assert str(swept.value) == str(simulated.value)
     assert "at step 55 " in str(swept.value)
 

@@ -1,8 +1,11 @@
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ottokiln import (
     EngineConfig,
@@ -170,3 +173,71 @@ def test_gaussian_without_a_reference_is_refused_with_its_builder(field):
         make_distribution(bare, 50)
     with pytest.raises(OttoKilnError, match=text):
         run_engine(EngineConfig(mode="pump", n_cycles=1, **{field: bare}))
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: InitialStateSpec(kind="boltzmann"), "boltzmann frequency and temperature must be positive and finite"),
+    (lambda: InitialStateSpec(kind="equal_lowest"), "equal_lowest needs at least one level, got 0"),
+    (lambda: InitialStateSpec(kind="level", level=-3), "level must be >= 0, got -3"),
+    (lambda: replace(InitialStateSpec.single_level(2), level=-1), "level must be >= 0, got -1"),
+    (lambda: InitialStateSpec.gaussian(2, 0.0, 0.0),
+     "gaussian reference frequency and temperature must be positive and finite"),
+    (lambda: InitialStateSpec(kind="gaussian", center=-1), "gaussian center must be >= 0, got -1"),
+    (lambda: InitialStateSpec(kind="thermal"), "unknown initial-state kind 'thermal'"),
+])
+def test_a_bad_recipe_is_refused_where_it_is_built(build, text):
+    with pytest.raises(OttoKilnError, match=f"^{re.escape(text)}$"):
+        build()
+
+
+kinds = st.sampled_from(["ground", "level", "equal_lowest", "gaussian", "boltzmann", "bogus"])
+indices = st.integers(min_value=-3, max_value=60)
+reals = st.sampled_from([0.0, -1.0, 1e-300, 1.5, 1e300, math.inf, math.nan])
+FIELD_VALUES = {"level": indices, "count": indices, "center": indices, "omega_ref": reals,
+                "temperature_ref": reals, "omega": reals, "temperature": reals}
+some_fields = st.fixed_dictionaries({}, optional=FIELD_VALUES)
+some_fields_or_kind = st.fixed_dictionaries({}, optional={"kind": kinds, **FIELD_VALUES})
+BUILDERS = {
+    InitialStateSpec.ground: (),
+    InitialStateSpec.single_level: (indices,),
+    InitialStateSpec.equal_lowest: (indices,),
+    InitialStateSpec.gaussian: (indices, reals, reals),
+    InitialStateSpec.boltzmann: (reals, reals),
+}
+
+
+def built_directly(kind, changes):
+    return InitialStateSpec(kind=kind, **changes)
+
+
+def replaced(builder, args, changes):
+    return replace(builder(*args), **changes)
+
+
+# (function, its arguments): a spec built from the kind and some fields, or
+# a builder's spec with some fields (the kind too) replaced
+recipes = st.one_of(
+    st.tuples(st.just(built_directly), st.tuples(kinds, some_fields)),
+    *(st.tuples(st.just(replaced), st.tuples(st.just(builder), st.tuples(*args), some_fields_or_kind))
+      for builder, args in BUILDERS.items()),
+)
+
+
+@given(recipes)
+def test_a_recipe_is_refused_where_it_is_built_or_makes_its_distribution(recipe):
+    # no spec that exists means another start: it makes its distribution or
+    # refuses the ladder, and raises nothing but an OttoKilnError
+    build, args = recipe
+    try:
+        spec = build(*args)
+    except OttoKilnError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dist = make_distribution(spec, 50, tail_tolerance=1.0)
+        except OttoKilnError:
+            return
+    assert isinstance(dist, FockDistribution)
+    if spec.kind == "level":
+        assert np.flatnonzero(dist.probs).tolist() == [spec.level]

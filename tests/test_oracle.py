@@ -18,7 +18,7 @@ from ottokiln import (
     stationary_distribution,
     total_variation,
 )
-from ottokiln import oracle
+from ottokiln import _kernels, oracle
 from conftest import random_distribution
 
 # closed-form values, cross-checked by direct summation over 200 levels
@@ -116,6 +116,15 @@ def test_generator_columns_sum_to_zero():
     gen = rate_generator(params, 40)
     scale = np.abs(gen).max()
     assert np.abs(gen.sum(axis=0)).max() <= 64 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n_levels", [2, 21, 51, 64])
+@pytest.mark.parametrize("omega,temperature", [(1.5, 1.2), (0.7, 0.3), (800.0, 1.0)])  # 800: boltz_factor 0
+def test_generator_equals_the_kernel_generator_bit_for_bit(n_levels, omega, temperature):
+    # written out separately from _kernels, so the two are independent builds of one matrix
+    params = make_params(omega, temperature, 0.5)
+    kernel = _kernels.generator_matrix(*_kernels.rate_coefficients(params.gamma, params.boltz_factor, n_levels))
+    assert rate_generator(params, n_levels - 1).tobytes() == kernel.tobytes()
 
 
 def test_propagation_duration_zero_is_identity():

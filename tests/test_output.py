@@ -87,7 +87,7 @@ def trace(request):
         "pump": EngineConfig(mode="pump", n_cycles=2),
         "empty": EngineConfig(n_cycles=0),
     }[request.param]
-    return run_engine(config.validate())
+    return run_engine(config)
 
 
 def test_timeseries_writers_match_per_value_rendering(tmp_path, trace):

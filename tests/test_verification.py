@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from ottokiln import BathStroke, FockDistribution
+from ottokiln import BathStroke, FockDistribution, _kernels
 from ottokiln import verification
 from ottokiln.verification import (
     check_convergence_order,
@@ -53,3 +55,21 @@ def test_a_stroke_one_step_short_fails_the_oracle_check(monkeypatch):
 
     monkeypatch.setattr(BathStroke, "end_state", one_step_short)
     assert not check_oracle_equivalence().passed
+
+
+def test_rates_five_percent_off_in_the_kernel_fail_the_oracle_checks(monkeypatch):
+    # an error in _kernels.rate_coefficients' source, made by rebinding every
+    # package name for the function: the dense oracle writes its generator
+    # out itself, so the error shows against it
+    original = _kernels.rate_coefficients
+
+    def scaled(gamma, boltz_factor, n_levels):
+        down, up = original(gamma, boltz_factor, n_levels)
+        return 1.05 * down, 1.05 * up
+
+    for module in [module for name, module in sys.modules.items() if name.startswith("ottokiln")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, scaled)
+    assert not check_oracle_equivalence().passed
+    assert not check_convergence_order().passed

@@ -209,7 +209,7 @@ def _trace_lines(ottokiln):
         overrides = {key: _state(ottokiln, value) if isinstance(value, tuple) else value
                      for key, value in overrides.items()}
         for mode in ("otto", "pump"):
-            config = replace(ottokiln.EngineConfig(), mode=mode, **overrides).validate()
+            config = replace(ottokiln.EngineConfig(), mode=mode, **overrides)
             for ledger_only in (False, True):
                 try:
                     result = _trace_digest(ottokiln.run_engine(config, ledger_only=ledger_only))
