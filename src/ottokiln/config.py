@@ -9,6 +9,7 @@ gamma0=0.5 (relaxation time 1), tau=2.0.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from .exceptions import ConfigError, OttoKilnError
@@ -59,6 +60,11 @@ class EngineConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        for f in fields(self):  # an int field holds an integer (numpy's too), or None where that is its default
+            value = getattr(self, f.name)
+            unset = value is None and f.default is None
+            if f.type is int and not (unset or isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         positives = [
             ("omega_c", self.omega_c), ("omega_h", self.omega_h),
             ("t_c", self.t_c), ("t_h", self.t_h), ("gamma0", self.gamma0),

@@ -86,17 +86,20 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class StrokeSegment:
-    """Trace fragment: sample times, frequencies and populations of one stroke."""
+    """Trace fragment of one stroke: sample times and frequencies, and the
+    population rows the samples take in order, the last repeating (a ramp's one row)."""
 
     label: str
     times: np.ndarray
     omegas: np.ndarray
-    probs: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass
 class EngineTrace:
-    """Concatenated sampled time series of a multi-cycle run plus its records."""
+    """Concatenated sampled time series of a multi-cycle run plus its records.
+    Sample i has the populations rows[row_index[i]]: each stroke a cycle ran
+    stores its rows once.  probs is the full per-sample array."""
 
     mode: str
     n_max: int
@@ -105,12 +108,14 @@ class EngineTrace:
     omegas: np.ndarray = field(default_factory=lambda: np.empty(0))
     energies: np.ndarray = field(default_factory=lambda: np.empty(0))
     entropies: np.ndarray = field(default_factory=lambda: np.empty(0))
-    probs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    row_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     stroke_labels: list = field(default_factory=list)
     records: list = field(default_factory=list)
     a_shift_tv: list = field(default_factory=list)
     max_step_drift: float = 0.0
     repeat_from: int = None  # first cycle copied from its predecessor (see run_cycles)
+    probs = property(lambda self: self.rows[self.row_index])
 
     def converged(self):
         return bool(self.a_shift_tv) and not math.isnan(self.a_shift_tv[-1]) \
@@ -147,36 +152,42 @@ def _contact(dist, label, stroke, segments, t, config):
 
 def _ramp(dist, label, omega_from, omega_to, duration, segments, t):
     """A traced run's samples of a frequency ramp, its times shifted by t:
-    evenly spaced times and frequencies over one read-only population row.
+    evenly spaced times and frequencies, all on dist's read-only row.
     A ledger-only run (segments None) records nothing."""
     if segments is not None:
-        probs = np.broadcast_to(dist.probs, (ADIABATIC_SAMPLES, dist.n_max + 1))
         segments.append(StrokeSegment(label, np.linspace(0.0, duration, ADIABATIC_SAMPLES) + t,
-                                      np.linspace(omega_from, omega_to, ADIABATIC_SAMPLES), probs))
+                                      np.linspace(omega_from, omega_to, ADIABATIC_SAMPLES), dist.probs[None]))
 
 
 def _assemble_trace(trace, cycles):
     """The trace's series from each cycle's segments, whose sample times
-    are relative to the cycle's start: cycle k starts at k * cycle_time."""
-    times, omegas, probs, labels = [], [], [], []
+    are relative to the cycle's start: cycle k starts at k * cycle_time.
+    Rows are stored once per segment object, which copied cycles share."""
+    times, omegas, rows, index, labels = [], [], [], [], []
+    offsets, stored = {}, 0  # id of a segment -> index of its first stored row
     for k, cycle_segments in enumerate(cycles):
         for segment in cycle_segments:
             start = 1 if times else 0  # drop duplicated joint sample
+            if id(segment) not in offsets:
+                offsets[id(segment)], stored = stored, stored + len(segment.rows)
+                rows.append(segment.rows)
             times.append(segment.times[start:] + k * trace.cycle_time)
             omegas.append(segment.omegas[start:])
-            probs.append(segment.probs[start:])
-            labels.extend([segment.label] * (segment.times.shape[0] - start))
+            samples = np.arange(start, len(segment.times))
+            index.append(offsets[id(segment)] + np.minimum(samples, len(segment.rows) - 1))
+            labels.extend([segment.label] * len(samples))
     if not times:
         return trace
     trace.times = np.concatenate(times)
     trace.omegas = np.concatenate(omegas)
-    trace.probs = np.concatenate(probs)
+    trace.rows = np.concatenate(rows)
+    trace.row_index = np.concatenate(index)
     trace.stroke_labels = labels
-    levels = np.arange(trace.probs.shape[1])
-    trace.energies = trace.omegas * (trace.probs @ levels)
+    # U on the full array: the bits of a row's matrix-vector product depend on where the row sits
+    trace.energies = trace.omegas * (trace.probs @ np.arange(trace.rows.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(trace.probs > 0.0, trace.probs * np.log(trace.probs), 0.0)
-    trace.entropies = -plogp.sum(axis=1)
+        plogp = np.where(trace.rows > 0.0, trace.rows * np.log(trace.rows), 0.0)
+    trace.entropies = -plogp.sum(axis=1)[trace.row_index]
     if np.any(np.diff(trace.times) <= 0):
         raise OttoKilnError("assembled trace times are not strictly increasing")
     return trace

@@ -5,7 +5,8 @@ cold-stage quantum (omega_c = 1 defines the energy scale), level energies
 E_n = n * omega with the ground level at zero.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,9 +64,10 @@ class InitialStateSpec:
     k lowest levels), "gaussian" (populations ~ exp(-[(n - center) * omega_ref
     / temperature_ref]^2)), "boltzmann" (thermal at the given frequency and
     temperature).  Building a spec (dataclasses.replace too) checks its kind
-    and the fields that kind reads, raising OttoKilnError.  A gaussian whose
-    references are both None is unresolved: parse_config fills in omega_h and
-    t_h, and make_distribution refuses it.
+    and the fields that kind reads, raising OttoKilnError; level, count and
+    center must be integers (numpy's too) whatever the kind.  A gaussian
+    whose references are both None is unresolved: parse_config fills in
+    omega_h and t_h, and make_distribution refuses it.
     """
 
     kind: str
@@ -80,6 +82,9 @@ class InitialStateSpec:
     def __post_init__(self):
         if self.kind not in ("ground", "level", "equal_lowest", "gaussian", "boltzmann"):
             raise OttoKilnError(f"unknown initial-state kind {self.kind!r}")
+        for f in fields(self):
+            if f.type is int and not isinstance(getattr(self, f.name), numbers.Integral):
+                raise OttoKilnError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         if self.kind == "level" and self.level < 0:
             raise OttoKilnError(f"level must be >= 0, got {self.level}")
         if self.kind == "equal_lowest" and self.count < 1:

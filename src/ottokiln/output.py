@@ -6,9 +6,9 @@ command is formatted once, in one block, and every file that prints it
 reuses those strings: a CSV and its .dat twin, or the columns the narrow
 and the wide time series share.  One printer, _format_rows, prints both
 the series, each as the one-column matrix of its distinct values, and
-each time-series file's populations, once per distinct row with a comma
-in place of every newline but the row's last.  Undefined efficiencies are
-written as "nan", never as a large float.
+each time-series file's populations, once per stored trace row with a
+comma in place of every newline but the row's last.  Undefined efficiencies
+are written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
 
@@ -278,9 +278,9 @@ class TraceText(SeriesText):
     """The series of one engine run: time series and cycle ledger columns,
     and the population rows.
 
-    Each file's populations are printed once per distinct row (bit for bit,
-    after -0.0 becomes 0.0): ramps repeat one population row for every
-    sample, and copied cycles repeat every row of the cycle they copy.
+    Each file's populations are printed once per stored row (EngineTrace.rows):
+    ramps repeat one population row for every sample, and copied cycles
+    repeat every row of the cycle they copy.
     """
 
     def __init__(self, trace, csv_levels=8):
@@ -294,24 +294,20 @@ class TraceText(SeriesText):
             "a_shift_tv": trace.a_shift_tv,
         })
         self.trace = trace
-        self.levels = trace.probs.shape[1] if trace.probs.size else 0
+        self.levels = trace.rows.shape[1]
         self.csv_levels = min(csv_levels, self.levels) if self.levels else csv_levels
 
     def population_rows(self, levels):
-        """Each trace row's first `levels` populations, joined by commas."""
-        if not self.levels:
-            return []
-        block = np.ascontiguousarray(self.trace.probs[:, :levels] + 0.0)
-        rows = block.view(np.dtype((np.void, block.itemsize * levels))).ravel()
-        _, first, where = np.unique(rows, return_index=True, return_inverse=True)
-        return np.array(_format_rows(block[first]), dtype=object)[where].tolist()
+        """Each trace sample's first `levels` populations, joined by commas."""
+        text = np.array(_format_rows(self.trace.rows[:, :levels]), dtype=object)
+        return text[self.trace.row_index].tolist()
 
 
 def write_timeseries_csv(path, text):
     """t, omega, U, S, stroke, total probability, first csv_levels populations."""
     trace, k = text.trace, text.csv_levels
     header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{n}" for n in range(k)]
-    p_sum = trace.probs.sum(axis=1)
+    p_sum = trace.rows.sum(axis=1)[trace.row_index]
     bad = np.flatnonzero(~(abs(p_sum - 1.0) <= 1e-9))  # a nan sum is bad too
     if bad.size:
         i = int(bad[0])

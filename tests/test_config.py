@@ -1,6 +1,7 @@
 import csv
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -198,6 +199,17 @@ def test_validate_catches_bad_defaults_combinations():
         EngineConfig(n_cycles=-1)
     with pytest.raises(ConfigError, match="n_cycles"):
         replace(EngineConfig(), n_cycles=-1)
+
+
+@pytest.mark.parametrize("name", ["n_cycles", "n_max", "sample_stride", "csv_levels", "sweep_ratio_steps"])
+def test_a_non_integer_int_field_is_refused_where_it_is_built(name):
+    # the CLI parses these keys with int(); a library caller's float or text is
+    # refused at construction, not deep inside a run with a numpy error
+    for value in (20.5, 7.0, "3"):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            EngineConfig(**{name: value})
+    assert getattr(EngineConfig(**{name: np.int64(3)}), name) == 3  # numpy integers are integers
+    assert EngineConfig(sample_stride=None).sample_stride is None  # None is sample_stride's default
 
 
 def test_finite_sweep_needs_a_cycle():

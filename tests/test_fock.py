@@ -184,6 +184,10 @@ def test_gaussian_without_a_reference_is_refused_with_its_builder(field):
      "gaussian reference frequency and temperature must be positive and finite"),
     (lambda: InitialStateSpec(kind="gaussian", center=-1), "gaussian center must be >= 0, got -1"),
     (lambda: InitialStateSpec(kind="thermal"), "unknown initial-state kind 'thermal'"),
+    (lambda: InitialStateSpec.single_level(2.5), "level must be an integer, got 2.5"),
+    (lambda: InitialStateSpec.equal_lowest(2.5), "count must be an integer, got 2.5"),
+    (lambda: InitialStateSpec.gaussian(2.0, 1.0, 1.0), "center must be an integer, got 2.0"),
+    (lambda: InitialStateSpec(kind="ground", level="3"), "level must be an integer, got '3'"),
 ])
 def test_a_bad_recipe_is_refused_where_it_is_built(build, text):
     with pytest.raises(OttoKilnError, match=f"^{re.escape(text)}$"):
@@ -191,7 +195,7 @@ def test_a_bad_recipe_is_refused_where_it_is_built(build, text):
 
 
 kinds = st.sampled_from(["ground", "level", "equal_lowest", "gaussian", "boltzmann", "bogus"])
-indices = st.integers(min_value=-3, max_value=60)
+indices = st.integers(min_value=-3, max_value=60) | st.sampled_from([2.5, 2.0, math.nan, "3"])
 reals = st.sampled_from([0.0, -1.0, 1e-300, 1.5, 1e300, math.inf, math.nan])
 FIELD_VALUES = {"level": indices, "count": indices, "center": indices, "omega_ref": reals,
                 "temperature_ref": reals, "omega": reals, "temperature": reals}

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ottokiln import EngineConfig, OttoKilnError, Sweep, run_engine, sweep_efficiency_power
+from ottokiln import EngineConfig, OttoKilnError, Sweep, cycle, output, run_engine, sweep_efficiency_power
 from ottokiln.analysis import SWEEP_COLUMNS, cycle_power, efficiency_or_nan
 from ottokiln.cycle import EngineTrace
 from ottokiln.output import (
     TraceText,
     _format_column,
+    _format_rows,
     fmt,
     sweep_text,
     write_cycles_csv,
@@ -63,7 +64,7 @@ def test_probability_guard_names_the_first_bad_row(tmp_path):
     probs = np.array([[1.0, 0.0], [0.5, 0.5 + 1e-10], [0.7, 0.2], [0.9, 0.2]])
     trace = EngineTrace(mode="otto", n_max=1, cycle_time=1.0, times=np.arange(4.0),
                         omegas=np.ones(4), energies=probs[:, 1], entropies=np.zeros(4),
-                        probs=probs, stroke_labels=["hot_isochore"] * 4)
+                        rows=probs, row_index=np.arange(4), stroke_labels=["hot_isochore"] * 4)
     expected = f"trace row 2 carries probability sum {float(probs[2].sum())!r}"
     with pytest.raises(OttoKilnError, match=re.escape(expected)):
         write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
@@ -75,7 +76,7 @@ def test_probability_guard_rejects_a_nan_row(tmp_path):
     probs = np.array([[1.0, 0.0], [np.nan, 0.5], [0.5, 0.5]])
     trace = EngineTrace(mode="otto", n_max=1, cycle_time=1.0, times=np.arange(3.0),
                         omegas=np.ones(3), energies=probs[:, 1], entropies=np.zeros(3),
-                        probs=probs, stroke_labels=["hot_isochore"] * 3)
+                        rows=probs, row_index=np.arange(3), stroke_labels=["hot_isochore"] * 3)
     with pytest.raises(OttoKilnError, match=re.escape("trace row 1 carries probability sum nan")):
         write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
     assert not (tmp_path / "ts.csv").exists()
@@ -122,6 +123,72 @@ def test_cycles_and_dat_writers_match_per_value_rendering(tmp_path, trace):
     write_dat(tmp_path / "u_t.dat", text, ["t", "U"])
     expected = render("# t U", zip(trace.times, trace.energies), sep=" ")
     assert lines_of(tmp_path / "u_t.dat") == expected
+
+
+def concatenated_probs(cycles):
+    """The population array as the trace was assembled before it stored rows:
+    each segment's samples (a ramp's row broadcast over them), concatenated
+    less the joint sample every segment but the first repeats."""
+    probs = []
+    for cycle_segments in cycles:
+        for segment in cycle_segments:
+            ramp = segment.label in ("expansion", "compression")
+            assert len(segment.rows) == (1 if ramp else len(segment.times))
+            samples = np.broadcast_to(segment.rows, (len(segment.times), segment.rows.shape[1]))
+            probs.append(samples[1 if probs else 0:])
+    return np.concatenate(probs) if probs else np.empty((0, 0))
+
+
+def distinct_row_text(probs, levels):
+    """Population text as it was printed before the trace stored rows: each
+    row's first levels entries found once by np.unique over their bytes."""
+    if not probs.size:
+        return []
+    block = np.ascontiguousarray(probs[:, :levels] + 0.0)
+    rows = block.view(np.dtype((np.void, block.itemsize * levels))).ravel()
+    _, first, where = np.unique(rows, return_index=True, return_inverse=True)
+    return np.array(_format_rows(block[first]), dtype=object)[where].tolist()
+
+
+@pytest.mark.parametrize("config", [
+    EngineConfig(), EngineConfig(mode="pump"), EngineConfig(sample_stride=7),
+    EngineConfig(tau=0.3), EngineConfig(n_cycles=0),
+], ids=["otto", "pump", "stride-7", "tau-0.3-no-copies", "zero-cycles"])
+def test_stored_rows_reproduce_the_concatenated_trace(tmp_path, monkeypatch, config):
+    segments, assemble = [], cycle._assemble_trace
+
+    def spy(trace, cycles):
+        segments.append(cycles)
+        return assemble(trace, cycles)
+
+    monkeypatch.setattr(cycle, "_assemble_trace", spy)
+    trace = run_engine(config)
+    probs = concatenated_probs(segments[0])
+    assert trace.probs.shape == probs.shape and trace.probs.tobytes() == probs.tobytes()
+    assert trace.energies.tobytes() == (trace.omegas * (probs @ np.arange(probs.shape[1]))).tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropies = -np.where(probs > 0.0, probs * np.log(probs), 0.0).sum(axis=1)
+    assert trace.entropies.tobytes() == entropies.tobytes()
+    text = TraceText(trace)
+    for write, levels, columns in ((write_timeseries_csv, text.csv_levels, 6),
+                                   (write_wide_timeseries_csv, text.levels, 5)):
+        write(tmp_path / "ts.csv", text)
+        lines = lines_of(tmp_path / "ts.csv")[1:-1]
+        assert [line.split(",", columns)[columns] for line in lines] == distinct_row_text(probs, levels)
+
+
+def test_each_stored_row_is_formatted_once_per_file(tmp_path, monkeypatch):
+    # copied cycles add samples but no stored rows, and each file's
+    # populations are formatted once per stored row
+    short, trace = run_engine(EngineConfig(n_cycles=20)), run_engine(EngineConfig(n_cycles=40))
+    assert len(short.rows) == len(trace.rows) < len(short.times) < len(trace.times)
+    shapes = []
+    monkeypatch.setattr(output, "_format_rows", lambda m: shapes.append(np.shape(m)) or _format_rows(m))
+    text = TraceText(trace)
+    for write in (write_timeseries_csv, write_wide_timeseries_csv):
+        shapes.clear()
+        write(tmp_path / "ts.csv", text)
+        assert [n for n, levels in shapes if levels > 1] == [len(trace.rows)]  # series are one-column
 
 
 def test_sweep_writer_matches_per_value_rendering(tmp_path):
