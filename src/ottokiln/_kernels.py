@@ -2,25 +2,54 @@
 
 One step of the classical fourth-order scheme applied to the linear
 birth-death generator G is the matrix ``R = I + A + A^2/2 + A^3/6 + A^4/24``
-with ``A = dt * G``.  A stroke builds R once and jumps from recorded sample
-to recorded sample with the precomputed power ``R^stride`` (plus one
-``R^(n_steps % stride)`` for a ragged last gap), so its cost scales with the
-number of samples, not the number of steps.  A StepMatrix holds R and its
-powers; bath.BathStroke builds one per stroke and hands it to every
-evolve_populations call of that stroke.
+with ``A = dt * G``.  A stroke builds R once and moves from sample to sample
+with powers of R, so its cost scales with the number of samples, not the
+number of steps.  A StepMatrix holds R and its powers; bath.BathStroke
+builds one per stroke and hands it to every evolve_populations call of that
+stroke.
 
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
-keeps every step positive and conserving.  The drift check stays, made per
-sample, followed by renormalization: one sum per sample.  The negativity
-check and the clamp (one min, and a second sum only when an entry is <= 0)
-run on the first sample only.  After it the state is >= 0, and a stable R
-keeps it so: a later product of non-negative numbers can be -0.0 but never
-below, so a later clamp could only turn -0.0 into 0.0.  One np.maximum over
-the later samples after the loop does that, and every stored bit is the one
-a clamp per sample would store.  When R fails either check (an unstable dt),
-the stepwise loop runs instead: it guards every step in full and names the
-first bad step.
+keeps every step positive and conserving.  When R fails either check (an
+unstable dt), the stepwise loop runs instead: it guards every step in full
+and names the first bad step.
+
+A stable stroke's first sample is one jump R^stride from the start, with
+the full guard: the drift check, the negativity check and the clamp, and a
+renormalization.  After it the state is >= 0, and a stable R keeps it so: a
+later product of non-negative numbers can be -0.0 but never below, so one
+np.maximum over the later samples turns -0.0 into 0.0, all that a clamp per
+sample could do.  The later samples come one of two ways.
+
+On more than DOUBLING_MAX_LEVELS levels each later sample is one jump from
+the one before it, R^stride, or the ragged rest R^(n_steps - (last - 1)
+stride) for the last, then drift-checked and renormalized: one Python step
+per sample.
+
+On at most DOUBLING_MAX_LEVELS levels they come by doubling.  Once samples
+1..m are known, samples m+1..2m are those m samples moved on by m strides,
+one matrix product of the m rows with R^(m stride); so the samples before
+the last take about log2(samples) products.  The last sample is one jump
+with the ragged rest, renormalized.  The drift check then runs on every
+later sample at once.  The doubling powers are R^(2 stride) = (R^stride)^2
+and on by squaring, each square divided by its column sums once, and kept
+under their own keys.  The column sums of a power of R drift from 1 by
+rounding that grows with the power: squared without division, R^(32 stride)
+of the default 64-sample cold stroke at gamma0 = 50, tau = 20 drifts
+1.37e-10, past DRIFT_TOL, and its samples trip the guard.  Divided by its
+column sums, each doubling power conserves probability within a few ulps,
+so the drift check on doubled samples catches NaN and rounding only: a
+stride power that drifts shows at the ragged last sample, or not at all,
+and the step it names can come after the first drifting step.  The doubled
+samples are left as the products give them.  A default simulate from the
+ground state then reaches a cycle start that repeats bit for bit at cycle 12
+(11 with one jump per sample), and cycle.run_cycles copies the cycles after
+it.  Dividing each doubled sample by its sum as well kept a cycle-start
+shift of about 1.5e-17 over 30 cycles from three start states: such a run
+never repeats exactly and stores every cycle's rows, 4,050 instead of
+1,620.  The stride power, the ragged power and the whole-stroke power
+R^n_steps stay np.linalg.matrix_power results, so a stroke recorded at its
+ends only (one jump) is the same on both ways.
 
 evolve_populations owns the whole guard ladder.  A stroke recorded only at
 its two ends (stride >= n_steps: one jump R^n_steps) whose jump trips runs at
@@ -41,6 +70,14 @@ NEG_FLOOR = 1e-12
 # costs about 8 us per step at 51 levels (2-core x86 box, numpy 2.4,
 # OpenBLAS), so this bounds the rerun near 1 s.
 MAX_STEPWISE_STEPS = 100_000
+# Most levels of a stroke sampled by doubling; larger strokes jump once per
+# sample.  Doubling saves a Python step of about 6 us per sample and pays
+# one dense n_levels^3 product per doubling power, built once per stroke.  A
+# fresh stroke of the default 64 samples, evolved once, took 0.65 ms by
+# doubling and 0.71 ms by jumps at 80 levels, 1.10 and 0.99 ms at 96, and
+# 2.58 and 2.03 ms at 128; a traced 2-cycle run at n_max = 1000 took 2.9 s
+# by doubling and 1.9 s by jumps (2-core x86, numpy 2.4, OpenBLAS).
+DOUBLING_MAX_LEVELS = 80
 
 # The guards' trip signals (None: no trip), each the text of the error a
 # final trip raises, with the bad step and dt left to fill in.
@@ -140,31 +177,61 @@ def _evolve_stepwise(p, r, n_steps, stride, out):
 
 
 def _evolve_sampled(p, step_matrix, n_steps, stride, out):
-    """Jump from sample to sample with R^stride (the last gap with the ragged
-    rest), each jump written straight into its output row.  The first sample
-    takes the full guard; later ones the drift check and renormalization only,
-    and their -0.0 entries become 0.0 after the loop (see the module
-    docstring)."""
+    """Jump from sample to sample (see the module docstring): the first
+    sample by one guarded jump R^stride, the later ones by doubling on at
+    most DOUBLING_MAX_LEVELS levels and one jump each above, each written
+    straight into its output row; their -0.0 entries become 0.0 at the end."""
     out[0] = p
     gap = min(stride, n_steps)
-    jump = step_matrix[gap]
-    p = np.matmul(jump, p, out=out[1])
+    p = np.matmul(step_matrix[gap], p, out=out[1])
     trip, max_drift = _guard(p, 0.0)
     if trip or gap == n_steps:  # a trip, or one jump over the whole stroke
         return trip, gap, max_drift
+    later = _doubled_samples if p.shape[0] <= DOUBLING_MAX_LEVELS else _jumped_samples
+    trip, bad_step, max_drift = later(step_matrix, n_steps, stride, out, max_drift)
+    if not trip:
+        np.maximum(out[2:], 0.0, out=out[2:])
+    return trip, bad_step, max_drift
+
+
+def _jumped_samples(step_matrix, n_steps, stride, out, max_drift):
+    """Samples 2..last, each one jump R^stride from the one before (the last
+    with the ragged rest), drift-checked and renormalized in turn."""
+    jump = step_matrix[stride]
     last = out.shape[0] - 1
     for idx in range(2, last + 1):
         if idx == last:
             jump = step_matrix[n_steps - (last - 1) * stride]
-        p = np.matmul(jump, p, out=out[idx])
+        p = np.matmul(jump, out[idx - 1], out=out[idx])
         total = float(np.add.reduce(p))
         drift = abs(total - 1.0)
         max_drift = max(max_drift, drift)
         if not drift <= DRIFT_TOL:
             return _DRIFT, min(idx * stride, n_steps), max_drift
         p /= total
-    np.maximum(out[2:], 0.0, out=out[2:])
     return None, n_steps, max_drift
+
+
+def _doubled_samples(step_matrix, n_steps, stride, out, max_drift):
+    """Samples 2..last: those before the last in blocks that double, the last
+    by the ragged rest, renormalized.  The drift check then runs on all of
+    them at once and names the first bad one."""
+    last = out.shape[0] - 1
+    known = 1  # samples 1..known are in out; the next block is known strides on
+    while known < last - 1:
+        block = min(known, last - 1 - known)
+        power = step_matrix.doubling(stride, known)
+        np.matmul(out[1:block + 1], power.T, out=out[known + 1:known + 1 + block])
+        known += block
+    np.matmul(step_matrix[n_steps - (last - 1) * stride], out[last - 1], out=out[last])
+    totals = np.add.reduce(out[2:], axis=1)
+    drifts = np.abs(totals - 1.0)
+    bad = np.flatnonzero(~(drifts <= DRIFT_TOL))  # a NaN sum is bad too
+    if bad.size:
+        first = int(bad[0])
+        return _DRIFT, min((first + 2) * stride, n_steps), max(max_drift, float(drifts[:first + 1].max()))
+    out[last] /= totals[-1]
+    return None, n_steps, max(max_drift, float(drifts.max()))
 
 
 def step_matrix_is_stable(r):
@@ -175,8 +242,9 @@ def step_matrix_is_stable(r):
 
 class StepMatrix(dict):
     """A stroke's step matrix R at step dt, whether it passes
-    step_matrix_is_stable, and its powers: step_matrix[gap] is R^gap, built
-    at its first use."""
+    step_matrix_is_stable, and its powers, each built at its first use:
+    step_matrix[gap] is R^gap, and step_matrix.doubling(stride, m) the
+    doubling power R^(m stride)."""
 
     def __init__(self, gamma, boltz_factor, n_levels, dt):
         self.dt = float(dt)
@@ -184,9 +252,21 @@ class StepMatrix(dict):
             self.r = rk4_step_matrix(*rate_coefficients(gamma, boltz_factor, n_levels), self.dt)
         self.stable = step_matrix_is_stable(self.r)
 
-    def __missing__(self, gap):
-        jump = self[gap] = np.linalg.matrix_power(self.r, gap)
+    def __missing__(self, key):
+        if isinstance(key, tuple):  # ("doubling", stride, m): the square of the power at m / 2
+            _, stride, m = key
+            half = self.doubling(stride, m // 2)
+            square = half @ half
+            jump = self[key] = square / np.add.reduce(square, axis=0)
+        else:
+            jump = self[key] = np.linalg.matrix_power(self.r, key)
         return jump
+
+    def doubling(self, stride, m):
+        """R^(m stride) for m a power of two: R^stride at m = 1, then each
+        square of the one before divided by its column sums once (see the
+        module docstring)."""
+        return self[stride] if m == 1 else self["doubling", stride, m]
 
 
 def default_stride(n_steps):

@@ -117,6 +117,16 @@ class EngineTrace:
     repeat_from: int = None  # first cycle copied from its predecessor (see run_cycles)
     probs = property(lambda self: self.rows[self.row_index])
 
+    def __post_init__(self):
+        series = {"times": self.times, "omegas": self.omegas, "energies": self.energies,
+                  "entropies": self.entropies, "row_index": self.row_index, "stroke_labels": self.stroke_labels}
+        if len({len(values) for values in series.values()}) > 1:
+            lengths = ", ".join(f"{name} {len(values)}" for name, values in series.items())
+            raise OttoKilnError(f"trace series differ in length: {lengths}")
+        index = np.asarray(self.row_index)
+        if index.size and not (0 <= index.min() and index.max() < len(self.rows)):
+            raise OttoKilnError(f"trace row_index reaches outside its {len(self.rows)} stored rows")
+
     def converged(self):
         return bool(self.a_shift_tv) and not math.isnan(self.a_shift_tv[-1]) \
             and self.a_shift_tv[-1] < CYCLOSTATIONARY_TV
@@ -160,8 +170,8 @@ def _ramp(dist, label, omega_from, omega_to, duration, segments, t):
 
 
 def _assemble_trace(trace, cycles):
-    """The trace's series from each cycle's segments, whose sample times
-    are relative to the cycle's start: cycle k starts at k * cycle_time.
+    """A copy of trace with the series of each cycle's segments, whose sample
+    times are relative to the cycle's start: cycle k starts at k * cycle_time.
     Rows are stored once per segment object, which copied cycles share."""
     times, omegas, rows, index, labels = [], [], [], [], []
     offsets, stored = {}, 0  # id of a segment -> index of its first stored row
@@ -178,16 +188,15 @@ def _assemble_trace(trace, cycles):
             labels.extend([segment.label] * len(samples))
     if not times:
         return trace
-    trace.times = np.concatenate(times)
-    trace.omegas = np.concatenate(omegas)
-    trace.rows = np.concatenate(rows)
-    trace.row_index = np.concatenate(index)
-    trace.stroke_labels = labels
+    omegas = np.concatenate(omegas)
+    rows = np.concatenate(rows)
+    index = np.concatenate(index)
     # U on the full array: the bits of a row's matrix-vector product depend on where the row sits
-    trace.energies = trace.omegas * (trace.probs @ np.arange(trace.rows.shape[1]))
+    energies = omegas * (rows[index] @ np.arange(rows.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(trace.rows > 0.0, trace.rows * np.log(trace.rows), 0.0)
-    trace.entropies = -plogp.sum(axis=1)[trace.row_index]
+        plogp = np.where(rows > 0.0, rows * np.log(rows), 0.0)
+    trace = replace(trace, times=np.concatenate(times), omegas=omegas, energies=energies,
+                    entropies=-plogp.sum(axis=1)[index], rows=rows, row_index=index, stroke_labels=labels)
     if np.any(np.diff(trace.times) <= 0):
         raise OttoKilnError("assembled trace times are not strictly increasing")
     return trace

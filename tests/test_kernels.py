@@ -1,10 +1,12 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ottokiln import IntegrationError, _kernels
+from ottokiln import FockDistribution, IntegrationError, _kernels
+from ottokiln.bath import BathStroke, RateParams
 from ottokiln._kernels import (
     DRIFT_TOL,
     NEG_FLOOR,
@@ -23,6 +25,7 @@ from ottokiln._kernels import (
     sample_steps,
     step_matrix_is_stable,
 )
+from ottokiln.oracle import propagate_matrix_exponential
 from ottokiln.verification import run_all_checks
 
 GAMMA = 0.5447127449169259   # 0.5 * (1 + nbar) at omega/T = 2.5
@@ -220,6 +223,30 @@ def _four_reduction_sampled(p, step_matrix, n_steps, stride, out):
     return None, n_steps, max_drift
 
 
+# Largest relative difference per population between doubled samples and the
+# reference loop: the loop renormalizes every sample, doubling renormalizes
+# its powers, so the two round apart by a few ulps per doubling.  The tests
+# below reach 1.9e-13 (2-core x86, numpy 2.4, OpenBLAS); 1e-12 is about
+# 4,500 ulps of a float64 near 1.
+DOUBLING_TOL = 1e-12
+
+
+def assert_agrees_with_the_reference(got, want):
+    """got within DOUBLING_TOL of want, entry by entry, where want is a normal
+    float (a subnormal entry carries fewer digits)."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= DOUBLING_TOL * want + np.finfo(float).tiny)
+
+
+def _reference(p0, step_matrix, n_steps, stride, monkeypatch):
+    """evolve_populations on the four-reduction path: one jump per sample,
+    each sample guarded and renormalized."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_guard", _four_reduction_guard)
+        patch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+        return evolve_populations(p0, step_matrix, n_steps, stride)
+
+
 ENTRY_EDITS = st.sampled_from(["zero", "negative_zero",
                                "negative_inside_floor", "negative_below_floor"])
 
@@ -273,60 +300,193 @@ def test_two_reduction_guard_matches_the_four_reduction_guard(state, max_drift):
     assert np.array_equal(np.signbit(p), np.signbit(ref))
 
 
+def _start(start, n_steps):
+    """A 51-level start state and the boltz_factor of its bath: a random
+    state, the ground state, or level 3 under a bath with no upward rate."""
+    if start == "random":
+        p0 = np.random.default_rng(n_steps).random(51)
+        return p0 / p0.sum(), BOLTZ
+    if start == "ground":
+        return np.eye(51)[0], BOLTZ
+    return np.eye(51)[3], 0.0
+
+
 @pytest.mark.parametrize("start", ["random", "ground", "level-3-frozen-bath"])
 @pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (10, 50), (1, 1), (2857, 44)])
 def test_samples_equal_the_four_reduction_path_bit_for_bit(n_steps, stride, start, monkeypatch):
-    # a ground start leaves exact zeros above the first few levels after a
+    # one jump per sample, the path above DOUBLING_MAX_LEVELS levels.  A
+    # ground start leaves exact zeros above the first few levels after a
     # short jump, so the clamp branch is taken too; a bath with no upward
     # rate (boltz_factor 0) keeps every level above a level-3 start at exact
     # zero in every sample, the entries the clamp deferred past the first
     # sample covers (test_later_samples_store_no_negative_zero stores them as -0.0)
-    p0 = np.zeros(51)
-    p0[0] = 1.0
-    boltz = BOLTZ
-    if start == "random":
-        p0 = np.random.default_rng(n_steps).random(51)
-        p0 /= p0.sum()
-    elif start == "level-3-frozen-bath":
-        p0 = np.eye(51)[3]
-        boltz = 0.0
+    monkeypatch.setattr(_kernels, "DOUBLING_MAX_LEVELS", 0)
+    p0, boltz = _start(start, n_steps)
     samples, max_drift = evolve_populations(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride)
-    monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
-    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
-    want = evolve_populations(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride)
+    want = _reference(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride, monkeypatch)
     assert max_drift == want[1]
     assert samples.tobytes() == want[0].tobytes()
     if start == "level-3-frozen-bath":
         assert np.all(samples[:, 4:] == 0.0) and not np.signbit(samples).any()
 
 
+@pytest.mark.parametrize("start", ["random", "ground", "level-3-frozen-bath"])
+@pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (10, 50), (1, 1), (2857, 44)])
+def test_doubled_samples_agree_with_the_four_reduction_path(n_steps, stride, start, monkeypatch):
+    p0, boltz = _start(start, n_steps)
+    samples, max_drift = evolve_populations(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride)
+    want = _reference(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride, monkeypatch)
+    assert max_drift <= DRIFT_TOL
+    assert_agrees_with_the_reference(samples, want[0])
+    if start == "level-3-frozen-bath":
+        assert np.all(samples[:, 4:] == 0.0) and not np.signbit(samples).any()
+
+
+@pytest.mark.parametrize("n_steps,stride", [*itertools.product([11, 2000, 2857], [1, 5, 44, 500]), (2000, 1000)],
+                         ids=lambda value: str(value))
+def test_doubled_samples_agree_with_the_reference_loop(n_steps, stride, monkeypatch):
+    # the grid holds ragged last gaps (2857 = 64 * 44 + 41), strokes recorded
+    # at their two ends only (stride >= n_steps) and a stroke of two samples
+    # after its start (2000 at 1000), where no block is doubled
+    p0 = np.random.default_rng(n_steps + stride).random(51)
+    p0 /= p0.sum()
+    samples, max_drift = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
+    want, want_drift = _reference(p0, _matrix(p0, 7e-4), n_steps, stride, monkeypatch)
+    assert_agrees_with_the_reference(samples, want)
+    assert max_drift <= DRIFT_TOL and want_drift <= DRIFT_TOL
+    if stride >= n_steps:  # one jump over the whole stroke: the same path
+        assert (samples.tobytes(), max_drift) == (want.tobytes(), want_drift)
+
+
+@pytest.mark.parametrize("n_levels", [11, 21])
+@pytest.mark.parametrize("stride", [1, 7, 44, 333])
+def test_doubled_samples_agree_with_the_matrix_exponential_row_by_row(n_levels, stride, monkeypatch):
+    # each sample against the exact propagator expm(G t) at its time: doubling
+    # adds at most rounding to the error of the fourth-order scheme itself
+    p0 = np.random.default_rng(n_levels).random(n_levels)
+    dist = FockDistribution(p0 / p0.sum())
+    params = RateParams(1.5, 1.2, 0.5)
+    stroke = BathStroke(params, 2.0, n_levels)
+    samples, _ = evolve_populations(dist.probs, stroke.step_matrix, stroke.n_steps, stride)
+    reference, _ = _reference(dist.probs, stroke.step_matrix, stroke.n_steps, stride, monkeypatch)
+    times = sample_steps(stroke.n_steps, stride) * stroke.step
+    for got, want, t in zip(samples, reference, times):
+        exact = propagate_matrix_exponential(dist, params, t).probs
+        assert np.abs(got - exact).max() <= np.abs(want - exact).max() + 1e-13 <= 1e-8
+
+
+@st.composite
+def strokes(draw):
+    """A start state, rates, a step that keeps R stable, n_steps and stride."""
+    n_levels = draw(st.integers(2, 30))
+    p0 = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_levels, max_size=n_levels)))
+    if draw(st.booleans()):
+        p0 = np.eye(n_levels)[draw(st.integers(0, n_levels - 1))]
+    assume(p0.sum() > 0.0)
+    gamma = draw(st.floats(0.01, 10.0))
+    boltz = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.95))]))
+    dt = draw(st.floats(0.05, 1.0)) / (40.0 * gamma * n_levels)  # up to default_time_step's rate bound
+    n_steps = draw(st.integers(1, 3000))
+    stride = draw(st.integers(1, n_steps + 2))
+    return p0 / p0.sum(), StepMatrix(gamma, boltz, n_levels, dt), n_steps, stride
+
+
+@given(strokes())
+def test_kernel_agreement_doubled_against_the_per_sample_loop(stroke):
+    p0, step_matrix, n_steps, stride = stroke
+    assert step_matrix.stable
+    samples, max_drift = evolve_populations(p0, step_matrix, n_steps, stride)
+    out = np.empty_like(samples)
+    trip, _, want_drift = _four_reduction_sampled(p0, step_matrix, n_steps, stride, out)
+    assert trip is None and max_drift <= DRIFT_TOL and want_drift <= DRIFT_TOL
+    assert_agrees_with_the_reference(samples, out)
+
+
+def test_doubling_powers_are_kept_apart_from_the_gap_powers():
+    # the stride, ragged and whole-stroke powers stay matrix_power results, as
+    # the ledger-only path reads them; each doubling power is the square of the
+    # one before it divided by its column sums
+    p0 = np.random.default_rng(1).random(51)
+    p0 /= p0.sum()
+    step_matrix = _matrix(p0, 7e-4)
+    evolve_populations(p0, step_matrix, 2857, 44)
+    evolve_populations(p0, step_matrix, 2857, 2857)
+    gaps = sorted(key for key in step_matrix if not isinstance(key, tuple))
+    assert gaps == [41, 44, 2857]
+    for gap in gaps:
+        assert step_matrix[gap].tobytes() == np.linalg.matrix_power(step_matrix.r, gap).tobytes()
+    doubling = sorted(key for key in step_matrix if isinstance(key, tuple))
+    assert doubling == [("doubling", 44, m) for m in (2, 4, 8, 16, 32)]
+    half = step_matrix[44]
+    for key in doubling:
+        square = half @ half
+        assert step_matrix[key].tobytes() == (square / square.sum(axis=0)).tobytes()
+        assert np.abs(step_matrix[key].sum(axis=0) - 1.0).max() <= 4.5e-16
+        half = step_matrix[key]
+
+
+@pytest.mark.parametrize("n_levels", [_kernels.DOUBLING_MAX_LEVELS, _kernels.DOUBLING_MAX_LEVELS + 1])
+def test_strokes_above_the_level_cap_jump_once_per_sample(n_levels, monkeypatch):
+    # a stroke of DOUBLING_MAX_LEVELS levels builds doubling powers; one more
+    # level jumps once per sample, the four-reduction path bit for bit
+    p0 = np.random.default_rng(n_levels).random(n_levels)
+    p0 /= p0.sum()
+    step_matrix = _matrix(p0, 7e-4)
+    samples, max_drift = evolve_populations(p0, step_matrix, 2857, 44)
+    want = _reference(p0, _matrix(p0, 7e-4), 2857, 44, monkeypatch)
+    doubled = any(isinstance(key, tuple) for key in step_matrix)
+    assert doubled == (n_levels <= _kernels.DOUBLING_MAX_LEVELS)
+    if doubled:
+        assert_agrees_with_the_reference(samples, want[0])
+    else:
+        assert (samples.tobytes(), max_drift) == (want[0].tobytes(), want[1])
+
+
 class _SignedZeroJump:
-    """R^gap as a jump whose product stores each exact zero as -0.0, as a
-    matmul that keeps the sign of a sum of -0.0 products may."""
+    """A power of R in a matmul that stores each exact zero of its product as
+    -0.0, as a matmul that keeps the sign of a sum of -0.0 products may; .T
+    is the transposed power, for the doubling blocks."""
 
     def __init__(self, matrix):
         self.matrix = matrix
 
-    def __array_ufunc__(self, ufunc, method, jump, p, out):
-        result = np.matmul(self.matrix, p, out=out[0])
+    @property
+    def T(self):
+        return _SignedZeroJump(self.matrix.T)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out):
+        inputs = [x.matrix if isinstance(x, _SignedZeroJump) else x for x in inputs]
+        result = np.matmul(*inputs, out=out[0])
         result[result == 0.0] = -0.0
         return result
 
 
 class _SignedZeroStepMatrix(StepMatrix):
-    def __missing__(self, gap):
-        jump = self[gap] = _SignedZeroJump(np.linalg.matrix_power(self.r, gap))
+    """A StepMatrix whose powers, gap and doubling alike, are those of a plain
+    StepMatrix wrapped as _SignedZeroJump."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.plain = StepMatrix(*args)
+
+    def __missing__(self, key):
+        jump = self[key] = _SignedZeroJump(self.plain[key])
         return jump
 
 
+# DOUBLING_MAX_LEVELS for a 51-level stroke that jumps once per sample, or doubles
+PATHS = pytest.mark.parametrize("doubling_max_levels", [0, 51], ids=["jumped", "doubled"])
+
+
+@PATHS
 @pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (2857, 44)])
-def test_later_samples_store_no_negative_zero(n_steps, stride, monkeypatch):
+def test_later_samples_store_no_negative_zero(n_steps, stride, doubling_max_levels, monkeypatch):
     # every sample after the first holds -0.0 above level 3 before the clamp
-    # deferred past the first sample; the samples equal those of a clamp per sample
+    # deferred past the first sample; the samples equal those of a matmul
+    # that stores +0.0
+    monkeypatch.setattr(_kernels, "DOUBLING_MAX_LEVELS", doubling_max_levels)
     p0 = np.eye(51)[3]
     samples, max_drift = evolve_populations(p0, _SignedZeroStepMatrix(GAMMA, 0.0, 51, 7e-4), n_steps, stride)
-    monkeypatch.setattr(_kernels, "_guard", _four_reduction_guard)
-    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
     want = evolve_populations(p0, _matrix(p0, 7e-4, boltz=0.0), n_steps, stride)
     assert max_drift == want[1]
     assert samples.tobytes() == want[0].tobytes()
@@ -340,19 +500,28 @@ class _GivenStepMatrix(StepMatrix):
         self.r, self.stable, self.dt = r, True, 1.0
 
 
-@pytest.mark.parametrize("n_steps,stride,bad_step", [(5, 1, 3), (5, 2, 4), (3, 2, 3)])
-def test_a_later_sample_trips_at_its_step_like_the_four_reduction_path(n_steps, stride, bad_step):
-    # the mass walks up a 3-level chain; only the top column gains 2e-10 a
-    # step, so the first sample passes and a later one (the ragged last in
-    # the third case) trips the drift guard
+@pytest.mark.parametrize("doubling_max_levels,n_steps,stride,bad_step", [
+    (0, 5, 1, 3), (0, 5, 2, 4), (0, 3, 2, 3), (3, 5, 2, 4), (3, 3, 2, 3), (3, 5, 1, 5),
+], ids=["jumped-5-1-3", "jumped-5-2-4", "jumped-3-2-3", "doubled-5-2-4", "doubled-3-2-3", "doubled-5-1-5"])
+def test_a_drifting_stride_or_ragged_power_trips_at_its_step(doubling_max_levels, n_steps, stride, bad_step,
+                                                             monkeypatch):
+    # the mass walks up a 3-level chain and reaches the top level at step 2;
+    # only the top column gains 2e-10 a step, so the first sample passes and
+    # a later one trips the drift guard: the second sample by the stride
+    # power R^2 (5 at 2), the ragged last by R^1 (3 at 2).  Jumping once per
+    # sample, stride 1 trips at step 3 like the reference.  Doubling at
+    # stride 1 divides the power R^2 by its column sums, so samples 3 and 4
+    # keep their mass and only the ragged last sample trips, at step 5
+    monkeypatch.setattr(_kernels, "DOUBLING_MAX_LEVELS", doubling_max_levels)
     r = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0 + 2e-10]])
     p0 = np.array([1.0, 0.0, 0.0])
     out = np.empty((sample_count(n_steps, stride), 3))
     got = _evolve_sampled(p0, _GivenStepMatrix(r), n_steps, stride, out)
     want = _four_reduction_sampled(p0, _GivenStepMatrix(r), n_steps, stride, out.copy())
-    assert got == want
-    assert got[:2] == (_DRIFT, bad_step)
-    # the stepwise rerun names the first bad step: the one that reaches the top level
+    assert got[:2] == (_DRIFT, bad_step) and got[2] > DRIFT_TOL
+    if bad_step == want[1]:  # no doubling power before the trip: the reference's trip and drift
+        assert got == want
+    # the stepwise rerun names the first bad step: the one after the mass reaches the top level
     with pytest.raises(IntegrationError, match=r"^probability sum drifted beyond 1e-10 at step 3 \(dt=1\.000e\+00\)"):
         evolve_populations(p0, _GivenStepMatrix(r), n_steps, stride)
 

@@ -81,6 +81,22 @@ def test_probability_guard_rejects_a_nan_row(tmp_path):
         write_timeseries_csv(tmp_path / "ts.csv", TraceText(trace))
     assert not (tmp_path / "ts.csv").exists()
 
+
+@pytest.mark.parametrize("index,text", [
+    (None, "trace series differ in length: times 2, omegas 2, energies 2, entropies 2, row_index 0, stroke_labels 2"),
+    ([0, 2], "trace row_index reaches outside its 2 stored rows"),
+    ([-1, 0], "trace row_index reaches outside its 2 stored rows"),
+], ids=["rows-without-row-index", "past-the-last-row", "negative"])
+def test_a_hand_built_trace_whose_rows_do_not_fit_its_samples_is_refused_where_it_is_built(tmp_path, index, text):
+    probs = np.array([[1.0, 0.0], [0.5, 0.5]])
+    fields = dict(mode="otto", n_max=1, cycle_time=1.0, times=np.arange(2.0), omegas=np.ones(2),
+                  energies=probs[:, 1], entropies=np.zeros(2), rows=probs, stroke_labels=["hot_isochore"] * 2)
+    if index is not None:
+        fields["row_index"] = np.array(index)
+    with pytest.raises(OttoKilnError, match=f"^{re.escape(text)}$"):
+        write_timeseries_csv(tmp_path / "ts.csv", TraceText(EngineTrace(**fields)))
+    assert list(tmp_path.iterdir()) == []
+
 @pytest.fixture(scope="module", params=["simulate", "pump", "empty"])
 def trace(request):
     config = {

@@ -11,7 +11,8 @@ imports the package from ROOT/src and, inside OUT:
   and pump, traced and ledger-only, one line each in ``traces.txt``.
 
 Paths are relative to OUT, so two trees run into two directories write the
-same bytes exactly when they behave the same: ``diff -r OUT_A OUT_B``.
+same bytes exactly when they behave the same: ``diff -r OUT_A OUT_B``, or
+``python tools/golden_diff.py OUT_A OUT_B`` where numbers may move by rounding.
 
 A command whose exception escapes ``cli.main`` is recorded like any other
 outcome, and the script then exits 1 and names each such run: no input may
@@ -200,7 +201,8 @@ def _trace_digest(trace):
         add(r.cycle_index, r.kind, r.omega_c.hex(), r.omega_h.hex(),
             *(getattr(r, f).hex() for f in ("q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump", "q_pump_gross")),
             *(getattr(r, f).probs.tobytes() for f in ("dist_a", "dist_b", "dist_c", "dist_d", "dist_a_next")))
-    return f"{digest.hexdigest()} records={len(trace.records)} rows={trace.times.shape[0]}"
+    return (f"{digest.hexdigest()} records={len(trace.records)} rows={trace.times.shape[0]} "
+            f"repeat_from={trace.repeat_from}")
 
 
 def _trace_lines(ottokiln):
