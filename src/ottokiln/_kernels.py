@@ -14,6 +14,14 @@ keeps every step positive and conserving.  When R fails either check (an
 unstable dt), the stepwise loop runs instead: it guards every step in full
 and names the first bad step.
 
+Every power of R that a StepMatrix hands out is divided by its column sums
+once, so it conserves probability within a few ulps.  Undivided, the column
+sums of a power drift from 1 by rounding that grows with the power: the
+np.linalg.matrix_power R^1,786,977, the stride of the default 64-sample hot
+stroke at gamma0 = 2000, tau = 20, drifts 1.09e-10, past DRIFT_TOL.  A power
+of a stable R is non-negative as well, so a stable stroke's samples can trip
+a guard only on NaN or on a start state that is off the simplex.
+
 A stable stroke's first sample is one jump R^stride from the start, with
 the full guard: the drift check, the negativity check and the clamp, and a
 renormalization.  After it the state is >= 0, and a stable R keeps it so: a
@@ -31,32 +39,16 @@ On at most DOUBLING_MAX_LEVELS levels they come by doubling.  Once samples
 one matrix product of the m rows with R^(m stride); so the samples before
 the last take about log2(samples) products.  The last sample is one jump
 with the ragged rest, renormalized.  The drift check then runs on every
-later sample at once.  The doubling powers are R^(2 stride) = (R^stride)^2
-and on by squaring, each square divided by its column sums once, and kept
-under their own keys.  The column sums of a power of R drift from 1 by
-rounding that grows with the power: squared without division, R^(32 stride)
-of the default 64-sample cold stroke at gamma0 = 50, tau = 20 drifts
-1.37e-10, past DRIFT_TOL, and its samples trip the guard.  Divided by its
-column sums, each doubling power conserves probability within a few ulps,
-so the drift check on doubled samples catches NaN and rounding only: a
-stride power that drifts shows at the ragged last sample, or not at all,
-and the step it names can come after the first drifting step.  The doubled
-samples are left as the products give them.  A default simulate from the
-ground state then reaches a cycle start that repeats bit for bit at cycle 12
-(11 with one jump per sample), and cycle.run_cycles copies the cycles after
-it.  Dividing each doubled sample by its sum as well kept a cycle-start
-shift of about 1.5e-17 over 30 cycles from three start states: such a run
-never repeats exactly and stores every cycle's rows, 4,050 instead of
-1,620.  The stride power, the ragged power and the whole-stroke power
-R^n_steps stay np.linalg.matrix_power results, so a stroke recorded at its
-ends only (one jump) is the same on both ways.
+later sample at once, and names the first bad one.  The doubling powers are
+R^(2 stride) = (R^stride)^2 and on by squaring, each square divided by its
+column sums once, and kept under their own keys.  The doubled samples are
+left as the products give them.  A default simulate from the ground state
+reaches a cycle start that repeats bit for bit at cycle 13 (12 with one
+jump per sample), and cycle.run_cycles copies the cycles after it.
 
-evolve_populations owns the whole guard ladder.  A stroke recorded only at
-its two ends (stride >= n_steps: one jump R^n_steps) whose jump trips runs at
-default_stride first and keeps its last sample.  A trip on a sample there,
-or of any other stroke, reruns the stepwise loop if the stroke has at most
-MAX_STEPWISE_STEPS steps.  A trip that no rung recovers raises
-IntegrationError.
+evolve_populations runs a stable R on the sampled path and an unstable one
+on the stepwise loop.  A trip on either raises IntegrationError with the
+guard's text and the step it names.
 """
 
 import numpy as np
@@ -66,10 +58,6 @@ from .exceptions import IntegrationError
 # Guards; values are contractual for the integrator.
 DRIFT_TOL = 1e-10
 NEG_FLOOR = 1e-12
-# Longest stroke the stepwise loop reruns after a guard trips on a sample; it
-# costs about 8 us per step at 51 levels (2-core x86 box, numpy 2.4,
-# OpenBLAS), so this bounds the rerun near 1 s.
-MAX_STEPWISE_STEPS = 100_000
 # Most levels of a stroke sampled by doubling; larger strokes jump once per
 # sample.  Doubling saves a Python step of about 6 us per sample and pays
 # one dense n_levels^3 product per doubling power, built once per stroke.  A
@@ -242,9 +230,9 @@ def step_matrix_is_stable(r):
 
 class StepMatrix(dict):
     """A stroke's step matrix R at step dt, whether it passes
-    step_matrix_is_stable, and its powers, each built at its first use:
-    step_matrix[gap] is R^gap, and step_matrix.doubling(stride, m) the
-    doubling power R^(m stride)."""
+    step_matrix_is_stable, and its powers, each built at its first use and
+    divided by its column sums once: step_matrix[gap] is R^gap, and
+    step_matrix.doubling(stride, m) the doubling power R^(m stride)."""
 
     def __init__(self, gamma, boltz_factor, n_levels, dt):
         self.dt = float(dt)
@@ -256,10 +244,11 @@ class StepMatrix(dict):
         if isinstance(key, tuple):  # ("doubling", stride, m): the square of the power at m / 2
             _, stride, m = key
             half = self.doubling(stride, m // 2)
-            square = half @ half
-            jump = self[key] = square / np.add.reduce(square, axis=0)
+            power = half @ half
         else:
-            jump = self[key] = np.linalg.matrix_power(self.r, key)
+            power = np.linalg.matrix_power(self.r, key)
+        # out of place: matrix_power(r, 1) is r itself, which must stay undivided
+        jump = self[key] = power / np.add.reduce(power, axis=0)
         return jump
 
     def doubling(self, stride, m):
@@ -267,11 +256,6 @@ class StepMatrix(dict):
         square of the one before divided by its column sums once (see the
         module docstring)."""
         return self[stride] if m == 1 else self["doubling", stride, m]
-
-
-def default_stride(n_steps):
-    """The stride of about 64 samples per stroke."""
-    return max(1, n_steps // 64)
 
 
 def sample_count(n_steps, stride):
@@ -291,25 +275,13 @@ def evolve_populations(p0, step_matrix, n_steps, stride):
     Returns (samples, max_drift): samples has sample_count rows (initial
     state first, final state last); max_drift is the largest |sum - 1| a
     guard saw before renormalizing, per sample or, stepwise, per step.  A
-    trip the ladder (see the module docstring) does not recover raises
-    IntegrationError.
+    guard trip raises IntegrationError.
     """
     out = np.empty((sample_count(n_steps, stride), len(p0)))
     if step_matrix.stable:
         trip, bad_step, max_drift = _evolve_sampled(p0, step_matrix, n_steps, stride, out)
-        if not trip:
-            return out, max_drift
-        if stride >= n_steps > default_stride(n_steps):  # ends only: the default stride first
-            samples, max_drift = evolve_populations(p0, step_matrix, n_steps, default_stride(n_steps))
-            return samples[[0, -1]], max_drift
-        if n_steps > MAX_STEPWISE_STEPS:
-            raise IntegrationError(
-                f"a guard tripped at step {bad_step:.4g} (drift {max_drift:.3g}, limit {DRIFT_TOL:.0e}) "
-                f"of a stroke of {n_steps:.4g} steps (dt={step_matrix.dt:.3e}), too many "
-                f"to rerun step by step (limit {MAX_STEPWISE_STEPS}); reduce gamma0 * tau or set dt"
-            )
-    # an unstable step matrix, or a tripped sample: the stepwise loop decides
-    trip, bad_step, max_drift = _evolve_stepwise(p0, step_matrix.r, n_steps, stride, out)
+    else:
+        trip, bad_step, max_drift = _evolve_stepwise(p0, step_matrix.r, n_steps, stride, out)
     if trip:
         raise IntegrationError(trip.format(step=bad_step, dt=step_matrix.dt))
     return out, max_drift

@@ -137,7 +137,7 @@ class BathStroke:
     def _stride(self, sample_stride):
         """sample_stride, or the default of about 64 samples per stroke."""
         if sample_stride is None:
-            return _kernels.default_stride(self.n_steps)
+            return max(1, self.n_steps // 64)
         if sample_stride < 1:
             raise OttoKilnError(f"sample_stride must be >= 1, got {sample_stride}")
         return sample_stride
@@ -166,8 +166,8 @@ class BathStroke:
 
     def end_state(self, dist, tail_tolerance=TAIL_TOLERANCE):
         """(final state, max_drift) of the stroke from dist, by one jump
-        R^n_steps: its trajectory recorded at its two ends, whose guard
-        ladder (see _kernels) reruns a tripped jump at the default stride."""
+        R^n_steps, divided by its column sums: its trajectory recorded at its
+        two ends."""
         samples, max_drift = _kernels.evolve_populations(self._probs(dist), self.step_matrix, self.n_steps,
                                                          self.n_steps)
         return FockDistribution(samples[-1]).require_tail(tail_tolerance), max_drift

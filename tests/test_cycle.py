@@ -201,6 +201,23 @@ def test_engine_against_a_bath_near_zero_temperature_reaches_the_analytic_ledger
         assert abs(getattr(record, name) - getattr(expected, name)) <= 1e-8, name
 
 
+@pytest.mark.parametrize("mode", ["otto", "pump"])
+@pytest.mark.parametrize("overrides", [{"gamma0": 2000.0, "tau": 20.0, "tau_cd": 20.0}, {"gamma0": 1e5}],
+                         ids=["gamma0-2000-tau-20", "gamma0-1e5"])
+def test_stiff_bath_runs_traced_and_ledger_only_to_the_analytic_ledger(mode, overrides):
+    # bath strokes of 9e7 to 5.7e8 steps: each cycle ends in the baths' thermal
+    # states, so an otto run books the analytic ledger from its second cycle on
+    config = replace(EngineConfig(), mode=mode, n_cycles=4, **overrides)
+    traced = run_engine(config)
+    ledger = run_engine(config, ledger_only=True)
+    assert_same_ledgers(traced, ledger, 1e-12)
+    assert max(traced.max_step_drift, ledger.max_step_drift) <= _kernels.DRIFT_TOL
+    if mode == "otto":
+        expected = analytic_cycle_thermal_balance(config.omega_c, config.omega_h, config.t_c, config.t_h)
+        for record in ledger.records[1:]:
+            assert abs(record.w_eff - expected.w_eff) <= 1e-12 * expected.w_eff
+
+
 @pytest.mark.parametrize("bad,key", [
     ({"tail_tolerance": -1.0}, "tail_tolerance must be positive"),
     ({"n_max": 0}, "n_max must be >= 1"),
@@ -359,16 +376,26 @@ LEDGER_ONLY_CASES = [
 
 @pytest.mark.parametrize("mode,tau,start", LEDGER_ONLY_CASES,
                          ids=[f"{m}-{t}-{spec_id(s)}" for m, t, s in LEDGER_ONLY_CASES])
-def test_ledger_only_run_books_the_traced_ledger(mode, tau, start):
+def test_ledger_only_run_books_the_traced_ledger(monkeypatch, mode, tau, start):
     dist = make_distribution(start, 50)
     config = ledger_config(mode, tau, 8)
     traced = run_cycles(dist, config)
+    drifts = []
+    end_state = BathStroke.end_state
+
+    def recorded(*args, **kwargs):
+        final, drift = end_state(*args, **kwargs)
+        drifts.append(drift)
+        return final, drift
+
+    monkeypatch.setattr(BathStroke, "end_state", recorded)
     ledger = run_cycles(dist, config, ledger_only=True)
     assert_same_ledgers(traced, ledger, 1e-12)
     assert ledger.times.size == ledger.probs.size == 0 and ledger.stroke_labels == []
     assert (ledger.mode, ledger.cycle_time) == (traced.mode, traced.cycle_time)
-    # one jump R^n_steps per stroke conserves probability far inside the guard
-    assert 0.0 < ledger.max_step_drift <= _kernels.DRIFT_TOL
+    # one jump R^n_steps per stroke conserves probability far inside the
+    # guard; the run keeps the largest drift its strokes saw
+    assert ledger.max_step_drift == max(drifts) <= _kernels.DRIFT_TOL
 
 
 def count_calls(monkeypatch, owner, name):
@@ -408,17 +435,7 @@ def test_run_builds_one_step_matrix_per_bath_contact_per_run(monkeypatch, mode, 
         assert all(args[2] == args[3] for args in propagated)
 
 
-def _tripped_jump(original):
-    """_evolve_sampled with every whole-stroke jump (stride >= n_steps)
-    reported as a drift trip."""
-    def sampled(p, step_matrix, n_steps, stride, out):
-        if stride >= n_steps:
-            return _kernels._DRIFT, n_steps, 1.0
-        return original(p, step_matrix, n_steps, stride, out)
-    return sampled
-
-
-@pytest.mark.parametrize("broken", ["unstable_dt", "unstable_matrix", "jump_trips"])
+@pytest.mark.parametrize("broken", ["unstable_dt", "unstable_matrix"])
 def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broken):
     dist = make_distribution(InitialStateSpec.equal_lowest(3), 50)
     # at dt = 0.02 both step matrices have negative entries, yet the stepwise loop never trips
@@ -426,69 +443,23 @@ def test_ledger_only_stroke_falls_back_like_the_traced_stroke(monkeypatch, broke
     if broken == "unstable_matrix":  # both runs step one step at a time
         monkeypatch.setattr(_kernels, "step_matrix_is_stable", lambda r: False)
     traced = run_cycles(dist, config)
-    if broken == "jump_trips":
-        monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
     sampled = count_calls(monkeypatch, _kernels, "_evolve_sampled")
     stepwise = count_calls(monkeypatch, _kernels, "_evolve_stepwise")
     stepped = count_calls(monkeypatch, BathStroke, "trajectory")
     ledger = run_cycles(dist, config, ledger_only=True)
-    if broken == "jump_trips":  # each stroke's jump trips, then it reruns at the default stride
-        runs = [(args[2], args[3]) for args in sampled]
-        assert len(runs) == 2 * 2 * 3
-        assert all(stride == n_steps for n_steps, stride in runs[::2])
-        assert all(stride == max(1, n_steps // 64) for n_steps, stride in runs[1::2])
-        assert stepwise == []
-    else:  # the ledger-only call steps one step at a time, as the traced stroke does
-        assert sampled == [] and len(stepwise) == 2 * 3
+    # the ledger-only call steps one step at a time, as the traced stroke does
+    assert sampled == [] and len(stepwise) == 2 * 3
     assert stepped == []  # the kernel reruns the stroke, not its trajectory
     # the ledger-only stroke takes the traced stroke's path: equal bit for bit
     assert_same_ledgers(traced, ledger, 0.0)
 
 
-def test_ledger_only_stroke_reruns_a_tripped_jump_at_the_default_stride():
-    # gamma0 = 50, tau = 20: 2,859,165 steps per hot stroke; one jump
-    # R^n_steps drifts 1.4e-10, beyond DRIFT_TOL, while the 64 jumps of the
-    # default stride drift 2.3e-12.  The stroke is too long to rerun step by
-    # step, so without the rerun at the default stride the run would end in
-    # the too-long error.
-    config = replace(EngineConfig(), gamma0=50.0, tau=20.0, n_cycles=2)
-    dist = make_distribution(InitialStateSpec.ground(), 50)
-    hot = BathStroke(RateParams(1.5, 1.2, 50.0), 20.0, 51)
-    assert hot.n_steps == 2_859_165 > _kernels.MAX_STEPWISE_STEPS
-    out = np.empty((2, 51))
-    jumped = _kernels._evolve_sampled(dist.probs, hot.step_matrix, hot.n_steps, hot.n_steps, out)
-    assert jumped[:2] == (_kernels._DRIFT, hot.n_steps) and jumped[2] > _kernels.DRIFT_TOL
-    with pytest.raises(IntegrationError, match=r"^a guard tripped at step 2\.859e\+06 \(drift 1\.44e-10, limit "
-                                               r"1e-10\) of a stroke of 2\.859e\+06 steps .* too many to rerun"):
-        _kernels.evolve_populations(dist.probs, hot.step_matrix, hot.n_steps, hot.n_steps - 1)
-    traced = run_cycles(dist, config)
-    ledger = run_cycles(dist, config, ledger_only=True)
-    assert_same_ledgers(traced, ledger, 0.0)
-    assert ledger.max_step_drift == traced.max_step_drift <= _kernels.DRIFT_TOL
-    # traced at its two ends only, the run books the ledger-only records
-    ends_only = run_cycles(dist, replace(config, sample_stride=10**9))
-    assert_same_ledgers(ledger, ends_only, 0.0)
-    assert ends_only.max_step_drift == ledger.max_step_drift
-
-
-def test_ledger_only_run_reads_no_sample_stride_where_every_jump_trips(monkeypatch):
-    config = ledger_config("otto", 1.0, 3)
-    traced = run_cycles(make_distribution(InitialStateSpec.equal_lowest(3), 50), config)
-    monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
-    for sample_stride in (None, 1, 7):  # each tripped jump reruns at the stroke's default stride
-        ledger = run_cycles(traced.records[0].dist_a, replace(config, sample_stride=sample_stride),
-                            ledger_only=True)
-        assert_same_ledgers(traced, ledger, 0.0)
-        assert ledger.max_step_drift == traced.max_step_drift
-
-
 @pytest.mark.parametrize("mode", ["otto", "pump"])
-def test_traced_run_at_an_ends_only_stride_books_the_ledger_only_records_where_jumps_trip(monkeypatch, mode):
-    # a traced stroke recorded at its two ends only takes the ledger-only
-    # stroke's rung where its jump trips: the default stride, its last sample
+def test_traced_run_at_an_ends_only_stride_books_the_ledger_only_records(monkeypatch, mode):
+    # a traced stroke recorded at its two ends only is the ledger-only
+    # stroke's one jump R^n_steps
     config = ledger_config(mode, 1.0, 3)
     dist = make_distribution(InitialStateSpec.equal_lowest(3), 50)
-    monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump(_kernels._evolve_sampled))
     propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
     ledger = run_cycles(dist, config, ledger_only=True)
     longest = max(args[2] for args in propagated)  # the longest stroke's n_steps
@@ -496,21 +467,6 @@ def test_traced_run_at_an_ends_only_stride_books_the_ledger_only_records_where_j
         traced = run_cycles(dist, replace(config, sample_stride=sample_stride))
         assert_same_ledgers(ledger, traced, 0.0)
         assert traced.max_step_drift == ledger.max_step_drift
-
-
-@pytest.mark.parametrize("mode", ["otto", "pump"])
-def test_stiff_ledger_only_run_at_every_step_reruns_at_most_64_jumps(monkeypatch, mode):
-    # the "stiff" golden trace config: 2.2M to 2.9M steps per bath stroke,
-    # whose one jump R^n_steps trips the drift guard; at sample_stride = 1 a
-    # rerun at the sample stride would record millions of rows
-    config = replace(EngineConfig(), mode=mode, gamma0=50.0, tau=20.0, tau_cd=20.0, n_cycles=2)
-    traced = run_engine(config)
-    propagated = count_calls(monkeypatch, _kernels, "evolve_populations")
-    ledger = run_engine(replace(config, sample_stride=1), ledger_only=True)
-    assert_same_ledgers(traced, ledger, 0.0)
-    strides = [(n_steps, stride) for _, _, n_steps, stride, *_ in propagated]
-    assert all(stride >= n_steps // 64 for n_steps, stride in strides)
-    assert any(stride < n_steps for n_steps, stride in strides)  # a tripped jump reran
 
 
 def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):

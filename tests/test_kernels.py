@@ -15,7 +15,6 @@ from ottokiln._kernels import (
     _NEGATIVE,
     _evolve_sampled,
     _evolve_stepwise,
-    default_stride,
     derivative,
     evolve_populations,
     generator_matrix,
@@ -112,76 +111,42 @@ def test_sample_to_sample_path_matches_stepwise_loop(n_steps, stride):
     assert np.abs(samples - ref_samples).max() <= 1e-13
 
 
-@pytest.mark.parametrize("dt,offset,stable,expect", [
-    (0.5, 0.0, False, (_NEGATIVE, 2)),  # unstable dt: R has negative entries
-    (7e-4, 1e-9, True, (_DRIFT, 1)),   # start off the simplex: first sample trips
+@pytest.mark.parametrize("dt,offset,stride,stable,expect", [
+    (0.5, 0.0, 10, False, (_NEGATIVE, 2)),  # unstable dt: R has negative entries
+    (7e-4, 1e-9, 1, True, (_DRIFT, 1)),    # start off the simplex: the first sample, at step 1, trips
 ])
-def test_guard_failure_names_the_first_bad_step_like_the_stepwise_loop(dt, offset, stable, expect,
+def test_guard_failure_names_the_first_bad_step_like_the_stepwise_loop(dt, offset, stride, stable, expect,
                                                                        monkeypatch):
-    if not stable:
-        monkeypatch.setattr(_kernels, "_evolve_sampled", _refuse)
+    monkeypatch.setattr(_kernels, "_evolve_stepwise" if stable else "_evolve_sampled", _refuse)
     p0 = np.zeros(51)
     p0[0] = 1.0 + offset
     text = expect[0].format(step=expect[1], dt=dt)
     with pytest.raises(IntegrationError, match=f"^{re.escape(text)}$"):
-        evolve_populations(p0, _matrix(p0, dt), 50, 10)
-    ref_trip, ref_bad, _, _, r = _stepwise(p0, dt, 50, 10)
+        evolve_populations(p0, _matrix(p0, dt), 50, stride)
+    ref_trip, ref_bad, _, _, r = _stepwise(p0, dt, 50, stride)
     assert step_matrix_is_stable(r) == stable
     assert (ref_trip, ref_bad) == expect
 
 
-@pytest.mark.parametrize("cap,expect", [
-    (49, r"^a guard tripped at step (10) \(drift (\S+), limit 1e-10\) of a stroke of 50 steps \(dt=7\.000e-04\), "
-         r"too many to rerun step by step \(limit 49\); reduce gamma0 \* tau or set dt$"),
-    (50, r"^probability sum drifted beyond 1e-10 at step (1) \(dt=7\.000e-04\); reduce the time step$"),
-], ids=["too-long", "stepwise"])
-def test_tripped_stroke_longer_than_the_cap_is_not_rerun_stepwise(cap, expect, monkeypatch):
-    monkeypatch.setattr(_kernels, "MAX_STEPWISE_STEPS", cap)
-    if cap < 50:
-        monkeypatch.setattr(_kernels, "_evolve_stepwise", _refuse)
+@pytest.mark.parametrize("gamma,dt,edits,text", [
+    (GAMMA, 0.5, {}, "probability below -1e-12 at step 2 (dt=5.000e-01); the step size is unstable"),
+    (1e300, 1e-6, {}, "probability sum drifted beyond 1e-10 at step 1 (dt=1.000e-06); reduce the time step"),
+    (GAMMA, 7e-4, {0: 1.0 + 1e-9}, "probability sum drifted beyond 1e-10 at step 10 (dt=7.000e-04); "
+                                   "reduce the time step"),
+    (GAMMA, 7e-4, {0: 1.0 + 1e-9, 50: -1e-9}, "probability below -1e-12 at step 10 (dt=7.000e-04); "
+                                              "the step size is unstable"),
+], ids=["negative", "drift", "drift-sampled", "negative-sampled"])
+def test_evolve_populations_raises_each_guard_text(gamma, dt, edits, text):
+    # an unstable R (negative entries at dt = 0.5, overflowed to NaN at gamma
+    # = 1e300) trips in the stepwise loop; a stable R trips only on a start
+    # off the simplex or below the floor, at the first sample (step 10)
     p0 = np.zeros(51)
-    p0[0] = 1.0 + 1e-9  # off the simplex: the first sample, at step 10, trips
-    with pytest.raises(IntegrationError, match=expect) as raised:
-        evolve_populations(p0, _matrix(p0, 7e-4), 50, 10)
-    if cap < 50:  # the text names the drift of the sample that tripped
-        assert float(re.match(expect, str(raised.value)).group(2)) > _kernels.DRIFT_TOL
-
-
-@pytest.mark.parametrize("dt,offset,cap,text", [
-    (0.5, 0.0, 100_000, "probability below -1e-12 at step 2 (dt=5.000e-01); the step size is unstable"),
-    (7e-4, 1e-9, 100_000, "probability sum drifted beyond 1e-10 at step 1 (dt=7.000e-04); reduce the time step"),
-    (7e-4, 1e-9, 49, "a guard tripped at step 10 (drift 1e-09, limit 1e-10) of a stroke of 50 steps "
-                     "(dt=7.000e-04), too many to rerun step by step (limit 49); reduce gamma0 * tau or set dt"),
-], ids=["negative", "drift", "too-long"])
-def test_evolve_populations_raises_each_guard_text(dt, offset, cap, text, monkeypatch):
-    monkeypatch.setattr(_kernels, "MAX_STEPWISE_STEPS", cap)
-    p0 = np.zeros(51)
-    p0[0] = 1.0 + offset
+    p0[0] = 1.0
+    for level, value in edits.items():
+        p0[level] = value
     with pytest.raises(IntegrationError) as raised:
-        evolve_populations(p0, _matrix(p0, dt), 50, 10)
+        evolve_populations(p0, _matrix(p0, dt, gamma=gamma), 50, 10)
     assert str(raised.value) == text
-
-
-def _tripped_jump(p, step_matrix, n_steps, stride, out):
-    """_evolve_sampled with every whole-stroke jump (stride >= n_steps)
-    reported as a drift trip."""
-    if stride >= n_steps:
-        return _DRIFT, n_steps, 1.0
-    return _evolve_sampled(p, step_matrix, n_steps, stride, out)
-
-
-@pytest.mark.parametrize("n_steps", [1, 2, 64, 2857])
-def test_ends_only_stroke_whose_jump_trips_keeps_the_last_sample_of_the_default_stride(n_steps, monkeypatch):
-    monkeypatch.setattr(_kernels, "_evolve_sampled", _tripped_jump)
-    if n_steps > 1:  # a one-step stroke's default stride is its one step: it reruns stepwise at once
-        monkeypatch.setattr(_kernels, "_evolve_stepwise", _refuse)
-    p0 = np.random.default_rng(n_steps).random(51)
-    p0 /= p0.sum()
-    samples, max_drift = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, default_stride(n_steps))
-    for stride in (n_steps, n_steps + 1, 10**9):  # recorded at the two ends only
-        ends, ends_drift = evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
-        assert ends_drift == max_drift
-        assert ends.tobytes() == samples[[0, -1]].tobytes()
 
 
 def test_verify_grid_runs_on_the_sample_to_sample_path(monkeypatch):
@@ -203,15 +168,23 @@ def _four_reduction_guard(p, max_drift):
     return None, max_drift
 
 
+def _divided_power(r, gap):
+    """R^gap divided by its column sums."""
+    power = np.linalg.matrix_power(r, gap)
+    return power / power.sum(axis=0)
+
+
 def _four_reduction_sampled(p, step_matrix, n_steps, stride, out):
     """The sample-to-sample loop before the rewrite: each jump is a new array,
-    guarded by the reference guard, then copied into its output row."""
+    guarded by the reference guard, then copied into its output row.  Its
+    powers are matrix_power results divided by their column sums once, as
+    StepMatrix builds them."""
     out[0] = p
     max_drift = 0.0
     gaps = [stride] * (n_steps // stride)
     if n_steps % stride:
         gaps.append(n_steps % stride)
-    jumps = {gap: np.linalg.matrix_power(step_matrix.r, gap) for gap in set(gaps)}
+    jumps = {gap: _divided_power(step_matrix.r, gap) for gap in set(gaps)}
     k = 0
     for idx, gap in enumerate(gaps, start=1):
         p = jumps[gap] @ p
@@ -226,7 +199,7 @@ def _four_reduction_sampled(p, step_matrix, n_steps, stride, out):
 # Largest relative difference per population between doubled samples and the
 # reference loop: the loop renormalizes every sample, doubling renormalizes
 # its powers, so the two round apart by a few ulps per doubling.  The tests
-# below reach 1.9e-13 (2-core x86, numpy 2.4, OpenBLAS); 1e-12 is about
+# below reach 1.1e-13 (2-core x86, numpy 2.4, OpenBLAS); 1e-12 is about
 # 4,500 ulps of a float64 near 1.
 DOUBLING_TOL = 1e-12
 
@@ -402,9 +375,38 @@ def test_kernel_agreement_doubled_against_the_per_sample_loop(stroke):
     assert_agrees_with_the_reference(samples, out)
 
 
+@st.composite
+def stable_step_matrices(draw):
+    """A StepMatrix on up to 120 levels at a step that keeps R stable, and the
+    gaps, a stride and the doubling count of the powers asked of it."""
+    n_levels = draw(st.integers(2, 120))
+    gamma = draw(st.floats(0.01, 1e4))
+    boltz = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.95))]))
+    dt = draw(st.floats(0.05, 1.0)) / (40.0 * gamma * n_levels)  # up to default_time_step's rate bound
+    gaps = draw(st.lists(st.integers(1, 10**8), max_size=3))
+    return StepMatrix(gamma, boltz, n_levels, dt), gaps, draw(st.integers(1, 10**6)), draw(st.integers(0, 6))
+
+
+@settings(deadline=None)
+@given(stable_step_matrices())
+def test_every_step_power_conserves_probability_and_leaves_r_unchanged(drawn):
+    step_matrix, gaps, stride, doublings = drawn
+    assert step_matrix.stable
+    r = step_matrix.r.copy()
+    step_matrix[1]
+    assert step_matrix.r.tobytes() == r.tobytes() and step_matrix[1] is not step_matrix.r
+    for gap in gaps:
+        step_matrix[gap]
+    for k in range(doublings + 1):
+        step_matrix.doubling(stride, 2**k)
+    n_levels = r.shape[0]
+    for key, power in step_matrix.items():
+        assert np.abs(np.add.reduce(power, axis=0) - 1.0).max() <= n_levels * 2.0**-52, key
+
+
 def test_doubling_powers_are_kept_apart_from_the_gap_powers():
-    # the stride, ragged and whole-stroke powers stay matrix_power results, as
-    # the ledger-only path reads them; each doubling power is the square of the
+    # the stride, ragged and whole-stroke powers are matrix_power results
+    # divided by their column sums; each doubling power is the square of the
     # one before it divided by its column sums
     p0 = np.random.default_rng(1).random(51)
     p0 /= p0.sum()
@@ -414,7 +416,8 @@ def test_doubling_powers_are_kept_apart_from_the_gap_powers():
     gaps = sorted(key for key in step_matrix if not isinstance(key, tuple))
     assert gaps == [41, 44, 2857]
     for gap in gaps:
-        assert step_matrix[gap].tobytes() == np.linalg.matrix_power(step_matrix.r, gap).tobytes()
+        assert step_matrix[gap].tobytes() == _divided_power(step_matrix.r, gap).tobytes()
+        assert np.abs(step_matrix[gap].sum(axis=0) - 1.0).max() <= 4.5e-16
     doubling = sorted(key for key in step_matrix if isinstance(key, tuple))
     assert doubling == [("doubling", 44, m) for m in (2, 4, 8, 16, 32)]
     half = step_matrix[44]
@@ -493,37 +496,27 @@ def test_later_samples_store_no_negative_zero(n_steps, stride, doubling_max_leve
     assert not np.signbit(samples).any()
 
 
-class _GivenStepMatrix(StepMatrix):
-    """A StepMatrix over a given R at dt = 1, taken as stable."""
-
-    def __init__(self, r):
-        self.r, self.stable, self.dt = r, True, 1.0
-
-
-@pytest.mark.parametrize("doubling_max_levels,n_steps,stride,bad_step", [
-    (0, 5, 1, 3), (0, 5, 2, 4), (0, 3, 2, 3), (3, 5, 2, 4), (3, 3, 2, 3), (3, 5, 1, 5),
-], ids=["jumped-5-1-3", "jumped-5-2-4", "jumped-3-2-3", "doubled-5-2-4", "doubled-3-2-3", "doubled-5-1-5"])
-def test_a_drifting_stride_or_ragged_power_trips_at_its_step(doubling_max_levels, n_steps, stride, bad_step,
-                                                             monkeypatch):
-    # the mass walks up a 3-level chain and reaches the top level at step 2;
-    # only the top column gains 2e-10 a step, so the first sample passes and
-    # a later one trips the drift guard: the second sample by the stride
-    # power R^2 (5 at 2), the ragged last by R^1 (3 at 2).  Jumping once per
-    # sample, stride 1 trips at step 3 like the reference.  Doubling at
-    # stride 1 divides the power R^2 by its column sums, so samples 3 and 4
-    # keep their mass and only the ragged last sample trips, at step 5
+@pytest.mark.parametrize("doubling_max_levels,n_steps,stride,nan_key,bad_step", [
+    (0, 5, 2, 2, 2), (0, 5, 2, 1, 5), (0, 3, 2, 1, 3),
+    (3, 5, 2, 1, 5), (3, 5, 1, ("doubling", 1, 2), 3), (3, 9, 1, ("doubling", 1, 4), 5),
+], ids=["jumped-stride", "jumped-5-2-ragged", "jumped-3-2-ragged",
+        "doubled-ragged", "doubled-m2", "doubled-m4"])
+def test_a_power_that_carries_nan_trips_at_its_step(doubling_max_levels, n_steps, stride, nan_key, bad_step,
+                                                    monkeypatch):
+    # a power divided by its column sums cannot drift, so one that carries
+    # NaN stands in for a bad power: the stride power trips at the first
+    # sample, the ragged power at the last, and a doubling power R^(m stride)
+    # at sample m + 1, the first of the block it doubles
     monkeypatch.setattr(_kernels, "DOUBLING_MAX_LEVELS", doubling_max_levels)
-    r = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0 + 2e-10]])
     p0 = np.array([1.0, 0.0, 0.0])
+    step_matrix = StepMatrix(GAMMA, BOLTZ, 3, 7e-4)
+    step_matrix[nan_key] = np.full((3, 3), np.nan)
     out = np.empty((sample_count(n_steps, stride), 3))
-    got = _evolve_sampled(p0, _GivenStepMatrix(r), n_steps, stride, out)
-    want = _four_reduction_sampled(p0, _GivenStepMatrix(r), n_steps, stride, out.copy())
-    assert got[:2] == (_DRIFT, bad_step) and got[2] > DRIFT_TOL
-    if bad_step == want[1]:  # no doubling power before the trip: the reference's trip and drift
-        assert got == want
-    # the stepwise rerun names the first bad step: the one after the mass reaches the top level
-    with pytest.raises(IntegrationError, match=r"^probability sum drifted beyond 1e-10 at step 3 \(dt=1\.000e\+00\)"):
-        evolve_populations(p0, _GivenStepMatrix(r), n_steps, stride)
+    got = _evolve_sampled(p0, step_matrix, n_steps, stride, out)
+    assert got[:2] == (_DRIFT, bad_step)
+    assert np.isfinite(out[:-(-bad_step // stride)]).all()  # the samples before the trip
+    with pytest.raises(IntegrationError, match=rf"^probability sum drifted beyond 1e-10 at step {bad_step} \(dt="):
+        evolve_populations(p0, step_matrix, n_steps, stride)
 
 
 def test_stepwise_loop_and_whole_stroke_jump_equal_the_four_reduction_guard_bit_for_bit(monkeypatch):

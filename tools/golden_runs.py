@@ -73,11 +73,16 @@ EDGE_RUNS = [
     ("edge-mode-upper-case", "simulate", [], "mode = OTTO\nn_cycles = 2\n"),
     ("edge-sweep-mode-upper-case", "sweep", [], FINITE_SMALL.replace("finite", "FINITE")),
     ("edge-relaxation-time", "pump", [], "relaxation_time = 2\nn_cycles = 3\n"),
-    # ledger-only strokes whose one jump trips the drift guard rerun at the default stride, not at sample_stride
+    # ledger-only strokes of 2.2M to 2.9M steps, one jump each, which read no sample_stride
     ("edge-finite-retry-every-step", "sweep", [], RETRY_EVERY_STEP),
-    # traced strokes recorded at their two ends only take the same rung where their one jump trips
+    # traced strokes recorded at their two ends only: the ledger-only strokes' one jump
     ("edge-simulate-ends-only-retry", "simulate", [],
      "gamma0 = 50\ntau = 20\nsample_stride = 1000000000\nn_cycles = 2\n"),
+    # stiff baths: strokes of 9e7 to 5.7e8 steps, sampled or one jump each
+    ("edge-simulate-stiff", "simulate", ["--wide"], "gamma0 = 2000\ntau = 20\nn_cycles = 2\n"),
+    ("edge-simulate-gamma0-1e5", "simulate", [], "gamma0 = 1e5\n"),
+    ("edge-finite-gamma0-1e5", "sweep", [], "gamma0 = 1e5\n" + FINITE_SMALL),
+    ("edge-finite-every-step-stiff", "sweep", [], RETRY_EVERY_STEP.replace("gamma0 = 50", "gamma0 = 2000")),
     # states whose omega/T overflows: the limit distribution, without numpy warnings
     ("edge-infinite-ratio-states", "pump", [],
      "initial_state = boltzmann:1e300:1e-300\npump_target = gaussian:2:1e300:1e-300\nn_cycles = 2\n"),
@@ -96,10 +101,7 @@ EDGE_RUNS = [
     ("fail-truncation", "simulate", [], "n_max = 10\n"),
     ("fail-unstable-dt", "simulate", [], "dt = 0.03\n"),
     ("fail-unstable-dt-finite", "sweep", [], "dt = 0.03\n" + FINITE_SMALL),
-    ("fail-too-long-to-rerun", "simulate", [], "gamma0 = 1e5\n"),
-    ("fail-too-long-to-rerun-finite", "sweep", [], "gamma0 = 1e5\n" + FINITE_SMALL),
     ("fail-nan-drift", "simulate", [], "gamma0 = 1e300\ndt = 1e-6\nn_cycles = 1\n"),
-    ("fail-finite-retry-every-step-stiff", "sweep", [], RETRY_EVERY_STEP.replace("gamma0 = 50", "gamma0 = 2000")),
     # strokes of more than 2**53 steps
     ("fail-steps-uncountable", "simulate", [], "dt = 1e-300\ntau = 1e-9\n"),
     ("fail-steps-uncountable-pump", "pump", [], "gamma0 = 1e300\nt_c = 1e-300\nt_h = 1e300\ntau_db = 1e-300\n"),
