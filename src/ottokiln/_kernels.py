@@ -27,24 +27,22 @@ the full guard: the drift check, the negativity check and the clamp, and a
 renormalization.  After it the state is >= 0, and a stable R keeps it so: a
 later product of non-negative numbers can be -0.0 but never below, so one
 np.maximum over the later samples turns -0.0 into 0.0, all that a clamp per
-sample could do.  The later samples come one of two ways.
+sample could do.
 
-On more than DOUBLING_MAX_LEVELS levels each later sample is one jump from
-the one before it, R^stride, or the ragged rest R^(n_steps - (last - 1)
-stride) for the last, then drift-checked and renormalized: one Python step
-per sample.
-
-On at most DOUBLING_MAX_LEVELS levels they come by doubling.  Once samples
-1..m are known, samples m+1..2m are those m samples moved on by m strides,
-one matrix product of the m rows with R^(m stride); so the samples before
-the last take about log2(samples) products.  The last sample is one jump
-with the ragged rest, renormalized.  The drift check then runs on every
-later sample at once, and names the first bad one.  The doubling powers are
-R^(2 stride) = (R^stride)^2 and on by squaring, each square divided by its
-column sums once, and kept under their own keys.  The doubled samples are
-left as the products give them.  A default simulate from the ground state
-reaches a cycle start that repeats bit for bit at cycle 13 (12 with one
-jump per sample), and cycle.run_cycles copies the cycles after it.
+The later samples move in blocks, and each block is renormalized before a
+later block reads it.  On at most DOUBLING_MAX_LEVELS levels the blocks
+double: once samples 1..m are known, samples m+1..2m are those m samples
+moved on by m strides, one matrix product of the m rows with R^(m stride),
+so the samples before the last take about log2(samples) products.  Above
+the cap each block is the one sample before, moved on by R^stride: one
+Python step per sample.  The last sample is the one before, moved on by the
+ragged rest R^(n_steps - (last - 1) stride).  The sums taken before each
+renormalization are drift-checked once at the end, which names the first
+bad sample.  The doubling powers are R^(2 stride) = (R^stride)^2 and on by
+squaring, each square divided by its column sums once, and kept under their
+own keys.  A default simulate from the ground state reaches a cycle start
+that repeats bit for bit at cycle 12 (counted from 0) under either block
+rule, and cycle.run_cycles copies the cycles after it.
 
 evolve_populations runs a stable R on the sampled path and an unstable one
 on the stepwise loop.  A trip on either raises IntegrationError with the
@@ -58,19 +56,21 @@ from .exceptions import IntegrationError
 # Guards; values are contractual for the integrator.
 DRIFT_TOL = 1e-10
 NEG_FLOOR = 1e-12
-# Most levels of a stroke sampled by doubling; larger strokes jump once per
-# sample.  Doubling saves a Python step of about 6 us per sample and pays
-# one dense n_levels^3 product per doubling power, built once per stroke.  A
-# fresh stroke of the default 64 samples, evolved once, took 0.65 ms by
-# doubling and 0.71 ms by jumps at 80 levels, 1.10 and 0.99 ms at 96, and
-# 2.58 and 2.03 ms at 128; a traced 2-cycle run at n_max = 1000 took 2.9 s
-# by doubling and 1.9 s by jumps (2-core x86, numpy 2.4, OpenBLAS).
+# Most levels of a stroke sampled in doubling blocks; larger strokes move one
+# stride per block.  Doubling saves a Python step of about 6 us per sample
+# and pays one dense n_levels^3 product per doubling power, built once per
+# stroke.  A fresh stroke of the default 64 samples, evolved once, took
+# 0.65 ms by doubling and 0.71 ms by jumps at 80 levels, 1.10 and 0.99 ms at
+# 96, and 2.58 and 2.03 ms at 128; a traced 2-cycle run at n_max = 1000 took
+# 2.9 s by doubling and 1.9 s by jumps (2-core x86, numpy 2.4, OpenBLAS).
 DOUBLING_MAX_LEVELS = 80
 
 # The guards' trip signals (None: no trip), each the text of the error a
 # final trip raises, with the bad step and dt left to fill in.
 _DRIFT = f"probability sum drifted beyond {DRIFT_TOL:.0e} at step {{step}} (dt={{dt:.3e}}); reduce the time step"
 _NEGATIVE = f"probability below -{NEG_FLOOR:.0e} at step {{step}} (dt={{dt:.3e}}); the step size is unstable"
+_NEGATIVE_START = (f"probability below -{NEG_FLOOR:.0e} at step {{step}} (dt={{dt:.3e}}); "
+                   "the start state holds a negative population")
 
 
 def rate_coefficients(gamma, boltz_factor, n_levels):
@@ -166,59 +166,46 @@ def _evolve_stepwise(p, r, n_steps, stride, out):
 
 def _evolve_sampled(p, step_matrix, n_steps, stride, out):
     """Jump from sample to sample (see the module docstring): the first
-    sample by one guarded jump R^stride, the later ones by doubling on at
-    most DOUBLING_MAX_LEVELS levels and one jump each above, each written
-    straight into its output row; their -0.0 entries become 0.0 at the end."""
+    sample by one guarded jump R^stride, the later ones in blocks, each
+    written straight into its output rows; their -0.0 entries become 0.0 at
+    the end.  A negative first sample names the start state: a stable R
+    keeps a start on the simplex non-negative."""
     out[0] = p
     gap = min(stride, n_steps)
     p = np.matmul(step_matrix[gap], p, out=out[1])
     trip, max_drift = _guard(p, 0.0)
     if trip or gap == n_steps:  # a trip, or one jump over the whole stroke
-        return trip, gap, max_drift
-    later = _doubled_samples if p.shape[0] <= DOUBLING_MAX_LEVELS else _jumped_samples
-    trip, bad_step, max_drift = later(step_matrix, n_steps, stride, out, max_drift)
+        return _NEGATIVE_START if trip is _NEGATIVE else trip, gap, max_drift
+    trip, bad_step, max_drift = _later_samples(step_matrix, n_steps, stride, out, max_drift)
     if not trip:
         np.maximum(out[2:], 0.0, out=out[2:])
     return trip, bad_step, max_drift
 
 
-def _jumped_samples(step_matrix, n_steps, stride, out, max_drift):
-    """Samples 2..last, each one jump R^stride from the one before (the last
-    with the ragged rest), drift-checked and renormalized in turn."""
-    jump = step_matrix[stride]
+def _later_samples(step_matrix, n_steps, stride, out, max_drift):
+    """Samples 2..last in blocks (see the module docstring), each
+    renormalized before a later block reads it; the sums taken before
+    renormalizing are drift-checked once at the end, naming the first bad
+    sample."""
     last = out.shape[0] - 1
-    for idx in range(2, last + 1):
-        if idx == last:
-            jump = step_matrix[n_steps - (last - 1) * stride]
-        p = np.matmul(jump, out[idx - 1], out=out[idx])
-        total = float(np.add.reduce(p))
-        drift = abs(total - 1.0)
-        max_drift = max(max_drift, drift)
-        if not drift <= DRIFT_TOL:
-            return _DRIFT, min(idx * stride, n_steps), max_drift
-        p /= total
-    return None, n_steps, max_drift
-
-
-def _doubled_samples(step_matrix, n_steps, stride, out, max_drift):
-    """Samples 2..last: those before the last in blocks that double, the last
-    by the ragged rest, renormalized.  The drift check then runs on all of
-    them at once and names the first bad one."""
-    last = out.shape[0] - 1
-    known = 1  # samples 1..known are in out; the next block is known strides on
-    while known < last - 1:
-        block = min(known, last - 1 - known)
-        power = step_matrix.doubling(stride, known)
-        np.matmul(out[1:block + 1], power.T, out=out[known + 1:known + 1 + block])
+    doubles = out.shape[1] <= DOUBLING_MAX_LEVELS
+    totals = np.empty(last + 1)
+    known = 1  # samples 1..known are in out, renormalized
+    while known < last:
+        if doubles and known < last - 1:
+            block, source, power = min(known, last - 1 - known), 1, step_matrix.doubling(stride, known)
+        else:
+            block, source = 1, known
+            power = step_matrix[stride if known < last - 1 else n_steps - (last - 1) * stride]
+        rows = slice(known + 1, known + 1 + block)
+        np.matmul(out[source:source + block], power.T, out=out[rows])
+        out[rows] /= np.add.reduce(out[rows], axis=1, out=totals[rows])[:, None]
         known += block
-    np.matmul(step_matrix[n_steps - (last - 1) * stride], out[last - 1], out=out[last])
-    totals = np.add.reduce(out[2:], axis=1)
-    drifts = np.abs(totals - 1.0)
+    drifts = np.abs(totals[2:] - 1.0)
     bad = np.flatnonzero(~(drifts <= DRIFT_TOL))  # a NaN sum is bad too
     if bad.size:
         first = int(bad[0])
         return _DRIFT, min((first + 2) * stride, n_steps), max(max_drift, float(drifts[:first + 1].max()))
-    out[last] /= totals[-1]
     return None, n_steps, max(max_drift, float(drifts.max()))
 
 

@@ -109,3 +109,37 @@ def test_a_missing_file_or_a_changed_line_count_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "traces.txt: only in " in out
     assert "run/cycles.csv: 3 lines -> 4 lines" in out
+
+
+def test_an_exit_code_move_fails_under_its_own_heading(tmp_path, capsys):
+    # a run that now fails: its record's exit line and stdout both change, and
+    # only the exit line is listed, under its heading and not with the others
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b", exit=1)
+    (b / "run.txt").write_text("argv simulate --out run\nexit 1\n--- stdout\n--- stderr\nerror: bad config\n")
+    assert golden_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "exit codes changed (failures; the rest of each record is not compared):\n" \
+           "  run.txt line 2: 'exit 0' -> 'exit 1'\n" in out
+    assert "\nfailures:" not in out and "lines ->" not in out
+    assert out.endswith(" 0 trace hash moves, 1 failures\n")
+
+
+@pytest.mark.parametrize("start_a,start_b", [(11, None), (None, 13)])
+def test_a_repeat_from_set_in_one_tree_only_fails_under_its_own_heading(tmp_path, capsys, start_a, start_b):
+    a = write_tree(tmp_path / "a", start=start_a)
+    b = write_tree(tmp_path / "b", start=start_b)
+    assert golden_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "repeat_from set in one tree only (failures):\n" \
+           f"  traces.txt default otto traced: repeat_from {start_a} -> {start_b}\n" in out
+    assert "\nfailures:" not in out and "trace hashes changed" not in out
+    assert out.endswith(" 0 trace hash moves, 1 failures\n")
+
+
+def test_a_one_sided_move_and_another_failure_are_listed_apart(tmp_path, capsys):
+    code, out = diff(tmp_path, capsys, exit=1, start=None, q_in="0.520810626217")
+    assert code == 1
+    assert out.index("exit codes changed") < out.index("repeat_from set in one tree only") < out.index("\nfailures:")
+    assert "run/cycles.csv line 2 q_in: 0.520810626207 -> 0.520810626217" in out.split("\nfailures:")[1]
+    assert out.endswith(" 0 trace hash moves, 3 failures\n")

@@ -23,7 +23,15 @@ Some moves beyond the 12th digit are listed apart, and accepted:
   trees set it (``traces.txt``);
 * trace hashes that changed while ``records=`` and ``rows=`` did not.
 
-Every other difference is listed as a failure, and the tool exits 1.
+Every other difference is a failure, and the tool exits 1.  Two kinds of
+failure are listed under their own headings, apart from the rest:
+
+* exit-code moves: a run record whose ``exit`` line differs (say, a run
+  that failed now succeeds).  The rest of that record is not compared, since
+  its stdout and stderr follow the exit code; files its run writes in one
+  tree only are still listed with the other failures;
+* ``repeat_from`` set in one tree only (``traces.txt``, ``None`` on the
+  other side).
 """
 
 import os
@@ -67,10 +75,13 @@ class Report:
     def __init__(self):
         self.digit_moves = Counter()  # (file, column) -> count
         self.a_shift_moves, self.figure_moves, self.repeat_moves, self.hash_moves = [], [], [], []
-        self.failures = []
+        self.exit_moves, self.one_sided_repeats, self.failures = [], [], []
 
     def fail(self, where, text):
         self.failures.append(f"{where}: {text}")
+
+    def failure_count(self):
+        return len(self.exit_moves) + len(self.one_sided_repeats) + len(self.failures)
 
     def numbers(self, where, key, a, b, rule=None):
         """Compare one number of A and B; rule(x, y) accepts a move beyond the
@@ -160,6 +171,9 @@ def _compare_traces(report, name, lines_a, lines_b):
         if start_a != start_b:
             if start_a.isdigit() and start_b.isdigit() and abs(int(start_a) - int(start_b)) <= REPEAT_SHIFT:
                 report.repeat_moves.append(f"{label}: {start_a} -> {start_b}")
+            elif "None" in (start_a, start_b):
+                report.one_sided_repeats.append(f"{name} {label}: repeat_from {start_a} -> {start_b}")
+                continue
             else:
                 report.fail(f"{name} {label}", f"repeat_from {start_a} -> {start_b}")
                 continue
@@ -169,6 +183,12 @@ def _compare_traces(report, name, lines_a, lines_b):
 
 def compare_file(report, name, text_a, text_b):
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    record = name.endswith(".txt") and name != "traces.txt"
+    exit_a, exit_b = (lines[1] if lines[1:2] and lines[1].startswith("exit ") else None
+                      for lines in (lines_a, lines_b))  # line 2 of a run record is its exit code
+    if record and exit_a and exit_b and exit_a != exit_b:
+        report.exit_moves.append(f"{name} line 2: {exit_a!r} -> {exit_b!r}")
+        return
     if len(lines_a) != len(lines_b) or text_a.endswith("\n") != text_b.endswith("\n"):
         report.fail(name, f"{len(lines_a)} lines -> {len(lines_b)} lines, or a final newline added or dropped")
         return
@@ -182,7 +202,7 @@ def compare_file(report, name, text_a, text_b):
         for number, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
             tag = la.lstrip("<").split(" ", 1)[0]
             _compare_text(report, name, number, la, lb, tag)
-    elif name.endswith(".txt"):
+    elif record:
         _compare_record(report, name, lines_a, lines_b)
     elif text_a != text_b:
         report.fail(name, "the bytes differ")
@@ -213,6 +233,8 @@ def print_report(report, files):
         (f"stdout figure moves (both sides at most {ROUNDING:.0e} in size)", report.figure_moves),
         (f"repeat_from moves (at most {REPEAT_SHIFT} cycles)", report.repeat_moves),
         ("trace hashes changed, records= and rows= unchanged", report.hash_moves),
+        ("exit codes changed (failures; the rest of each record is not compared)", report.exit_moves),
+        ("repeat_from set in one tree only (failures)", report.one_sided_repeats),
         ("failures", report.failures),
     ]
     for title, lines in sections:
@@ -222,7 +244,7 @@ def print_report(report, files):
     print(f"{files} files, {sum(report.digit_moves.values())} 12th-digit moves, "
           f"{len(report.a_shift_moves)} a_shift_tv moves, {len(report.figure_moves)} stdout figure moves, "
           f"{len(report.repeat_moves)} repeat_from moves, {len(report.hash_moves)} trace hash moves, "
-          f"{len(report.failures)} failures")
+          f"{report.failure_count()} failures")
 
 
 def main(argv=None):
@@ -233,7 +255,7 @@ def main(argv=None):
     a, b = Path(argv[0]), Path(argv[1])
     report = compare_trees(a, b)
     print_report(report, len(_files(a) | _files(b)))
-    return 1 if report.failures else 0
+    return 1 if report.failure_count() else 0
 
 
 if __name__ == "__main__":
