@@ -22,27 +22,29 @@ stroke at gamma0 = 2000, tau = 20, drifts 1.09e-10, past DRIFT_TOL.  A power
 of a stable R is non-negative as well, so a stable stroke's samples can trip
 a guard only on NaN or on a start state that is off the simplex.
 
-A stable stroke's first sample is one jump R^stride from the start, with
-the full guard: the drift check, the negativity check and the clamp, and a
-renormalization.  After it the state is >= 0, and a stable R keeps it so: a
-later product of non-negative numbers can be -0.0 but never below, so one
-np.maximum over the later samples turns -0.0 into 0.0, all that a clamp per
-sample could do.
+A stable stroke's samples move in blocks, each written straight into its
+output rows and renormalized before a later block reads it.  The first
+block is sample 1, the start moved on by R^stride, or by R^n_steps on a
+stroke recorded at its two ends only.  On at most DOUBLING_MAX_LEVELS
+levels the blocks after it double: once samples 1..m are known, samples
+m+1..2m are those m samples moved on by m strides, one matrix product of
+the m rows with R^(m stride), so the samples before the last take about
+log2(samples) products.  Above the cap each block is the one sample before,
+moved on by R^stride: one Python step per sample.  The last sample is the
+one before, moved on by the ragged rest R^(n_steps - (last - 1) stride).
+The doubling powers are R^(2 stride) = (R^stride)^2 and on by squaring,
+each square divided by its column sums once, and kept under their own
+keys.  A default simulate from the ground state reaches a cycle start that
+repeats bit for bit at cycle 12 (counted from 0) under either block rule,
+and cycle.run_cycles copies the cycles after it.
 
-The later samples move in blocks, and each block is renormalized before a
-later block reads it.  On at most DOUBLING_MAX_LEVELS levels the blocks
-double: once samples 1..m are known, samples m+1..2m are those m samples
-moved on by m strides, one matrix product of the m rows with R^(m stride),
-so the samples before the last take about log2(samples) products.  Above
-the cap each block is the one sample before, moved on by R^stride: one
-Python step per sample.  The last sample is the one before, moved on by the
-ragged rest R^(n_steps - (last - 1) stride).  The sums taken before each
-renormalization are drift-checked once at the end, which names the first
-bad sample.  The doubling powers are R^(2 stride) = (R^stride)^2 and on by
-squaring, each square divided by its column sums once, and kept under their
-own keys.  A default simulate from the ground state reaches a cycle start
-that repeats bit for bit at cycle 12 (counted from 0) under either block
-rule, and cycle.run_cycles copies the cycles after it.
+One pass after the last block checks samples 1..last and names the first
+bad one: its sum taken before renormalizing drifted past DRIFT_TOL (a NaN
+sum too), or it holds an entry below -NEG_FLOOR, which a stable R reaches
+only from a start state below the floor; a sample that fails both names the
+drift.  Then one np.maximum over the samples turns -0.0 into 0.0: a product
+of non-negative numbers can be -0.0 but never below, so that is all a clamp
+per sample could do.
 
 evolve_populations runs a stable R on the sampled path and an unstable one
 on the stepwise loop.  A trip on either raises IntegrationError with the
@@ -165,48 +167,34 @@ def _evolve_stepwise(p, r, n_steps, stride, out):
 
 
 def _evolve_sampled(p, step_matrix, n_steps, stride, out):
-    """Jump from sample to sample (see the module docstring): the first
-    sample by one guarded jump R^stride, the later ones in blocks, each
-    written straight into its output rows; their -0.0 entries become 0.0 at
-    the end.  A negative first sample names the start state: a stable R
-    keeps a start on the simplex non-negative."""
+    """Jump from sample to sample in blocks, then check the samples once
+    (see the module docstring).  Returns (trip, step, max_drift): step is the
+    bad sample's step, or n_steps."""
     out[0] = p
-    gap = min(stride, n_steps)
-    p = np.matmul(step_matrix[gap], p, out=out[1])
-    trip, max_drift = _guard(p, 0.0)
-    if trip or gap == n_steps:  # a trip, or one jump over the whole stroke
-        return _NEGATIVE_START if trip is _NEGATIVE else trip, gap, max_drift
-    trip, bad_step, max_drift = _later_samples(step_matrix, n_steps, stride, out, max_drift)
-    if not trip:
-        np.maximum(out[2:], 0.0, out=out[2:])
-    return trip, bad_step, max_drift
-
-
-def _later_samples(step_matrix, n_steps, stride, out, max_drift):
-    """Samples 2..last in blocks (see the module docstring), each
-    renormalized before a later block reads it; the sums taken before
-    renormalizing are drift-checked once at the end, naming the first bad
-    sample."""
     last = out.shape[0] - 1
     doubles = out.shape[1] <= DOUBLING_MAX_LEVELS
     totals = np.empty(last + 1)
-    known = 1  # samples 1..known are in out, renormalized
-    while known < last:
-        if doubles and known < last - 1:
-            block, source, power = min(known, last - 1 - known), 1, step_matrix.doubling(stride, known)
-        else:
-            block, source = 1, known
-            power = step_matrix[stride if known < last - 1 else n_steps - (last - 1) * stride]
-        rows = slice(known + 1, known + 1 + block)
-        np.matmul(out[source:source + block], power.T, out=out[rows])
-        out[rows] /= np.add.reduce(out[rows], axis=1, out=totals[rows])[:, None]
-        known += block
-    drifts = np.abs(totals[2:] - 1.0)
-    bad = np.flatnonzero(~(drifts <= DRIFT_TOL))  # a NaN sum is bad too
+    known = 0  # samples 1..known are in out, renormalized
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN sum is reported below
+        while known < last:
+            if doubles and 0 < known < last - 1:
+                block, source, power = min(known, last - 1 - known), 1, step_matrix.doubling(stride, known)
+            else:
+                block, source = 1, known
+                power = step_matrix[stride if known < last - 1 else n_steps - (last - 1) * stride]
+            rows = slice(known + 1, known + 1 + block)
+            np.matmul(out[source:source + block], power.T, out=out[rows])
+            out[rows] /= np.add.reduce(out[rows], axis=1, out=totals[rows])[:, None]
+            known += block
+    drifts = np.abs(totals[1:] - 1.0)
+    drifted = ~(drifts <= DRIFT_TOL)  # a NaN sum drifts too
+    bad = np.flatnonzero(drifted | (np.minimum.reduce(out[1:], axis=1) < -NEG_FLOOR))
     if bad.size:
         first = int(bad[0])
-        return _DRIFT, min((first + 2) * stride, n_steps), max(max_drift, float(drifts[:first + 1].max()))
-    return None, n_steps, max(max_drift, float(drifts.max()))
+        trip = _DRIFT if drifted[first] else _NEGATIVE_START
+        return trip, min((first + 1) * stride, n_steps), float(drifts[:first + 1].max())
+    np.maximum(out[1:], 0.0, out=out[1:])
+    return None, n_steps, float(drifts.max())
 
 
 def step_matrix_is_stable(r):

@@ -70,6 +70,15 @@ def _writing_into(out):
         raise OttoKilnError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
 
 
+def _chart(path, x, y, title, x_label, y_label, points):
+    """Draws an SVG chart, or prints a note naming it where fewer than two of
+    its points are finite in both x and y."""
+    if np.count_nonzero(np.isfinite(x) & np.isfinite(y)) >= 2:
+        write_svg_chart(path, x, y, title, x_label, y_label)
+    else:
+        print(f"note: {path.name} not drawn: fewer than two {points} have a finite {y_label}")
+
+
 def _run_simulation(args, mode):
     config = _load(args, mode)
     trace = run_engine(config)
@@ -84,14 +93,10 @@ def _run_simulation(args, mode):
         if args.svg and trace.records:
             cycles = text.values["cycle"]
             write_dat(out / "u_t.dat", text, ["t", "U"])
-            write_svg_chart(out / "u_t.svg", trace.times, trace.energies,
-                            "Internal energy over time", "t", "U")
+            _chart(out / "u_t.svg", trace.times, trace.energies, "Internal energy over time", "t", "U", "samples")
             write_dat(out / "efficiency_n.dat", text, ["cycle", "efficiency"])
-            if np.isfinite(efficiencies).sum() >= 2:
-                write_svg_chart(out / "efficiency_n.svg", cycles, efficiencies,
-                                "Per-cycle efficiency", "cycle", "efficiency")
-            else:
-                print("note: efficiency_n.svg not drawn: fewer than two cycles have a finite efficiency")
+            _chart(out / "efficiency_n.svg", cycles, efficiencies, "Per-cycle efficiency", "cycle", "efficiency",
+                   "cycles")
 
     if trace.records:
         last = trace.final_record
@@ -133,8 +138,8 @@ def _run_sweep(args):
                 t_h = text["t_h"][lo]  # %.12g: EngineConfig keeps the t_h distinct at that precision
                 tag = t_h.replace(".", "p")
                 write_dat(out / f"eta_power_th{tag}.dat", text, ["power", "efficiency"], rows)
-                write_svg_chart(out / f"eta_power_th{tag}.svg", sweep.power[rows], sweep.efficiency[rows],
-                                f"Efficiency vs power (t_h = {t_h})", "power", "efficiency")
+                _chart(out / f"eta_power_th{tag}.svg", sweep.power[rows], sweep.efficiency[rows],
+                       f"Efficiency vs power (t_h = {t_h})", "power", "efficiency", "points")
     flagged = int(np.count_nonzero(~sweep.converged))
     print(f"sweep: {len(sweep)} points ({config.sweep_mode} mode)"
           + (f", {flagged} flagged non-converged" if flagged else ""))

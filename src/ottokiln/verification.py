@@ -132,9 +132,10 @@ def check_equilibrium_limit():
 def check_monotone_relaxation():
     params = RateParams(1.0, 0.8, 0.5)
     target = internal_energy(stationary_distribution(1.0, 0.8, 50), 1.0)
+    stroke = BathStroke(params, 6.0, 51)
     ok = True
     for start in (FockDistribution(np.eye(51)[0]), stationary_distribution(0.4, 1.2, 50)):
-        traj = evolve_isochoric(start, params, 6.0, sample_stride=25)
+        traj = stroke.trajectory(start, sample_stride=25)
         energies = traj.probs @ np.arange(51.0)
         gaps = energies - target
         if not (np.all(np.diff(np.abs(gaps)) <= 1e-12) and gaps[0] * gaps[-1] >= 0):

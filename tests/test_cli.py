@@ -223,6 +223,22 @@ def test_svg_run_with_too_few_finite_efficiencies_skips_only_that_chart(tmp_path
         assert (out / name).exists(), name
 
 
+
+def test_finite_sweep_with_too_few_finite_points_skips_each_chart_and_writes_every_dat(tmp_path, capsys):
+    # tau = 1e-13 leaves every efficiency nan: each hot temperature's chart is
+    # skipped with a note, and the second temperature's .dat is still written
+    config = tmp_path / "cfg.txt"
+    config.write_text("sweep_mode = finite\ntau = 1e-13\nsweep_t_h = 1.2, 1.6\n"
+                      "sweep_ratio_steps = 3\nn_cycles = 2\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--svg"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("note:")] == [
+        f"note: eta_power_th{tag}.svg not drawn: fewer than two points have a finite efficiency"
+        for tag in ("1p2", "1p6")]
+    assert sorted(p.name for p in out.iterdir()) == ["eta_power_th1p2.dat", "eta_power_th1p6.dat", "sweep.csv"]
+    assert all(row["efficiency"] == "nan" for row in read_csv(out / "sweep.csv"))
+
 BAD_CONFIGS = {
     "negative_gaussian_center": ("initial_state = gaussian:-1\n", "line 1: initial_state"),
     "gaussian_with_bad_omega_h": ("omega_h = -1\ninitial_state = gaussian\n", "omega_h must be positive"),

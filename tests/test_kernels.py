@@ -1,10 +1,11 @@
 import itertools
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from ottokiln import FockDistribution, IntegrationError, _kernels
 from ottokiln.bath import BathStroke, RateParams
@@ -14,6 +15,7 @@ from ottokiln._kernels import (
     StepMatrix,
     _DRIFT,
     _NEGATIVE,
+    _NEGATIVE_START,
     _evolve_sampled,
     _evolve_stepwise,
     derivative,
@@ -136,11 +138,14 @@ def test_guard_failure_names_the_first_bad_step_like_the_stepwise_loop(dt, offse
                                    "reduce the time step"),
     (GAMMA, 7e-4, {0: 1.0 + 1e-9, 50: -1e-9}, "probability below -1e-12 at step 10 (dt=7.000e-04); "
                                               "the start state holds a negative population"),
-], ids=["negative", "drift", "drift-sampled", "negative-sampled"])
+    (GAMMA, 7e-4, {0: 1.0 + 1e-8, 50: -1e-9}, "probability sum drifted beyond 1e-10 at step 10 (dt=7.000e-04); "
+                                              "reduce the time step"),
+], ids=["negative", "drift", "drift-sampled", "negative-sampled", "drift-and-negative-sampled"])
 def test_evolve_populations_raises_each_guard_text(gamma, dt, edits, text):
     # an unstable R (negative entries at dt = 0.5, overflowed to NaN at gamma
     # = 1e300) trips in the stepwise loop; a stable R trips only on a start
-    # off the simplex or below the floor, at the first sample (step 10)
+    # off the simplex or below the floor, at the first sample (step 10), and
+    # a sample that fails both checks names the drift
     p0 = np.zeros(51)
     p0[0] = 1.0
     for level, value in edits.items():
@@ -292,8 +297,8 @@ def test_samples_equal_the_four_reduction_path_bit_for_bit(n_steps, stride, star
     # ground start leaves exact zeros above the first few levels after a
     # short jump, so the clamp branch is taken too; a bath with no upward
     # rate (boltz_factor 0) keeps every level above a level-3 start at exact
-    # zero in every sample, the entries the clamp deferred past the first
-    # sample covers (test_later_samples_store_no_negative_zero stores them as -0.0)
+    # zero in every sample, the entries the clamp after the last block covers
+    # (test_later_samples_store_no_negative_zero stores them as -0.0)
     monkeypatch.setattr(_kernels, "DOUBLING_MAX_LEVELS", 0)
     p0, boltz = _start(start, n_steps)
     samples, max_drift = evolve_populations(p0, _matrix(p0, 7e-4, boltz=boltz), n_steps, stride)
@@ -498,9 +503,8 @@ PATHS = pytest.mark.parametrize("doubling_max_levels", [0, 51], ids=["jumped", "
 @PATHS
 @pytest.mark.parametrize("n_steps,stride", [(2000, 500), (11, 5), (2857, 44)])
 def test_later_samples_store_no_negative_zero(n_steps, stride, doubling_max_levels, monkeypatch):
-    # every sample after the first holds -0.0 above level 3 before the clamp
-    # deferred past the first sample; the samples equal those of a matmul
-    # that stores +0.0
+    # every sample holds -0.0 above level 3 before the clamp after the last
+    # block; the samples equal those of a matmul that stores +0.0
     monkeypatch.setattr(_kernels, "DOUBLING_MAX_LEVELS", doubling_max_levels)
     p0 = np.eye(51)[3]
     samples, max_drift = evolve_populations(p0, _SignedZeroStepMatrix(GAMMA, 0.0, 51, 7e-4), n_steps, stride)
@@ -588,3 +592,124 @@ def test_nan_state_trips_the_drift_guard_at_the_first_step():
     with np.errstate(all="raise"), pytest.raises(IntegrationError, match=r"^probability sum drifted beyond 1e-10 "
                                                                           r"at step 1 \(dt=1\.000e-06\);"):
         evolve_populations(p0, _matrix(p0, 1e-6, gamma=1e300), 2_000_000, 1000)
+
+
+def _two_rule_sampled(p, step_matrix, n_steps, stride, out):
+    """The sampled path with two rules, kept as the reference: the first
+    sample by one jump R^stride under the full guard (drift, negativity,
+    clamp, renormalization), then _two_rule_later_samples."""
+    out[0] = p
+    gap = min(stride, n_steps)
+    p = np.matmul(step_matrix[gap], p, out=out[1])
+    trip, max_drift = _kernels._guard(p, 0.0)
+    if trip or gap == n_steps:
+        return _NEGATIVE_START if trip is _NEGATIVE else trip, gap, max_drift
+    trip, bad_step, max_drift = _two_rule_later_samples(step_matrix, n_steps, stride, out, max_drift)
+    if not trip:
+        np.maximum(out[2:], 0.0, out=out[2:])
+    return trip, bad_step, max_drift
+
+
+def _two_rule_later_samples(step_matrix, n_steps, stride, out, max_drift):
+    """Samples 2..last in blocks, each renormalized before a later block
+    reads it, and their sums drift-checked once at the end."""
+    last = out.shape[0] - 1
+    doubles = out.shape[1] <= _kernels.DOUBLING_MAX_LEVELS
+    totals = np.empty(last + 1)
+    known = 1
+    while known < last:
+        if doubles and known < last - 1:
+            block, source, power = min(known, last - 1 - known), 1, step_matrix.doubling(stride, known)
+        else:
+            block, source = 1, known
+            power = step_matrix[stride if known < last - 1 else n_steps - (last - 1) * stride]
+        rows = slice(known + 1, known + 1 + block)
+        np.matmul(out[source:source + block], power.T, out=out[rows])
+        out[rows] /= np.add.reduce(out[rows], axis=1, out=totals[rows])[:, None]
+        known += block
+    drifts = np.abs(totals[2:] - 1.0)
+    bad = np.flatnonzero(~(drifts <= DRIFT_TOL))
+    if bad.size:
+        first = int(bad[0])
+        return _DRIFT, min((first + 2) * stride, n_steps), max(max_drift, float(drifts[:first + 1].max()))
+    return None, n_steps, max(max_drift, float(drifts.max()))
+
+
+def _outcome(p0, step_matrix, n_steps, stride):
+    """What evolve_populations gives: the samples' bytes and max_drift, or
+    the text of the error it raises."""
+    try:
+        samples, max_drift = evolve_populations(p0, step_matrix, n_steps, stride)
+    except IntegrationError as error:
+        return str(error)
+    return samples.tobytes(), max_drift
+
+
+@st.composite
+def sampled_strokes(draw):
+    """A stable stroke on levels either side of DOUBLING_MAX_LEVELS, from a
+    start on the simplex with exact zeros and -0.0, now and then scaled off
+    it, given a NaN or an entry below -NEG_FLOOR; with strides past n_steps."""
+    cap = _kernels.DOUBLING_MAX_LEVELS
+    n_levels = draw(st.one_of(st.integers(2, 30), st.integers(cap - 3, cap + 3)))
+    p0 = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_levels, max_size=n_levels)))
+    if draw(st.booleans()):
+        p0 = np.eye(n_levels)[draw(st.integers(0, n_levels - 1))]
+    for level in draw(st.lists(st.integers(0, n_levels - 1), max_size=3)):
+        p0[level] = -0.0
+    assume(p0.sum() > 0.0)
+    p0 /= p0.sum()
+    edit = draw(st.sampled_from([None, None, None, "nan", "negative"]))
+    if edit == "nan":
+        p0[draw(st.integers(0, n_levels - 1))] = np.nan
+    elif edit == "negative":  # the mass moves to another level, so the sum stays 1 within rounding
+        level, other = draw(st.permutations(range(n_levels)))[:2]
+        below = draw(st.floats(1.0, 1e9, exclude_min=True)) * NEG_FLOOR
+        p0[other] += p0[level] + below
+        p0[level] = -below
+    p0 *= draw(st.sampled_from([1.0, 1.0, 1.0, 1.0 + 0.5 * DRIFT_TOL, 1.0 + 2 * DRIFT_TOL, 1.0 - 2 * DRIFT_TOL]))
+    gamma = draw(st.floats(0.01, 10.0))
+    boltz = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.95))]))
+    dt = draw(st.floats(0.05, 1.0)) / (40.0 * gamma * n_levels)  # up to default_time_step's rate bound
+    n_steps = draw(st.integers(1, 3000))
+    stride = draw(st.one_of(st.integers(1, n_steps + 2), st.just(10**9)))
+    return p0, (gamma, boltz, n_levels, dt), n_steps, stride
+
+
+@settings(deadline=None)
+@given(sampled_strokes())
+def test_kernel_agreement_one_block_loop_equals_the_two_rule_loop(stroke):
+    # the first sample as the first block and one check pass give the two-rule
+    # loop's samples and max_drift bit for bit, or its error text and step.
+    # Left out: a first sample with an entry in [-NEG_FLOOR, 0), which only a
+    # start below zero reaches (FockDistribution refuses one): the two-rule
+    # loop clamps it before renormalizing, the one loop after, so their bits
+    # part by rounding
+    p0, matrix_args, n_steps, stride = stroke
+    step_matrix = StepMatrix(*matrix_args)
+    assert step_matrix.stable
+    with np.errstate(invalid="ignore"):
+        first_low = (step_matrix[min(stride, n_steps)] @ p0).min()
+    assume(not -NEG_FLOOR <= first_low < 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(p0, step_matrix, n_steps, stride)
+    with mock.patch.object(_kernels, "_evolve_sampled", _two_rule_sampled):
+        want = _outcome(p0, StepMatrix(*matrix_args), n_steps, stride)
+    assert got == want
+    event(got.split(" at step")[0] if isinstance(got, str) else "samples")
+    event("doubling" if step_matrix.r.shape[0] <= _kernels.DOUBLING_MAX_LEVELS else "one stride per block")
+
+
+@pytest.mark.parametrize("n_levels", [51, _kernels.DOUBLING_MAX_LEVELS + 1])
+@pytest.mark.parametrize("start", [0.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("n_steps,stride", [(50, 10), (50, 50), (50, 1000)])
+def test_a_zero_or_nan_start_trips_the_drift_guard_at_the_first_sample_without_warnings(n_levels, start,
+                                                                                          n_steps, stride):
+    p0 = np.full(n_levels, start)
+    text = f"probability sum drifted beyond 1e-10 at step {min(stride, n_steps)} (dt=7.000e-04); reduce the time step"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as raised:
+            evolve_populations(p0, _matrix(p0, 7e-4), n_steps, stride)
+    assert str(raised.value) == text

@@ -70,6 +70,9 @@ EDGE_RUNS = [
     ("edge-finite-cold-0.001", "sweep", [], "t_c = 0.001\n" + FINITE_SMALL),
     ("edge-finite-no-cycles", "sweep", [], "sweep_mode = finite\nn_cycles = 0\n"),
     ("edge-finite-unconverged", "sweep", [], FINITE_SMALL.replace("n_cycles = 3", "n_cycles = 1")),
+    # every efficiency nan: each hot temperature's chart is skipped with a note
+    ("edge-finite-charts-no-finite-points", "sweep", ["--svg"],
+     "sweep_mode = finite\ntau = 1e-13\nsweep_t_h = 1.2, 1.6\nsweep_ratio_steps = 3\nn_cycles = 2\n"),
     ("edge-mode-upper-case", "simulate", [], "mode = OTTO\nn_cycles = 2\n"),
     ("edge-sweep-mode-upper-case", "sweep", [], FINITE_SMALL.replace("finite", "FINITE")),
     ("edge-relaxation-time", "pump", [], "relaxation_time = 2\nn_cycles = 3\n"),
