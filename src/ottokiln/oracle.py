@@ -134,6 +134,8 @@ def _expm(matrix):
     Squaring a nonnegative propagator s times involves no cancellation.
     """
     norm = _norm1(matrix)
+    if not math.isfinite(norm):
+        raise OttoKilnError(f"matrix exponential overflows: the scaled generator's 1-norm is {float(norm)!r}")
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
     x = matrix / (2.0 ** squarings)
     square = x @ x
@@ -163,7 +165,8 @@ def propagate_matrix_exponential(dist, params, duration):
         raise OttoKilnError(f"duration must be non-negative, got {duration}")
     if duration == 0:
         return dist
-    propagator = _expm(rate_generator(params, n_max) * duration)
+    with np.errstate(over="ignore"):  # an overflowing generator fails _expm's norm check
+        propagator = _expm(rate_generator(params, n_max) * duration)
     probs = propagator @ dist.probs
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-12:  # a NaN sum fails too

@@ -6,9 +6,9 @@ command is formatted once, in one block, and every file that prints it
 reuses those strings: a CSV and its .dat twin, or the columns the narrow
 and the wide time series share.  One printer, _format_rows, prints both
 the series, each as the one-column matrix of its distinct values, and
-each time-series file's populations, once per stored trace row with a
-comma in place of every newline but the row's last.  Undefined efficiencies
-are written as "nan", never as a large float.
+each time-series file's populations, once per stored trace row; each
+printed value ends in its own separator, a comma or the row's newline.
+Undefined efficiencies are written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
 
@@ -17,7 +17,7 @@ Long matrices are printed by numpy kernels that reproduce Python's "%.12g"
 values cut at whole rows.  A value's decimal exponent comes from log10;
 the value times a correctly rounded power of ten, rounded to an integer,
 is its 12-digit mantissa, within 2.3e-4 of the exact one.  Digit tables turn the mantissa
-into uint32 words of four characters, with zero bytes for the leading and
+and its separator into uint32 words of four characters, with zero bytes for the leading and
 trailing zeros that %g drops; the blanks are deleted from the block in one
 pass.  Values whose mantissa lies within 1e-3 of a rounding tie (pixels:
 1e-6), and zero, nan, inf and |x| outside [1e-280, 1e280] are printed by %
@@ -52,6 +52,7 @@ def fmt(value):
 
 _EXP_MIN, _EXP_MAX = -300, 300  # exponents of the pow10 and exponent tables
 _FIXED_ROW = _EXP_MAX - _EXP_MIN + 1  # the row of .exponent for fixed notation
+_COMMA_ROWS = _FIXED_ROW + 1  # offset of the .exponent rows that end in "," instead of "\n"
 
 
 def _ascii_words(codes):
@@ -93,16 +94,15 @@ def _tables():
     blank = trailing[:1000].copy()
     blank[:, 0] = blank[:, 1]
     point = np.concatenate([_ascii_words(np.where(blank, 0, point)).ravel(), _ascii_words(point).ravel()])
-    # "e-05\n" .. "e+280\n" in two words, then "\n" alone for fixed notation
-    exponent = _text_words([("e%+03d\n" % e).ljust(8, "\0") for e in range(_EXP_MIN, _EXP_MAX + 1)]
-                           + ["\0\0\0\0\n\0\0\0"])
+    # "e-05\n" .. "e+280\n" in two words and "\n" alone for fixed notation, then all ending in ","
+    exponent = _text_words([text.ljust(8, "\0") for sep in "\n," for text in
+                            ["e%+03d%s" % (e, sep) for e in range(_EXP_MIN, _EXP_MAX + 1)] + ["\0\0\0\0" + sep]])
     # correctly rounded powers of ten: float() rounds a decimal exactly
     pow10 = np.array([float("1e%d" % k) for k in range(_EXP_MIN, _EXP_MAX + 1)])
-    # "." and the cents of %.2f, then "," after x and " " after y
-    cents_x = _text_words([".%02d," % c for c in range(100)]).ravel()
-    cents_y = _text_words([".%02d " % c for c in range(100)]).ravel()
+    # "." and the cents of %.2f and "," after x, then 100 the same and " " after y
+    cents = _text_words([".%02d%s" % (c, sep) for sep in ", " for c in range(100)]).ravel()
     tables = SimpleNamespace(whole=whole, fraction=fraction, point=point, exponent=exponent,
-                             pow10=pow10, cents_x=cents_x, cents_y=cents_y)
+                             pow10=pow10, cents=cents)
     for table in vars(tables).values():
         table.flags.writeable = False
     return tables
@@ -124,18 +124,20 @@ _POLYLINE_TIE_MARGIN = 1e-6
 
 
 def _patch_records(records, values, fallback, text_format):
-    """Write text_format % v into the records of the fallback values."""
+    """Write text_format % v into the records of the fallback values (a mask)."""
     index = np.flatnonzero(fallback)
     if index.size:
         width = records.itemsize * records.shape[1]
         records[index] = _text_words([(text_format % v).ljust(width, "\0") for v in values[index].tolist()])
 
 
-def _g12_records(x):
-    """%.12g of each value and a newline, as nine uint32 words per value with
-    zero bytes for blanks: sign, 12 whole digits, "." and 15 fraction digits
-    (the last four shared with the exponent), exponent and newline."""
+def _g12_records(x, row_length=1):
+    """%.12g of each value of whole rows of row_length values, and a newline
+    after each row's last value and a comma after every other, as nine uint32
+    words per value with zero bytes for blanks: sign, 12 whole digits, "." and
+    15 fraction digits (the last four shared with the exponent), exponent and separator."""
     t = _tables()
+    ends = np.arange(1, x.size + 1) % row_length == 0
     a = np.abs(x)
     fallback = ~((a >= 1e-280) & (a <= 1e280))  # zero, nan, inf, the far range
     a[fallback] = 1.0
@@ -177,11 +179,12 @@ def _g12_records(x):
     f2 = rest // 10000
     rest -= f2 * 10000
     records[:, 6] = t.fraction.take(f2 + 10000 * np.minimum(rest, 1))
-    exponent = t.exponent.take(np.where(scientific, e - _EXP_MIN, _FIXED_ROW), axis=0)
+    exponent = t.exponent.take(np.where(scientific, e - _EXP_MIN, _FIXED_ROW) + _COMMA_ROWS * ~ends, axis=0)
     # a scientific mantissa has 11 fraction digits: its last group is blank
     records[:, 7] = t.fraction.take(rest) | exponent[:, 0]
     records[:, 8] = exponent[:, 1]
-    _patch_records(records, x, fallback, "%.12g\n")
+    _patch_records(records, x, fallback & ends, "%.12g\n")
+    _patch_records(records, x, fallback & ~ends, "%.12g,")
     return records
 
 
@@ -199,35 +202,29 @@ def _polyline_records(pixels):
     records = np.empty((pixels.size, 3), dtype=np.uint32)
     records[:, 0] = t.whole.take(top)
     records[:, 1] = t.whole.take(whole - top * 10000 + 20000 - 10000 * np.minimum(top, 1))
-    records[0::2, 2] = t.cents_x.take(cents[0::2])
-    records[1::2, 2] = t.cents_y.take(cents[1::2])
+    cents[1::2] += 100  # y pixels take the cents that end in " "
+    records[:, 2] = t.cents.take(cents)
     _patch_records(records[0::2], pixels[0::2], fallback[0::2], "%.2f,")
     _patch_records(records[1::2], pixels[1::2], fallback[1::2], "%.2f ")
     return records
 
 
-def _compact(records_of, values):
+def _compact(records_of, values, block=_BLOCK):
     """The records of values, block by block, with their blanks dropped."""
-    return b"".join(records_of(values[i:i + _BLOCK]).tobytes().translate(None, b"\0")
-                    for i in range(0, values.size, _BLOCK))
+    return b"".join(records_of(values[i:i + block]).tobytes().translate(None, b"\0")
+                    for i in range(0, values.size, block))
 
 
 def _format_rows(matrix):
-    """Each row of a matrix as fmt() prints it, its entries joined by commas."""
+    """Each row of a matrix as fmt() prints it: each printed value ends in its
+    own separator, a comma inside the row and a newline at its end."""
     matrix = np.asarray(matrix, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
     n, m = matrix.shape
     if matrix.size < _G12_MIN_SIZE:
         text = (("%.12g," * (m - 1) + "%.12g\n") * n) % tuple(matrix.ravel().tolist())
     else:
-        step = max(_BLOCK // m, 1)  # whole rows per kernel block
-        blocks = []
-        for i in range(0, n, step):
-            rows = matrix[i:i + step]
-            records = _g12_records(rows.ravel())
-            inner = records.view(np.uint8).reshape(*rows.shape, -1)[:, :-1]
-            inner[inner == ord("\n")] = ord(",")  # each record holds one newline
-            blocks.append(records.tobytes().translate(None, b"\0"))
-        text = b"".join(blocks).decode("ascii")
+        text = _compact(lambda x: _g12_records(x, row_length=m), matrix.ravel(),
+                        max(_BLOCK // m, 1) * m).decode("ascii")
     return text.split("\n")[:-1]
 
 
@@ -241,14 +238,16 @@ def _format_polyline(pixels):
 
 
 def _format_column(values):
-    """One series as fmt() prints it, one string per entry.
+    """One series as fmt() prints it, one string per entry, each distinct value
+    formatted once: ramps repeat the populations of every sample, and a
+    converged run repeats its cycle bit for bit."""
+    distinct, where = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    return _format_indexed(distinct[:, None], where)
 
-    Each distinct value is formatted once: ramps repeat the populations of
-    every sample, and a converged run repeats its cycle bit for bit.
-    """
-    col = np.asarray(values, dtype=float) + 0.0  # -0.0 becomes 0.0, printed "0"
-    distinct, where = np.unique(col, return_inverse=True)
-    return np.array(_format_rows(distinct[:, None]), dtype=object)[where].tolist()
+
+def _format_indexed(matrix, index):
+    """The printed rows of a matrix, each printed once, taken by an index."""
+    return np.array(_format_rows(matrix), dtype=object)[index].tolist()
 
 
 class SeriesText:
@@ -263,10 +262,9 @@ class SeriesText:
         self._text = {}
 
     def __getitem__(self, name):
-        text = self._text.get(name)
-        if text is None:
-            text = self._text[name] = _format_column(self.values[name])
-        return text
+        if name not in self._text:
+            self._text[name] = _format_column(self.values[name])
+        return self._text[name]
 
 
 def sweep_text(sweep):
@@ -299,8 +297,7 @@ class TraceText(SeriesText):
 
     def population_rows(self, levels):
         """Each trace sample's first `levels` populations, joined by commas."""
-        text = np.array(_format_rows(self.trace.rows[:, :levels]), dtype=object)
-        return text[self.trace.row_index].tolist()
+        return _format_indexed(self.trace.rows[:, :levels], self.trace.row_index)
 
 
 def write_timeseries_csv(path, text):

@@ -125,6 +125,23 @@ def test_an_exit_code_move_fails_under_its_own_heading(tmp_path, capsys):
     assert out.endswith(" 0 trace hash moves, 1 failures\n")
 
 
+def test_files_of_a_run_whose_exit_code_moved_are_listed_under_the_move(tmp_path, capsys):
+    # a run that now succeeds writes a file the failing run did not: it is
+    # listed under that run's exit-code move; a one-sided file of another run is not
+    a = write_tree(tmp_path / "a", exit=1)
+    b = write_tree(tmp_path / "b")
+    (b / "run" / "eta_power.dat").write_text("# t_h ratio\n")
+    (b / "other").mkdir()
+    (b / "other" / "cycles.csv").write_text("cycle\n")
+    assert golden_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "exit codes changed (failures; the rest of each record is not compared):\n" \
+           "  run.txt line 2: 'exit 1' -> 'exit 0'\n" \
+           f"    run/eta_power.dat: only in {b}\n" in out
+    assert out.split("\nfailures:\n")[1].startswith(f"  other/cycles.csv: only in {b}\n")
+    assert out.endswith(" 0 trace hash moves, 2 failures\n")
+
+
 @pytest.mark.parametrize("start_a,start_b", [(11, None), (None, 13)])
 def test_a_repeat_from_set_in_one_tree_only_fails_under_its_own_heading(tmp_path, capsys, start_a, start_b):
     a = write_tree(tmp_path / "a", start=start_a)

@@ -125,7 +125,8 @@ def sizes(minimum, step):
 def test_g12_takes_the_kernel_from_its_crossover_size(monkeypatch, n):
     calls = []
     records = output._g12_records
-    monkeypatch.setattr(output, "_g12_records", lambda x: calls.append(x.size) or records(x))
+    monkeypatch.setattr(output, "_g12_records",
+                        lambda x, row_length=1: calls.append(x.size) or records(x, row_length))
     x = np.random.default_rng(n).lognormal(0.0, 20.0, n) * np.where(np.arange(n) % 3, 1, -1)
     x[::7] = 0.0
     assert _format_rows(x[:, None]) == percent_g12(x)
@@ -148,19 +149,27 @@ def test_polyline_takes_the_kernel_from_its_crossover_size_inside_its_range(monk
 
 
 def test_ties_and_unprintable_values_take_the_percent_path(monkeypatch):
-    patched = []
+    patched = []  # the text of each _patch_records call
     patch = output._patch_records
     monkeypatch.setattr(output, "_patch_records", lambda records, values, fallback, text_format:
-                        patched.append(values[fallback].tolist()) or
+                        patched.append([text_format % v for v in values[fallback].tolist()]) or
                         patch(records, values, fallback, text_format))
     # 123456789012.5 and 72.125 are exact ties; 0.1 * 3 is no tie
     x = np.array([123456789012.5, 0.1 * 3, 0.0, math.inf, 1e-300, 2.5, -123456789012.5])
     printed = kernel_g12(x)
     assert printed == percent_g12(x) and printed[0] == "123456789012"
+    assert patched == [["123456789012\n", "0\n", "inf\n", "1e-300\n", "-123456789012\n"], []]
+    # in rows, a value outside the last column is patched with its comma
+    rows = np.array([[123456789012.5, 0.0, math.nan, math.inf, 2.5],
+                     [0.1 * 3, -math.inf, 1e-300, 7.0, math.nan]])
+    patched.clear()
+    printed = output._compact(lambda v: output._g12_records(v, row_length=5), rows.ravel())
+    assert printed.decode("ascii").split("\n")[:-1] == [",".join(fmt(v) for v in row) for row in rows.tolist()]
+    assert patched == [["nan\n"], ["123456789012,", "0,", "nan,", "inf,", "-inf,", "1e-300,"]]
+    patched.clear()
     pixels = np.array([72.125, 10.0, 300.5, 1.0])
     assert kernel_polyline(pixels) == "72.12,10.00 300.50,1.00"
-    assert patched[0] == [123456789012.5, 0.0, math.inf, 1e-300, -123456789012.5]
-    assert patched[1:] == [[72.125], []]  # x pixels, then y pixels
+    assert patched == [["72.12,"], []]  # x pixels, then y pixels
 
 
 ROW_WIDTHS = [1, 8, 51, 81]  # a single level, the default csv_levels, the default ladder, and more
@@ -190,7 +199,8 @@ def test_row_printer_prints_each_row_like_fmt(shape, values, shift):
 def test_row_printer_takes_the_kernel_from_its_crossover_in_blocks_of_whole_rows(monkeypatch, width):
     calls = []
     records = output._g12_records
-    monkeypatch.setattr(output, "_g12_records", lambda x: calls.append(x.size) or records(x))
+    monkeypatch.setattr(output, "_g12_records",
+                        lambda x, row_length=1: calls.append(x.size) or records(x, row_length))
     rng = np.random.default_rng(width)
     for n in row_counts(width):
         calls.clear()

@@ -229,6 +229,14 @@ def test_an_overflowing_propagator_fails_the_sum_check_without_warnings():
         propagate_matrix_exponential(dist, make_params(), 1e30)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_generator_is_refused_without_warnings():
+    # 1e307 times the generator's largest rates overflows before any squaring
+    dist = stationary_distribution(1.0, 0.4, 20)
+    with pytest.raises(OttoKilnError, match=r"matrix exponential overflows: the scaled generator's 1-norm is inf$"):
+        propagate_matrix_exponential(dist, make_params(), 1e307)
+
+
 def test_a_nan_propagator_fails_the_sum_check(monkeypatch):
     monkeypatch.setattr(oracle, "_expm", lambda matrix: np.full_like(matrix, np.nan))
     dist = stationary_distribution(1.0, 0.4, 20)

@@ -28,8 +28,9 @@ failure are listed under their own headings, apart from the rest:
 
 * exit-code moves: a run record whose ``exit`` line differs (say, a run
   that failed now succeeds).  The rest of that record is not compared, since
-  its stdout and stderr follow the exit code; files its run writes in one
-  tree only are still listed with the other failures;
+  its stdout and stderr follow the exit code; the files under its run's
+  ``<name>/`` directory that one tree only holds are listed under the move,
+  since they follow it too;
 * ``repeat_from`` set in one tree only (``traces.txt``, ``None`` on the
   other side).
 """
@@ -75,7 +76,8 @@ class Report:
     def __init__(self):
         self.digit_moves = Counter()  # (file, column) -> count
         self.a_shift_moves, self.figure_moves, self.repeat_moves, self.hash_moves = [], [], [], []
-        self.exit_moves, self.one_sided_repeats, self.failures = [], [], []
+        self.exit_moves = {}  # run record -> its exit line move, then its run's one-sided files
+        self.one_sided_repeats, self.failures = [], []
 
     def fail(self, where, text):
         self.failures.append(f"{where}: {text}")
@@ -187,7 +189,7 @@ def compare_file(report, name, text_a, text_b):
     exit_a, exit_b = (lines[1] if lines[1:2] and lines[1].startswith("exit ") else None
                       for lines in (lines_a, lines_b))  # line 2 of a run record is its exit code
     if record and exit_a and exit_b and exit_a != exit_b:
-        report.exit_moves.append(f"{name} line 2: {exit_a!r} -> {exit_b!r}")
+        report.exit_moves[name] = [f"{name} line 2: {exit_a!r} -> {exit_b!r}"]
         return
     if len(lines_a) != len(lines_b) or text_a.endswith("\n") != text_b.endswith("\n"):
         report.fail(name, f"{len(lines_a)} lines -> {len(lines_b)} lines, or a final newline added or dropped")
@@ -215,10 +217,15 @@ def _files(root):
 def compare_trees(a, b):
     report = Report()
     files_a, files_b = _files(a), _files(b)
-    for name in sorted(files_a ^ files_b):
-        report.fail(name, f"only in {a if name in files_a else b}")
     for name in sorted(files_a & files_b):
         compare_file(report, name, (a / name).read_text(encoding="utf-8"), (b / name).read_text(encoding="utf-8"))
+    for name in sorted(files_a ^ files_b):
+        where = f"only in {a if name in files_a else b}"
+        run = Path(name).parts[0] + ".txt"  # the record of the run that wrote a file under <name>/
+        if len(Path(name).parts) > 1 and run in report.exit_moves:
+            report.exit_moves[run].append(f"  {name}: {where}")
+        else:
+            report.fail(name, where)
     return report
 
 
@@ -233,7 +240,8 @@ def print_report(report, files):
         (f"stdout figure moves (both sides at most {ROUNDING:.0e} in size)", report.figure_moves),
         (f"repeat_from moves (at most {REPEAT_SHIFT} cycles)", report.repeat_moves),
         ("trace hashes changed, records= and rows= unchanged", report.hash_moves),
-        ("exit codes changed (failures; the rest of each record is not compared)", report.exit_moves),
+        ("exit codes changed (failures; the rest of each record is not compared)",
+         [line for lines in report.exit_moves.values() for line in lines]),
         ("repeat_from set in one tree only (failures)", report.one_sided_repeats),
         ("failures", report.failures),
     ]
