@@ -44,9 +44,9 @@ from .fock import (
 )
 
 ADIABATIC_SAMPLES = 64
-# Largest population array of a traced run, rows x levels x 8 bytes.  A
-# default simulate --svg --wide at sample_stride = 1 with a 99.9 MB array
-# peaked at 502 MB resident (measured on a 2-core x86 box, numpy 2.4).
+# Cap on a traced run's sampled rows x levels x 8 bytes; no command builds
+# that array.  A default simulate --svg --wide at sample_stride = 1 and 47 cycles
+# (99.9 MB) peaked at 283 MB resident (a 2-core x86 box, numpy 2.4).
 MAX_TRACE_BYTES = 100_000_000
 # cycle-start total-variation shift below which a run counts as cyclostationary
 CYCLOSTATIONARY_TV = 1e-6
@@ -99,7 +99,8 @@ class StrokeSegment:
 class EngineTrace:
     """Concatenated sampled time series of a multi-cycle run plus its records.
     Sample i has the populations rows[row_index[i]]: each stroke a cycle ran
-    stores its rows once.  probs is the full per-sample array."""
+    stores its rows once, and U and S are taken once per stored row.  probs
+    builds the full per-sample array; no command reads it."""
 
     mode: str
     n_max: int
@@ -172,7 +173,8 @@ def _ramp(dist, label, omega_from, omega_to, duration, segments, t):
 def _assemble_trace(trace, cycles):
     """A copy of trace with the series of each cycle's segments, whose sample
     times are relative to the cycle's start: cycle k starts at k * cycle_time.
-    Rows are stored once per segment object, which copied cycles share."""
+    Rows are stored once per segment object, which copied cycles share, and
+    each sample's U (omega times <n>) and S index its stored row's."""
     times, omegas, rows, index, labels = [], [], [], [], []
     offsets, stored = {}, 0  # id of a segment -> index of its first stored row
     for k, cycle_segments in enumerate(cycles):
@@ -191,8 +193,7 @@ def _assemble_trace(trace, cycles):
     omegas = np.concatenate(omegas)
     rows = np.concatenate(rows)
     index = np.concatenate(index)
-    # U on the full array: the bits of a row's matrix-vector product depend on where the row sits
-    energies = omegas * (rows[index] @ np.arange(rows.shape[1]))
+    energies = omegas * (rows @ np.arange(rows.shape[1]))[index]
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(rows > 0.0, rows * np.log(rows), 0.0)
     trace = replace(trace, times=np.concatenate(times), omegas=omegas, energies=energies,
@@ -203,7 +204,7 @@ def _assemble_trace(trace, cycles):
 
 
 def _check_trace_budget(bath_strokes, config, n_levels):
-    """Refuse a traced run whose population array would pass MAX_TRACE_BYTES,
+    """Refuse a traced run whose sampled rows would pass MAX_TRACE_BYTES,
     before any stroke runs.  Its rows, copied cycles included, are each
     cycle's bath-stroke samples and two ramps, less the joint sample that
     every segment but the run's first drops (see _assemble_trace)."""
@@ -230,7 +231,7 @@ def run_cycles(dist, config, ledger_only=False):
     distance between consecutive cycle-start distributions; first entry NaN).
 
     The hot and cold BathStroke are built once, before the first cycle, and
-    a traced run whose population array would pass MAX_TRACE_BYTES is
+    a traced run whose sampled rows would pass MAX_TRACE_BYTES is
     refused then (a ConfigError).  ledger_only=True records no samples (the
     trace's series stay empty) and reads no sample_stride: each bath stroke
     is its BathStroke.end_state, and ramps do nothing.

@@ -6,8 +6,8 @@ command is formatted once, in one block, and every file that prints it
 reuses those strings: a CSV and its .dat twin, or the columns the narrow
 and the wide time series share.  One printer, _format_rows, prints both
 the series, each as the one-column matrix of its distinct values, and
-each time-series file's populations, once per stored trace row; each
-printed value ends in its own separator, a comma or the row's newline.
+each time-series file's populations (the narrow file's p_sum first), once
+per stored trace row; each printed value ends in its own separator.
 Undefined efficiencies are written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
@@ -273,12 +273,11 @@ def sweep_text(sweep):
 
 
 class TraceText(SeriesText):
-    """The series of one engine run: time series and cycle ledger columns,
-    and the population rows.
+    """The series of one engine run: time series and cycle ledger columns.
 
-    Each file's populations are printed once per stored row (EngineTrace.rows):
-    ramps repeat one population row for every sample, and copied cycles
-    repeat every row of the cycle they copy.
+    The time-series files print the populations, and their sum, once per
+    stored row (EngineTrace.rows): ramps repeat one population row for every
+    sample, and copied cycles repeat every row of the cycle they copy.
     """
 
     def __init__(self, trace, csv_levels=8):
@@ -295,32 +294,30 @@ class TraceText(SeriesText):
         self.levels = trace.rows.shape[1]
         self.csv_levels = min(csv_levels, self.levels) if self.levels else csv_levels
 
-    def population_rows(self, levels):
-        """Each trace sample's first `levels` populations, joined by commas."""
-        return _format_indexed(self.trace.rows[:, :levels], self.trace.row_index)
-
 
 def write_timeseries_csv(path, text):
     """t, omega, U, S, stroke, total probability, first csv_levels populations."""
-    trace, k = text.trace, text.csv_levels
-    header = ["t", "omega", "U", "S", "stroke", "p_sum"] + [f"P_{n}" for n in range(k)]
-    p_sum = trace.rows.sum(axis=1)[trace.row_index]
-    bad = np.flatnonzero(~(abs(p_sum - 1.0) <= 1e-9))  # a nan sum is bad too
+    rows, index, k = text.trace.rows, text.trace.row_index, text.csv_levels
+    p_sum = rows.sum(axis=1)
+    bad = np.flatnonzero(~(abs(p_sum - 1.0) <= 1e-9)[index])  # a nan sum is bad too
     if bad.size:
         i = int(bad[0])
-        raise OttoKilnError(f"trace row {i} carries probability sum {float(p_sum[i])!r}")
-    columns = [text[name] for name in ("t", "omega", "U", "S")]
-    columns += [trace.stroke_labels, _format_column(p_sum), text.population_rows(k)]
-    _write_table(path, header, columns)
+        raise OttoKilnError(f"trace row {i} carries probability sum {float(p_sum[index[i]])!r}")
+    _write_timeseries(path, text, ["p_sum"] + [f"P_{n}" for n in range(k)],
+                      np.column_stack((p_sum, rows[:, :k])))
 
 
 def write_wide_timeseries_csv(path, text):
     """Full-distribution twin of the time series (every ladder level)."""
-    n = text.levels
-    header = ["t", "omega", "U", "S", "stroke"] + [f"P_{level}" for level in range(n)]
+    _write_timeseries(path, text, [f"P_{level}" for level in range(text.levels)], text.trace.rows)
+
+
+def _write_timeseries(path, text, header, matrix):
+    """t, omega, U, S and stroke, then each sample's row of a matrix with one
+    row per stored trace row, each row printed once."""
     columns = [text[name] for name in ("t", "omega", "U", "S")]
-    columns += [text.trace.stroke_labels, text.population_rows(n)]
-    _write_table(path, header, columns)
+    columns += [text.trace.stroke_labels, _format_indexed(matrix, text.trace.row_index)]
+    _write_table(path, ["t", "omega", "U", "S", "stroke", *header], columns)
 
 
 def write_cycles_csv(path, text):

@@ -160,7 +160,7 @@ def check_stroke_first_law():
     for label, frozen in (("expansion", record.dist_b), ("compression", record.dist_d)):
         rows = labels == label
         entropy_gap = max(entropy_gap, float(np.ptp(trace.entropies[rows])))
-        row_gap = max(row_gap, float(np.abs(trace.probs[rows] - frozen.probs).max()))
+        row_gap = max(row_gap, float(np.abs(trace.rows[trace.row_index[rows]] - frozen.probs).max()))
     return CheckResult("first law per stroke and per cycle",
                        worst <= 1e-9 and entropy_gap == 0.0 and row_gap == 0.0,
                        f"worst ledger residual = {worst:.2e} (limit 1e-9), "

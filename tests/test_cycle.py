@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,24 @@ def test_engine_trace_consistency():
     np.testing.assert_allclose(trace.energies, trace.omegas * (trace.probs @ levels), atol=1e-12)
     np.testing.assert_allclose(trace.probs.sum(axis=1), 1.0, atol=1e-12)
     assert set(trace.stroke_labels) == {"hot_isochore", "expansion", "cold_isochore", "compression"}
+
+
+def test_energies_are_omega_times_each_stored_rows_mean_occupation():
+    # the golden balance run: a product over the per-sample array moves the last bit of U at 64 samples
+    config = replace(EngineConfig(), tau=20.0, n_cycles=1, initial_state=InitialStateSpec.boltzmann(1.0, 0.4))
+    trace = run_engine(config)
+    occupations = trace.rows @ np.arange(trace.rows.shape[1])
+    assert trace.energies.tobytes() == (trace.omegas * occupations[trace.row_index]).tobytes()
+
+
+def test_a_traced_run_never_builds_its_per_sample_population_array():
+    tracemalloc.start()
+    try:
+        trace = run_engine(replace(EngineConfig(), n_cycles=900))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(trace.times) * trace.rows.shape[1] * 8 / 2
 
 
 def test_engine_trace_energy_linear_on_ramps():
@@ -583,7 +602,7 @@ def test_run_equals_its_cycles_run_one_call_each(mode, tau, cycles, start, repea
         want = np.concatenate([getattr(runs[0], name)] + [getattr(run, name)[1:] for run in runs[1:]])
         if name != "energies":
             assert same_bits(getattr(trace, name), want), name
-        else:  # probs @ levels over a longer block: BLAS may round a row in the last bit
+        else:  # each stored row's <n> is taken over the run's whole block of rows: BLAS may round it in the last bit
             np.testing.assert_allclose(getattr(trace, name), want, rtol=0.0, atol=1e-14)
     times = np.concatenate([runs[0].times] + [run.times[1:] + k * trace.cycle_time
                                               for k, run in enumerate(runs) if k])

@@ -87,6 +87,15 @@ def test_rounding_level_moves_are_listed_apart(tmp_path, capsys):
     assert "trace hashes changed, records= and rows= unchanged:\n  default otto traced\n" in out
 
 
+def test_a_trace_hash_move_names_the_parts_that_moved(tmp_path, capsys):
+    line = "default otto traced {} records=2 rows=257 repeat_from=11 parts=times:aa,energies:{},probs:{}\n"
+    a, b = write_tree(tmp_path / "a"), write_tree(tmp_path / "b")
+    (a / "traces.txt").write_text(line.format("ab12", "bb", "cc"))
+    (b / "traces.txt").write_text(line.format("cd34", "b0", "c0"))
+    assert golden_diff.main([str(a), str(b)]) == 0
+    assert "unchanged:\n  default otto traced: energies, probs\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("changes,failure", [
     ({"shift": "1e-9"}, "a_shift_tv: 0 -> 1e-9"),
     ({"eff": "0.213989"}, "run.txt line 4: 0.213988 -> 0.213989"),

@@ -181,7 +181,8 @@ def test_stored_rows_reproduce_the_concatenated_trace(tmp_path, monkeypatch, con
     trace = run_engine(config)
     probs = concatenated_probs(segments[0])
     assert trace.probs.shape == probs.shape and trace.probs.tobytes() == probs.tobytes()
-    assert trace.energies.tobytes() == (trace.omegas * (probs @ np.arange(probs.shape[1]))).tobytes()
+    occupations = trace.rows @ np.arange(trace.rows.shape[1])
+    assert trace.energies.tobytes() == (trace.omegas * occupations[trace.row_index]).tobytes()
     with np.errstate(divide="ignore", invalid="ignore"):
         entropies = -np.where(probs > 0.0, probs * np.log(probs), 0.0).sum(axis=1)
     assert trace.entropies.tobytes() == entropies.tobytes()
@@ -201,10 +202,11 @@ def test_each_stored_row_is_formatted_once_per_file(tmp_path, monkeypatch):
     shapes = []
     monkeypatch.setattr(output, "_format_rows", lambda m: shapes.append(np.shape(m)) or _format_rows(m))
     text = TraceText(trace)
-    for write in (write_timeseries_csv, write_wide_timeseries_csv):
+    for write, columns in ((write_timeseries_csv, text.csv_levels + 1), (write_wide_timeseries_csv, text.levels)):
         shapes.clear()
         write(tmp_path / "ts.csv", text)
-        assert [n for n, levels in shapes if levels > 1] == [len(trace.rows)]  # series are one-column
+        # series are one-column; the narrow file prints p_sum with the populations
+        assert [shape for shape in shapes if shape[1] > 1] == [(len(trace.rows), columns)]
 
 
 def test_sweep_writer_matches_per_value_rendering(tmp_path):

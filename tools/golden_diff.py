@@ -21,7 +21,8 @@ Some moves beyond the 12th digit are listed apart, and accepted:
   ``ROUNDING`` in size on both sides (say, ``verify``'s first-law residual);
 * ``repeat_from`` moves of at most ``REPEAT_SHIFT`` cycles, where both
   trees set it (``traces.txt``);
-* trace hashes that changed while ``records=`` and ``rows=`` did not.
+* trace hashes that changed while ``records=`` and ``rows=`` did not,
+  each listed with the parts whose ``parts=`` digests moved.
 
 Every other difference is a failure, and the tool exits 1.  Two kinds of
 failure are listed under their own headings, apart from the rest:
@@ -180,7 +181,10 @@ def _compare_traces(report, name, lines_a, lines_b):
                 report.fail(f"{name} {label}", f"repeat_from {start_a} -> {start_b}")
                 continue
         if words_a[3] != words_b[3]:
-            report.hash_moves.append(label)
+            parts_a, parts_b = (dict(p.split(":") for p in keys.get("parts", "").split(",") if p)
+                                for keys in (keys_a, keys_b))
+            moved = [part for part in parts_a if parts_a[part] != parts_b.get(part)]
+            report.hash_moves.append(f"{label}: {', '.join(moved)}" if moved else label)
 
 
 def compare_file(report, name, text_a, text_b):

@@ -8,7 +8,9 @@ imports the package from ROOT/src and, inside OUT:
   directory is ``<name>/``, its config file ``<name>.cfg``, and its exit
   code, stdout and stderr go to ``<name>.txt``;
 * hashes the ``EngineTrace`` of ``run_engine`` for each trace config, otto
-  and pump, traced and ledger-only, one line each in ``traces.txt``.
+  and pump, traced and ledger-only, one line each in ``traces.txt``; the
+  line's ``parts=`` word digests each series apart, so a moved hash names
+  the series that moved.
 
 Paths are relative to OUT, so two trees run into two directories write the
 same bytes exactly when they behave the same: ``diff -r OUT_A OUT_B``, or
@@ -37,6 +39,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 6)
+SERIES = ("times", "omegas", "energies", "entropies", "probs")  # the traced series, each hashed apart
 
 # (name, subcommand, flags, config text or None)
 CI_RUNS = [
@@ -190,24 +193,30 @@ def _state(ottokiln, recipe):
 
 
 def _trace_digest(trace):
+    """The trace's sha256, then its record and row counts, repeat_from, and an
+    8-digit digest of each part: the five series, and as ``records`` the rest
+    (the run's scalars, stroke labels, a_shift_tv and cycle records)."""
     digest = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in (*SERIES, "records")}
 
-    def add(*parts):
-        for part in parts:
-            digest.update(part if isinstance(part, bytes) else repr(part).encode())
-            digest.update(b"|")
+    def add(part, *values):
+        for value in values:
+            for hasher in (digest, parts[part]):
+                hasher.update(value if isinstance(value, bytes) else repr(value).encode())
+                hasher.update(b"|")
 
-    add(trace.mode, trace.n_max, trace.cycle_time.hex(), trace.max_step_drift.hex(), trace.repeat_from)
-    for name in ("times", "omegas", "energies", "entropies", "probs"):
+    add("records", trace.mode, trace.n_max, trace.cycle_time.hex(), trace.max_step_drift.hex(), trace.repeat_from)
+    for name in SERIES:
         array = getattr(trace, name)
-        add(name, array.shape, str(array.dtype), array.tobytes())
-    add(trace.stroke_labels, [x.hex() for x in trace.a_shift_tv])
+        add(name, name, array.shape, str(array.dtype), array.tobytes())
+    add("records", trace.stroke_labels, [x.hex() for x in trace.a_shift_tv])
     for r in trace.records:
-        add(r.cycle_index, r.kind, r.omega_c.hex(), r.omega_h.hex(),
+        add("records", r.cycle_index, r.kind, r.omega_c.hex(), r.omega_h.hex(),
             *(getattr(r, f).hex() for f in ("q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump", "q_pump_gross")),
             *(getattr(r, f).probs.tobytes() for f in ("dist_a", "dist_b", "dist_c", "dist_d", "dist_a_next")))
     return (f"{digest.hexdigest()} records={len(trace.records)} rows={trace.times.shape[0]} "
-            f"repeat_from={trace.repeat_from}")
+            f"repeat_from={trace.repeat_from} "
+            f"parts={','.join(f'{name}:{hasher.hexdigest()[:8]}' for name, hasher in parts.items())}")
 
 
 def _trace_lines(ottokiln):
