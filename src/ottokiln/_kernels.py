@@ -2,11 +2,12 @@
 
 One step of the classical fourth-order scheme applied to the linear
 birth-death generator G is the matrix ``R = I + A + A^2/2 + A^3/6 + A^4/24``
-with ``A = dt * G``.  A stroke builds R once and moves from sample to sample
-with powers of R, so its cost scales with the number of samples, not the
-number of steps.  A StepMatrix holds R and its powers; bath.BathStroke
-builds one per stroke and hands it to every evolve_populations call of that
-stroke.
+with ``A = dt * G``.  generator_matrix writes G, the package's one copy of
+the rate equation outside the oracle's independent rate_generator.  A
+stroke builds R once and moves from sample to sample with powers of R, so
+its cost scales with the number of samples, not the number of steps.  A
+StepMatrix holds R and its powers; bath.BathStroke builds one per stroke
+and hands it to every evolve_populations call of that stroke.
 
 The per-step guards (probability-sum drift, a negativity floor) become checks
 on R made once per stroke: an entrywise non-negative R with unit column sums
@@ -75,35 +76,21 @@ _NEGATIVE_START = (f"probability below -{NEG_FLOOR:.0e} at step {{step}} (dt={{d
                    "the start state holds a negative population")
 
 
-def rate_coefficients(gamma, boltz_factor, n_levels):
-    """Downward/upward jump coefficients of the ladder generator.
+def generator_matrix(gamma, boltz_factor, n_levels):
+    """Dense generator G of the ladder's rate equation, columns summing to
+    zero (G[m, n] = rate n->m): the one generator in the package that the
+    integrator, bath.rate_derivative and verify's generator checks read.
 
-    down[n] = 2*Gamma*n is the emission rate out of level n, up[n] =
-    2*Gamma*boltz*(n+1) the absorption rate out of level n.  The top level's
-    upward rate is zeroed (reflecting truncation), which keeps the generator
-    exactly probability conserving.
+    Level n emits at down[n] = 2*Gamma*n and absorbs at up[n] =
+    2*Gamma*boltz*(n+1).  The top level's upward rate is zeroed (reflecting
+    truncation), which keeps the generator exactly probability conserving.
     """
     levels = np.arange(n_levels, dtype=np.float64)
     down = 2.0 * gamma * levels
     up = 2.0 * gamma * boltz_factor * (levels + 1.0)
     up[-1] = 0.0
-    return down, up
-
-
-def derivative(probs, down, up):
-    """dP/dt of the birth-death generator, written flux-wise so that the
-    components cancel pairwise (vector sum is zero up to rounding)."""
-    d = -(down + up) * probs
-    d[:-1] += down[1:] * probs[1:]
-    d[1:] += up[:-1] * probs[:-1]
-    return d
-
-
-def generator_matrix(down, up):
-    """Dense generator G with columns summing to zero (G[m, n] = rate n->m)."""
-    n = down.shape[0]
-    g = np.zeros((n, n))
-    idx = np.arange(n - 1)
+    g = np.zeros((n_levels, n_levels))
+    idx = np.arange(n_levels - 1)
     g[idx, idx + 1] = down[1:]
     g[idx + 1, idx] = up[:-1]
     g[idx + 1, idx + 1] -= down[1:]
@@ -111,13 +98,14 @@ def generator_matrix(down, up):
     return g
 
 
-def rk4_step_matrix(down, up, dt):
-    """One-step update matrix of the classical fourth-order scheme.
+def rk4_step_matrix(generator, dt):
+    """One-step update matrix of the classical fourth-order scheme for the
+    generator at step dt.
 
     A rate too large for dt overflows R to inf/nan (StepMatrix builds it
     without a warning); such an R fails step_matrix_is_stable and its first
     step trips a guard."""
-    a = generator_matrix(down, up) * dt
+    a = generator * dt
     n = a.shape[0]
     r = np.eye(n) + a
     term = a
@@ -212,7 +200,7 @@ class StepMatrix(dict):
     def __init__(self, gamma, boltz_factor, n_levels, dt):
         self.dt = float(dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.r = rk4_step_matrix(*rate_coefficients(gamma, boltz_factor, n_levels), self.dt)
+            self.r = rk4_step_matrix(generator_matrix(gamma, boltz_factor, n_levels), self.dt)
         self.stable = step_matrix_is_stable(self.r)
 
     def __missing__(self, key):

@@ -21,7 +21,7 @@ from .exceptions import OttoKilnError, UndefinedEfficiencyError
 from .oracle import analytic_cycle_thermal_balance, analytic_equilibrium_entropy
 from .cycle import run_engine
 
-Q_IN_EPSILON = 1e-12
+Q_IN_EPSILON = 1e-12  # in units of omega_c, the energy unit
 
 
 def otto_limit(omega_c, omega_h):
@@ -42,15 +42,15 @@ def cycle_efficiency(record):
     """w_eff over the cycle's energy input.
 
     Otto cycles divide by q_in (may be negative or exceed the ideal limit
-    during transients; q_in ~ 0 raises UndefinedEfficiencyError).  Pump
-    cycles divide by the gross pump energy, the full preparation energy of
-    the pumped state from the ground level.
+    during transients; |q_in| < Q_IN_EPSILON * omega_c raises
+    UndefinedEfficiencyError).  Pump cycles divide by the gross pump energy,
+    the full preparation energy of the pumped state from the ground level.
     """
     if record.kind == "pump":
         if record.q_pump_gross <= 0.0:
             raise UndefinedEfficiencyError("pump cycle carries no pump energy")
         return record.w_eff / record.q_pump_gross
-    if abs(record.q_in) < Q_IN_EPSILON:
+    if abs(record.q_in) < Q_IN_EPSILON * record.omega_c:
         raise UndefinedEfficiencyError(
             f"q_in = {record.q_in!r} is numerically zero; efficiency is undefined"
         )

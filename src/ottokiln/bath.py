@@ -7,10 +7,12 @@ The birth-death rate equation for the populations reads
 
 with Gamma = gamma0 * (n_BE + 1).  The exp(-omega/T) factor enforces
 detailed balance, so the thermal (geometric) distribution is stationary.
-Integration uses a fixed-step fourth-order scheme (see _kernels) with
-conservation and positivity guards.  A BathStroke fixes one stroke's step
-count and step matrix; its trajectory samples the stroke, and its end_state
-jumps straight to the end.  evolve_isochoric is a one-off stroke's trajectory.
+_kernels.generator_matrix is the one in-package generator of this equation:
+every stroke's step matrix and rate_derivative read it.  Integration uses a
+fixed-step fourth-order scheme (see _kernels) with conservation and
+positivity guards.  A BathStroke fixes one stroke's step count and step
+matrix; its trajectory samples the stroke, and its end_state jumps straight
+to the end.  evolve_isochoric is a one-off stroke's trajectory.
 """
 
 import math
@@ -97,9 +99,9 @@ class Trajectory:
 
 
 def rate_derivative(dist, params):
-    """dP_n/dt vector for the current populations under the given coupling."""
-    down, up = _kernels.rate_coefficients(params.gamma, params.boltz_factor, dist.n_max + 1)
-    return _kernels.derivative(dist.probs, down, up)
+    """dP_n/dt vector for the current populations under the given coupling:
+    G @ P, with G the integrator's generator_matrix."""
+    return _kernels.generator_matrix(params.gamma, params.boltz_factor, dist.n_max + 1) @ dist.probs
 
 
 def default_time_step(duration, gamma, n_max):

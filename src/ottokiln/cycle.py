@@ -261,9 +261,12 @@ def run_cycles(dist, config, ledger_only=False):
     cycles = []  # each cycle's segments (None in a ledger-only run); copies repeat the last
     for k in range(config.n_cycles):
         if trace.records and np.array_equal(dist.probs, trace.records[-1].dist_a.probs):
-            _book_repeats(trace, k, config.n_cycles)
-            cycles += cycles[-1:] * (config.n_cycles - k)
-            break
+            # a copy of the cycle before: it starts and ends in dist, shifted by 0.0
+            trace.repeat_from = trace.repeat_from or k  # the first copy's index, never 0
+            trace.a_shift_tv.append(0.0)
+            trace.records.append(replace(trace.records[-1], cycle_index=k, dist_a=dist))
+            cycles.append(cycles[-1])
+            continue
         a = dist
         cycle_segments = None if ledger_only else []  # sample times relative to the cycle's start
         if kind == "otto":
@@ -290,20 +293,6 @@ def run_cycles(dist, config, ledger_only=False):
         ))
         cycles.append(cycle_segments)
     return trace if ledger_only else _assemble_trace(trace, cycles)
-
-
-def _book_repeats(trace, first, cycle_count):
-    """Book cycles first..cycle_count-1 as copies of the last run cycle.
-
-    The copies start and end in the current state (the last record's
-    dist_a_next) and shift their start by a_shift_tv = 0.0.
-    """
-    last = trace.records[-1]
-    dist = last.dist_a_next
-    trace.repeat_from = first
-    for k in range(first, cycle_count):
-        trace.a_shift_tv.append(0.0)
-        trace.records.append(replace(last, cycle_index=k, dist_a=dist))
 
 
 def run_engine(config, ledger_only=False):

@@ -19,10 +19,11 @@ from ottokiln import (
     make_distribution,
     otto_limit,
     run_cycles,
+    run_engine,
     stationary_distribution,
     sweep_efficiency_power,
 )
-from ottokiln.analysis import default_ratio_grid
+from ottokiln.analysis import default_ratio_grid, efficiency_or_nan
 
 W_EFF_BALANCE = 0.15606281432958044
 Q_IN_BALANCE = 0.4681884429887413
@@ -66,6 +67,22 @@ def test_efficiency_undefined_when_no_heat_absorbed():
     record = _record(q_in=5e-13)
     with pytest.raises(UndefinedEfficiencyError):
         cycle_efficiency(record)
+
+
+def test_efficiencies_do_not_depend_on_the_energy_scale():
+    # omega and T scaled by a power of two leave every rate and population as
+    # they are, so the ledger scales exactly and each efficiency stays bit for bit
+    scale = 2.0 ** -44
+    config = EngineConfig()
+    small = replace(config, omega_c=config.omega_c * scale, omega_h=config.omega_h * scale,
+                    t_c=config.t_c * scale, t_h=config.t_h * scale)
+    records = run_engine(config, ledger_only=True).records
+    small_records = run_engine(small, ledger_only=True).records
+    assert len(small_records) == len(records) == config.n_cycles
+    for record, small_record in zip(records, small_records):
+        assert (small_record.q_in, small_record.w_eff) == (record.q_in * scale, record.w_eff * scale)
+        assert abs(small_record.q_in) < 1e-12  # below the threshold in absolute units
+        assert efficiency_or_nan(small_record) == efficiency_or_nan(record) == cycle_efficiency(record)
 
 
 def test_pump_efficiency_divides_by_gross_pump_energy():

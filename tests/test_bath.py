@@ -243,8 +243,8 @@ def test_a_stroke_builds_its_own_step_matrix():
         evolve_isochoric(start, p, 2.0, step_matrix=stray)
     stroke = BathStroke(p, 2.0, 51)
     assert (stroke.n_steps, stroke.step) == (2860, 2.0 / 2860)  # default dt 6.995e-4, shrunk to divide 2.0
-    down, up = _kernels.rate_coefficients(p.gamma, p.boltz_factor, 51)
-    assert stroke.step_matrix.r.tobytes() == _kernels.rk4_step_matrix(down, up, stroke.step).tobytes()
+    gen = _kernels.generator_matrix(p.gamma, p.boltz_factor, 51)
+    assert stroke.step_matrix.r.tobytes() == _kernels.rk4_step_matrix(gen, stroke.step).tobytes()
     with pytest.raises(OttoKilnError, match="a stroke on 51 levels cannot run 21 levels"):
         stroke.trajectory(make_distribution(InitialStateSpec.ground(), 20))
 

@@ -471,3 +471,27 @@ def test_verify_takes_no_config(capsys):
         main(["verify", "--config", "x"])
     assert exited.value.code != 0
     assert "--config" in capsys.readouterr().err
+
+
+TRACE_SERIES = ("times", "omegas", "energies", "entropies", "probs", "stroke_labels")
+
+
+@pytest.mark.parametrize("shorter,longer", [(5, 20), (12, 13), (13, 30)])  # each pair crosses the repeat cycle
+@pytest.mark.parametrize("start", ["ground", "level:3"])
+@pytest.mark.parametrize("command,mode", [("simulate", "otto"), ("pump", "pump")])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(tmp_path, command, mode, start, shorter, longer):
+    lines, traces = {}, {}
+    for cycles in (shorter, longer):
+        text = f"n_cycles = {cycles}\ninitial_state = {start}\n"
+        config = tmp_path / f"{cycles}.cfg"
+        config.write_text(text)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / str(cycles))]) == 0
+        lines[cycles] = (tmp_path / str(cycles) / "cycles.csv").read_text().splitlines(keepends=True)
+        traces[cycles] = ottokiln.run_engine(ottokiln.parse_config(text, mode))
+    assert len(lines[shorter]) == shorter + 1  # the header, then one line per cycle
+    assert lines[shorter] == lines[longer][:shorter + 1]
+    short, long = traces[shorter], traces[longer]
+    for name in TRACE_SERIES:
+        head = getattr(short, name)
+        assert len(head) < len(getattr(long, name))
+        assert np.array_equal(head, getattr(long, name)[:len(head)]), name

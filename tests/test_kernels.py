@@ -18,10 +18,8 @@ from ottokiln._kernels import (
     _NEGATIVE_START,
     _evolve_sampled,
     _evolve_stepwise,
-    derivative,
     evolve_populations,
     generator_matrix,
-    rate_coefficients,
     rk4_step_matrix,
     sample_count,
     sample_steps,
@@ -39,29 +37,19 @@ def _matrix(p0, dt, gamma=GAMMA, boltz=BOLTZ):
     return StepMatrix(gamma, boltz, len(p0), dt)
 
 
-def test_rate_coefficients_shape_and_reflecting_top():
-    down, up = rate_coefficients(GAMMA, BOLTZ, 6)
-    assert down[0] == 0.0
-    assert down[3] == pytest.approx(2 * GAMMA * 3)
-    assert up[2] == pytest.approx(2 * GAMMA * BOLTZ * 3)
-    assert up[-1] == 0.0
-
-
-def test_derivative_matches_generator_matrix():
-    rng = np.random.default_rng(0)
-    down, up = rate_coefficients(GAMMA, BOLTZ, 25)
-    gen = generator_matrix(down, up)
-    for _ in range(5):
-        probs = rng.random(25)
-        probs /= probs.sum()
-        np.testing.assert_allclose(derivative(probs, down, up), gen @ probs, atol=1e-14)
+def test_generator_rates_and_reflecting_top():
+    gen = generator_matrix(GAMMA, BOLTZ, 6)
+    assert gen[0, 0] == pytest.approx(-2 * GAMMA * BOLTZ)  # level 0: no emission
+    assert gen[2, 3] == pytest.approx(2 * GAMMA * 3)  # emission out of level 3
+    assert gen[3, 2] == pytest.approx(2 * GAMMA * BOLTZ * 3)  # absorption out of level 2
+    assert gen[5, 5] == pytest.approx(-2 * GAMMA * 5)  # the top level: no absorption
 
 
 def test_step_matrix_is_fourth_order_polynomial():
-    down, up = rate_coefficients(GAMMA, BOLTZ, 10)
-    a = generator_matrix(down, up) * 0.01
+    gen = generator_matrix(GAMMA, BOLTZ, 10)
+    a = gen * 0.01
     expected = np.eye(10) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
-    np.testing.assert_allclose(rk4_step_matrix(down, up, 0.01), expected, atol=1e-15)
+    np.testing.assert_allclose(rk4_step_matrix(gen, 0.01), expected, atol=1e-15)
 
 
 def test_sample_bookkeeping():
@@ -93,8 +81,7 @@ def _refuse(*args):
 
 
 def _stepwise(p0, dt, n_steps, stride):
-    down, up = rate_coefficients(GAMMA, BOLTZ, p0.shape[0])
-    r = rk4_step_matrix(down, up, dt)
+    r = rk4_step_matrix(generator_matrix(GAMMA, BOLTZ, p0.shape[0]), dt)
     out = np.empty((sample_count(n_steps, stride), p0.shape[0]))
     trip, bad_step, max_drift = _evolve_stepwise(p0, r, n_steps, stride, out)
     return trip, bad_step, max_drift, out, r

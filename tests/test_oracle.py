@@ -123,7 +123,7 @@ def test_generator_columns_sum_to_zero():
 def test_generator_equals_the_kernel_generator_bit_for_bit(n_levels, omega, temperature):
     # written out separately from _kernels, so the two are independent builds of one matrix
     params = make_params(omega, temperature, 0.5)
-    kernel = _kernels.generator_matrix(*_kernels.rate_coefficients(params.gamma, params.boltz_factor, n_levels))
+    kernel = _kernels.generator_matrix(params.gamma, params.boltz_factor, n_levels)
     assert rate_generator(params, n_levels - 1).tobytes() == kernel.tobytes()
 
 

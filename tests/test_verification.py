@@ -57,19 +57,29 @@ def test_a_stroke_one_step_short_fails_the_oracle_check(monkeypatch):
     assert not check_oracle_equivalence().passed
 
 
-def test_rates_five_percent_off_in_the_kernel_fail_the_oracle_checks(monkeypatch):
-    # an error in _kernels.rate_coefficients' source, made by rebinding every
-    # package name for the function: the dense oracle writes its generator
-    # out itself, so the error shows against it
-    original = _kernels.rate_coefficients
+def _kernel_generator_off(monkeypatch, gamma_scale=1.0, boltz_scale=1.0):
+    """An error in _kernels.generator_matrix' source, made by rebinding every
+    package name for the function to one that scales its rates."""
+    original = _kernels.generator_matrix
 
     def scaled(gamma, boltz_factor, n_levels):
-        down, up = original(gamma, boltz_factor, n_levels)
-        return 1.05 * down, 1.05 * up
+        return original(gamma_scale * gamma, boltz_scale * boltz_factor, n_levels)
 
     for module in [module for name, module in sys.modules.items() if name.startswith("ottokiln")]:
         for name, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, name, scaled)
+
+
+def test_rates_five_percent_off_in_the_kernel_fail_the_oracle_checks(monkeypatch):
+    # the dense oracle writes its generator out itself, so the error shows against it
+    _kernel_generator_off(monkeypatch, gamma_scale=1.05)
     assert not check_oracle_equivalence().passed
     assert not check_convergence_order().passed
+
+
+def test_the_generator_checks_read_the_integrators_generator(monkeypatch):
+    # absorption 5 % too fast moves the thermal state, but every column still sums to zero
+    _kernel_generator_off(monkeypatch, boltz_scale=1.05)
+    assert not verification.check_detailed_balance().passed
+    assert verification.check_generator_conservation().passed

@@ -57,6 +57,9 @@ FINITE_SMALL = "sweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 3\nn_c
 # ci-retry at sample_stride = 1 and one cycle
 RETRY_EVERY_STEP = ("gamma0 = 50\ntau = 20\nsweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 2\n"
                     "sample_stride = 1\nn_cycles = 1\n")
+# omega_c, omega_h, t_c and t_h of the default config times 2**-44, each literal exact
+ENERGY_SCALE = ("omega_c = 5.684341886080802e-14\nomega_h = 8.526512829121202e-14\n"
+                "t_c = 2.2737367544323207e-14\nt_h = 6.821210263296962e-14\n")
 
 EDGE_RUNS = [
     ("edge-simulate-no-cycles", "simulate", ["--svg"], "n_cycles = 0\n"),
@@ -92,6 +95,9 @@ EDGE_RUNS = [
     # states whose omega/T overflows: the limit distribution, without numpy warnings
     ("edge-infinite-ratio-states", "pump", [],
      "initial_state = boltzmann:1e300:1e-300\npump_target = gaussian:2:1e300:1e-300\nn_cycles = 2\n"),
+    # the default energies and temperatures times 2**-44: the same efficiencies as at scale 1
+    ("edge-simulate-energy-scale", "simulate", [], ENERGY_SCALE),
+    ("edge-finite-energy-scale", "sweep", [], ENERGY_SCALE + FINITE_SMALL.replace("1.2", "6.821210263296962e-14")),
     ("fail-unknown-key", "simulate", [], "bogus = 1\n"),
     ("fail-float-text", "simulate", [], "tau = two\n"),
     ("fail-int-fraction", "simulate", [], "n_cycles = 2.5\n"),
