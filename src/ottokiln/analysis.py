@@ -8,7 +8,10 @@ closed form; the whole grid is evaluated at once, bit for bit equal to the
 scalar oracle analytic_cycle_thermal_balance, which stays the cross-check
 and raises the error of the first invalid point.  A finite sweep, given an
 engine config, runs the stepped engine per point instead, ledger only (no
-samples, one map per bath stroke), and flags non-converged runs.
+samples, one jump R^n_steps per bath stroke), and flags non-converged
+runs.  Every point has the same cold contact, so its BathStroke is built
+once per sweep and handed from point to point; each point builds its own
+hot one.
 """
 
 import math
@@ -172,7 +175,9 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
     it is rerun per point, in input order, as an otto run (omega_c/omega_h,
     t_c/t_h and tau overridden), and points whose final cycle-start shift is
     not below the cyclostationarity threshold (EngineTrace.converged) are
-    flagged converged=False.
+    flagged converged=False.  The points share one dict of bath strokes
+    (see cycle.run_cycles), made per call, so the cold stroke is built once
+    per sweep.
     """
     t_h_parts, ratio_parts = [np.zeros(0)], [np.zeros(0)]
     for t_h in t_h_list:
@@ -185,12 +190,12 @@ def sweep_efficiency_power(t_c, t_h_list, ratio_grid=None, tau=2.0, *, omega_c=1
     if engine_config is None:
         return Sweep.sorted(t_h, ratio, *_balance_columns(omega_c, t_c, t_h, ratio, tau))
 
-    efficiency, power, converged = [], [], []
+    efficiency, power, converged, strokes = [], [], [], {}
     for point_t_h, point_ratio in zip(t_h.tolist(), ratio.tolist()):
         _require_ratio(point_ratio)
         cfg = replace(engine_config, mode="otto", omega_c=omega_c, omega_h=omega_c / point_ratio,
                       t_c=t_c, t_h=point_t_h, tau=tau)
-        trace = run_engine(cfg, ledger_only=True)
+        trace = run_engine(cfg, ledger_only=True, strokes=strokes)
         record = trace.final_record
         efficiency.append(efficiency_or_nan(record))
         power.append(cycle_power(record, trace.cycle_time))

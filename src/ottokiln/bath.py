@@ -169,7 +169,8 @@ class BathStroke:
     def end_state(self, dist, tail_tolerance=TAIL_TOLERANCE):
         """(final state, max_drift) of the stroke from dist, by one jump
         R^n_steps, divided by its column sums: its trajectory recorded at its
-        two ends."""
+        two ends, the same bits, by one product and the block loop's checks
+        with no loop around them (see _kernels)."""
         samples, max_drift = _kernels.evolve_populations(self._probs(dist), self.step_matrix, self.n_steps,
                                                          self.n_steps)
         return FockDistribution(samples[-1]).require_tail(tail_tolerance), max_drift

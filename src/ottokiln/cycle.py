@@ -221,7 +221,15 @@ def _check_trace_budget(bath_strokes, config, n_levels):
         )
 
 
-def run_cycles(dist, config, ledger_only=False):
+def _bath_stroke(built, strokes, *key):
+    """The BathStroke built from key, (params, duration, n_levels, dt): the
+    one strokes (a dict or None) holds under key, else a new one, entered in
+    built under key either way."""
+    stroke = built[key] = strokes[key] if strokes and key in strokes else BathStroke(*key)
+    return stroke
+
+
+def run_cycles(dist, config, ledger_only=False, strokes=None):
     """Run config.n_cycles cycles of config.mode ("otto" or "pump") from dist.
 
     dist sets the ladder; config.n_max and config.initial_state are read
@@ -230,11 +238,17 @@ def run_cycles(dist, config, ledger_only=False):
     CycleRecord per cycle, and the cyclostationarity metric (total-variation
     distance between consecutive cycle-start distributions; first entry NaN).
 
-    The hot and cold BathStroke are built once, before the first cycle, and
-    a traced run whose sampled rows would pass MAX_TRACE_BYTES is
+    The hot and cold BathStroke are built once, before the first cycle, hot
+    first, and a traced run whose sampled rows would pass MAX_TRACE_BYTES is
     refused then (a ConfigError).  ledger_only=True records no samples (the
     trace's series stay empty) and reads no sample_stride: each bath stroke
     is its BathStroke.end_state, and ramps do nothing.
+
+    strokes (None: build both) is a dict that carries strokes from run to
+    run, keyed by what a stroke is built from, (RateParams, duration,
+    n_levels, dt): a stroke found there is taken, not built.  The run leaves
+    the dict holding its own strokes only, so it never holds more than one
+    run's strokes.
 
     A cycle is a deterministic function of its start state.  Once a cycle
     starts bitwise equal to its predecessor's start, it and every later
@@ -244,12 +258,18 @@ def run_cycles(dist, config, ledger_only=False):
     kind, omega_c, omega_h = config.mode, config.omega_c, config.omega_h
     if kind not in ("otto", "pump"):
         raise OttoKilnError(f"run_cycles handles otto and pump modes, not {kind!r}")
+    built = {}  # this run's strokes
     if kind == "otto":
         durations = (config.tau,) * 4
-        hot = BathStroke(RateParams(omega_h, config.t_h, config.gamma0), config.tau, dist.n_max + 1, config.dt)
+        hot = _bath_stroke(built, strokes, RateParams(omega_h, config.t_h, config.gamma0), config.tau,
+                           dist.n_max + 1, config.dt)
     else:
         durations = (0.0, config.tau_bc, config.tau_cd, config.tau_db)  # the pump takes no time
-    cold = BathStroke(RateParams(omega_c, config.t_c, config.gamma0), durations[2], dist.n_max + 1, config.dt)
+    cold = _bath_stroke(built, strokes, RateParams(omega_c, config.t_c, config.gamma0), durations[2],
+                        dist.n_max + 1, config.dt)
+    if strokes is not None:
+        strokes.clear()
+        strokes.update(built)
     if not ledger_only:
         _check_trace_budget([hot, cold] if kind == "otto" else [cold], config, dist.n_max + 1)
     t_b = durations[0]  # cycle-relative start of the expansion, cold contact and compression
@@ -295,8 +315,9 @@ def run_cycles(dist, config, ledger_only=False):
     return trace if ledger_only else _assemble_trace(trace, cycles)
 
 
-def run_engine(config, ledger_only=False):
+def run_engine(config, ledger_only=False, strokes=None):
     """Run config.n_cycles cycles of the config's mode from its initial state
-    (run_cycles from the start distribution, ledger_only as there)."""
+    (run_cycles from the start distribution, ledger_only and strokes as
+    there)."""
     dist = make_distribution(config.initial_state, config.n_max, config.tail_tolerance)
-    return run_cycles(dist, config, ledger_only)
+    return run_cycles(dist, config, ledger_only, strokes)

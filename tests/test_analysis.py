@@ -159,6 +159,26 @@ def test_finite_time_sweep_runs_the_engine():
         assert point.power > 0.0
 
 
+@pytest.mark.parametrize("dt", [None, 5e-4], ids=["default-dt", "dt-5e-4"])
+def test_finite_sweep_equals_a_ledger_only_run_per_point_bit_for_bit(dt):
+    # the sweep hands one cold stroke from point to point; each point's own
+    # run builds both of its strokes afresh
+    config = replace(EngineConfig(), n_cycles=3, tau=0.8, dt=dt)
+    t_h_list, ratios = [1.2, 1.6], [0.55, 2.0 / 3.0, 0.8]
+    sweep = sweep_efficiency_power(config.t_c, t_h_list, ratios, config.tau, engine_config=config)
+    efficiency, power, converged = [], [], []
+    for t_h in t_h_list:
+        for ratio in ratios:
+            trace = run_engine(replace(config, omega_h=config.omega_c / ratio, t_h=t_h), ledger_only=True)
+            efficiency.append(efficiency_or_nan(trace.final_record))
+            power.append(cycle_power(trace.final_record, trace.cycle_time))
+            converged.append(trace.converged())
+    assert sweep.t_h.tolist() == [1.2] * 3 + [1.6] * 3 and sweep.ratio.tolist() == ratios * 2
+    assert sweep.efficiency.tobytes() == np.array(efficiency).tobytes()
+    assert sweep.power.tobytes() == np.array(power).tobytes()
+    assert sweep.converged.tolist() == converged
+
+
 def test_sweep_rejects_invalid_temperatures_and_ratios():
     with pytest.raises(OttoKilnError):
         sweep_efficiency_power(0.4, [0.3], tau=2.0)

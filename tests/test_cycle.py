@@ -495,7 +495,24 @@ def test_finite_sweep_runs_each_point_ledger_only(monkeypatch):
     built = count_calls(monkeypatch, _kernels, "rk4_step_matrix")
     sweep = sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau, engine_config=config)
     assert len(sweep) == 4
-    assert stepped == [] and len(ended) == 2 * 3 * 4 and len(built) == 2 * 4
+    # one cold stroke per sweep, one hot stroke per point
+    assert stepped == [] and len(ended) == 2 * 3 * 4 and len(built) == 1 + 4
+    # the next sweep builds its own cold stroke: nothing is kept between calls
+    sweep_efficiency_power(config.t_c, [1.2, 1.6], [0.6, 0.8], config.tau, engine_config=config)
+    assert len(built) == 2 * (1 + 4)
+
+
+def test_a_stroke_dict_hands_each_run_its_strokes_and_keeps_the_last_runs_only():
+    config = replace(EngineConfig(), n_cycles=2)
+    strokes = {}
+    first = run_engine(config, ledger_only=True, strokes=strokes)
+    hot, cold = strokes.values()
+    assert [key[0].temperature for key in strokes] == [config.t_h, config.t_c]
+    assert all(key[1:] == (config.tau, config.n_max + 1, config.dt) for key in strokes)
+    run_engine(replace(config, t_h=1.6), ledger_only=True, strokes=strokes)
+    assert len(strokes) == 2 and list(strokes.values())[1] is cold and hot not in strokes.values()
+    again = run_engine(config, ledger_only=True, strokes=strokes)
+    assert [(r.q_in, r.q_out, r.w_eff) for r in again.records] == [(r.q_in, r.q_out, r.w_eff) for r in first.records]
 
 
 @pytest.mark.parametrize("ledger_only", [False, True], ids=["traced", "ledger_only"])

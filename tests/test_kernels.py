@@ -204,12 +204,19 @@ def assert_agrees_with_the_reference(got, want):
     assert np.all(np.abs(got - want) <= DOUBLING_TOL * want + np.finfo(float).tiny)
 
 
+def _jumped(sampled):
+    """A reference sampled loop in the place of _evolve_jump: the stroke at
+    one stride of n_steps, recorded at its two ends only."""
+    return lambda p, step_matrix, n_steps, out: sampled(p, step_matrix, n_steps, n_steps, out)
+
+
 def _reference(p0, step_matrix, n_steps, stride, monkeypatch):
     """evolve_populations on the four-reduction path: one jump per sample,
     each sample guarded and renormalized."""
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_guard", _four_reduction_guard)
         patch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+        patch.setattr(_kernels, "_evolve_jump", _jumped(_four_reduction_sampled))
         return evolve_populations(p0, step_matrix, n_steps, stride)
 
 
@@ -558,7 +565,7 @@ def test_stepwise_loop_and_whole_stroke_jump_equal_the_four_reduction_guard_bit_
     want = _stepwise(p0, 7e-4, 2857, 44)
     assert got[:3] == want[:3]
     assert got[3].tobytes() == want[3].tobytes()
-    monkeypatch.setattr(_kernels, "_evolve_sampled", _four_reduction_sampled)
+    monkeypatch.setattr(_kernels, "_evolve_jump", _jumped(_four_reduction_sampled))
     want_jumped = evolve_populations(p0, _matrix(p0, 7e-4), 2857, 2857)
     assert jumped[1] == want_jumped[1]
     assert jumped[0].tobytes() == want_jumped[0].tobytes()
@@ -681,11 +688,36 @@ def test_kernel_agreement_one_block_loop_equals_the_two_rule_loop(stroke):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _outcome(p0, step_matrix, n_steps, stride)
-    with mock.patch.object(_kernels, "_evolve_sampled", _two_rule_sampled):
+    with mock.patch.object(_kernels, "_evolve_sampled", _two_rule_sampled), \
+            mock.patch.object(_kernels, "_evolve_jump", _jumped(_two_rule_sampled)):
         want = _outcome(p0, StepMatrix(*matrix_args), n_steps, stride)
     assert got == want
     event(got.split(" at step")[0] if isinstance(got, str) else "samples")
     event("doubling" if step_matrix.r.shape[0] <= _kernels.DOUBLING_MAX_LEVELS else "one stride per block")
+
+
+@settings(deadline=None)
+@given(sampled_strokes())
+@example((np.zeros(51), (GAMMA, BOLTZ, 51, 7e-4), 50, 50))  # a zero sum, raised before anything divides by it
+def test_kernel_agreement_whole_stroke_jump_equals_the_two_rule_loop(stroke):
+    # a stroke recorded at its two ends only (every end_state) is one jump
+    # R^n_steps with no block loop: the two-rule loop's samples and max_drift
+    # bit for bit, or its error text and step, n_steps.  Left out as in the
+    # test above: a first sample with an entry in [-NEG_FLOOR, 0)
+    p0, matrix_args, n_steps, _ = stroke
+    step_matrix = StepMatrix(*matrix_args)
+    assert step_matrix.stable
+    with np.errstate(invalid="ignore"):
+        first_low = (step_matrix[n_steps] @ p0).min()
+    assume(not -NEG_FLOOR <= first_low < 0.0)
+    with warnings.catch_warnings(), mock.patch.object(_kernels, "_evolve_sampled", _refuse):
+        warnings.simplefilter("error")
+        got = _outcome(p0, step_matrix, n_steps, n_steps)
+    with mock.patch.object(_kernels, "_evolve_jump", _jumped(_two_rule_sampled)):
+        want = _outcome(p0, StepMatrix(*matrix_args), n_steps, n_steps)
+    assert got == want
+    event(got.split(" at step")[0] if isinstance(got, str) else "samples")
+    event("doubling cap or below" if step_matrix.r.shape[0] <= _kernels.DOUBLING_MAX_LEVELS else "above the cap")
 
 
 @pytest.mark.parametrize("n_levels", [51, _kernels.DOUBLING_MAX_LEVELS + 1])

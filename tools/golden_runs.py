@@ -118,6 +118,9 @@ EDGE_RUNS = [
     ("fail-steps-uncountable", "simulate", [], "dt = 1e-300\ntau = 1e-9\n"),
     ("fail-steps-uncountable-pump", "pump", [], "gamma0 = 1e300\nt_c = 1e-300\nt_h = 1e300\ntau_db = 1e-300\n"),
     ("fail-steps-uncountable-rate", "pump", [], "gamma0 = 1e300\n"),
+    # both strokes of each point are too long; the hot one is built first, so its dt is named
+    ("fail-steps-uncountable-finite", "sweep", [],
+     "sweep_mode = finite\nsweep_t_h = 1.2\nsweep_ratio_steps = 2\ngamma0 = 1e12\ntau = 1e5\n"),
     # rates whose generator overflows at the given dt
     ("fail-generator-overflow", "simulate", [], "gamma0 = 1.5e306\ndt = 1\nn_cycles = 1\n"),
     ("fail-refrigerator", "sweep", [], "sweep_ratio_min = 0.1\nsweep_ratio_max = 0.2\n"),
