@@ -104,9 +104,15 @@ class Sweep:
     @classmethod
     def sorted(cls, *columns):
         """Columns in SWEEP_COLUMNS order, rows put in (t_h, ratio) order;
-        rows with equal keys keep their input order."""
-        order = np.lexsort((columns[1], columns[0]))
-        return cls(*(np.asarray(column)[order] for column in columns))
+        rows with equal keys keep their input order.  Rows already in that
+        order (every grid a sweep builds) are kept as they are, unsorted."""
+        columns = [np.asarray(column) for column in columns]
+        t_h, ratio = columns[:2]
+        in_order = (t_h[:-1] < t_h[1:]) | ((t_h[:-1] == t_h[1:]) & (ratio[:-1] <= ratio[1:]))
+        if in_order.all():
+            return cls(*columns)
+        order = np.lexsort((ratio, t_h))
+        return cls(*(column[order] for column in columns))
 
     def __len__(self):
         return self.t_h.shape[0]
@@ -137,7 +143,8 @@ def _balance_columns(omega_c, t_c, t_h, ratio, tau):
     The closed-form ledger of analytic_cycle_thermal_balance over the whole
     grid, with the same floating-point operations, so every value equals the
     scalar ledger's bit for bit; n_h maps math.exp/math.expm1 over the grid
-    as bose_einstein does (numpy's exp differs from libm in the last bit).
+    into arrays through np.fromiter, as bose_einstein does (numpy's exp
+    differs from libm in the last bit).
     ok marks the points the scalar ledger accepts.  If any is rejected, the
     first in input order goes through the scalar ledger, which raises.
     """
@@ -150,8 +157,8 @@ def _balance_columns(omega_c, t_c, t_h, ratio, tau):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         omega_h = omega_c / ratio
         neg_x = np.where(ok, -(omega_h / t_h), -1.0).tolist()
-        q_h = np.array(list(map(math.exp, neg_x)))
-        n_h = q_h / -np.array(list(map(math.expm1, neg_x)))
+        q_h = np.fromiter(map(math.exp, neg_x), dtype=float, count=len(neg_x))
+        n_h = q_h / -np.fromiter(map(math.expm1, neg_x), dtype=float, count=len(neg_x))
     # where bose_einstein raises, n_h is not finite; where the hot entropy raises, q_h is 1
     ok &= (omega_c < omega_h) & np.isfinite(n_h) & (q_h != 1.0) & ~(n_h < n_c)
     bad = np.flatnonzero(~ok)

@@ -132,8 +132,8 @@ def _run_sweep(args):
         write_sweep_csv(out / "sweep.csv", text)
         if args.svg:
             # rows are in (t_h, ratio) order, so each t_h is one contiguous block
-            _, starts = np.unique(sweep.t_h, return_index=True)
-            for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(sweep)]):
+            starts = [0, *(np.flatnonzero(sweep.t_h[1:] != sweep.t_h[:-1]) + 1).tolist()]
+            for lo, hi in zip(starts, [*starts[1:], len(sweep)]):
                 rows = slice(lo, hi)
                 t_h = text["t_h"][lo]  # %.12g: EngineConfig keeps the t_h distinct at that precision
                 tag = t_h.replace(".", "p")

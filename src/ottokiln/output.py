@@ -5,10 +5,13 @@ runs with the same configuration are byte-identical.  Each series of a
 command is formatted once, in one block, and every file that prints it
 reuses those strings: a CSV and its .dat twin, or the columns the narrow
 and the wide time series share.  One printer, _format_rows, prints both
-the series, each as the one-column matrix of its distinct values, and
-each time-series file's populations (the narrow file's p_sum first), once
-per stored trace row; each printed value ends in its own separator.
-Undefined efficiencies are written as "nan", never as a large float.
+the series, each as the one-column matrix of its distinct values (or of
+all its values, in place, where none repeats), and each time-series
+file's populations (the narrow file's p_sum first), once per stored trace
+row; each printed value ends in its own separator.  A file is written in
+blocks of about 0.25 MB of text, each one join of its rows' strings and
+separators.  Undefined efficiencies are written as "nan", never as a large
+float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
 
@@ -26,7 +29,6 @@ entries; 128 pixels), where the kernels' fixed cost exceeds that of %.
 """
 
 import functools
-import itertools
 import math
 from types import SimpleNamespace
 
@@ -38,8 +40,10 @@ from .exceptions import OttoKilnError
 CYCLE_COLUMNS = ("cycle", "q_in", "q_out", "w_out", "w_in", "w_eff", "q_pump",
                  "q_pump_gross", "efficiency", "power", "a_shift_tv")
 SWEEP_CSV_COLUMNS = ("t_h", "ratio", "efficiency", "power")
-# rows per write: about 0.25 MB of text for the widest time series (51 levels)
-_WRITE_ROWS = 256
+# characters per write, about 0.25 MB: some 4,700 rows of sweep.csv, 8,000 of
+# an eta_power .dat twin and 270 of the widest time series (51 levels)
+_WRITE_CHARS = 1 << 18
+_WRITE_PROBES = 16  # the widest row is sought among one row in every sixteenth of a table
 
 
 def fmt(value):
@@ -137,7 +141,8 @@ def _g12_records(x, row_length=1):
     words per value with zero bytes for blanks: sign, 12 whole digits, "." and
     15 fraction digits (the last four shared with the exponent), exponent and separator."""
     t = _tables()
-    ends = np.arange(1, x.size + 1) % row_length == 0
+    ends = np.zeros(x.size, dtype=bool)
+    ends[row_length - 1::row_length] = True
     a = np.abs(x)
     fallback = ~((a >= 1e-280) & (a <= 1e280))  # zero, nan, inf, the far range
     a[fallback] = 1.0
@@ -240,8 +245,12 @@ def _format_polyline(pixels):
 def _format_column(values):
     """One series as fmt() prints it, one string per entry, each distinct value
     formatted once: ramps repeat the populations of every sample, and a
-    converged run repeats its cycle bit for bit."""
-    distinct, where = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    converged run repeats its cycle bit for bit.  A series with no repeat (a
+    sweep's power, a trace's t) is printed in place, without the gather."""
+    values = np.asarray(values, dtype=float)
+    distinct, where = np.unique(values, return_inverse=True)
+    if distinct.size == values.size:
+        return _format_rows(values[:, None])
     return _format_indexed(distinct[:, None], where)
 
 
@@ -335,18 +344,26 @@ def write_dat(path, text, columns, rows=slice(None)):
 
 
 def _write_table(path, header, columns, sep=","):
-    """The header line, then one line per row of the formatted columns.
+    """The header line, then one line per row of the formatted columns: each
+    row's fields joined by sep, ended by a newline.
 
-    Rows are joined and written _WRITE_ROWS at a time, so that the text of
-    a large file is never held whole, let alone once as lines, once joined
-    and once encoded.
+    A block of rows is written with one join: its fields and separators are
+    slice-assigned into one list, no row is joined on its own.  Each block
+    holds about _WRITE_CHARS characters, sized from the widest of a few rows
+    spread over the table, so the text of a large file is never held whole.
     """
-    lines = map(sep.join, zip(*columns))
+    width, rows = len(columns), len(columns[0])
+    pattern = [None, sep] * (width - 1) + [None, "\n"]  # a row's fields go in the Nones
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(sep.join(header) + "\n")
-        while block := list(itertools.islice(lines, _WRITE_ROWS)):
-            block.append("")  # ends the block with a newline without copying it
-            handle.write("\n".join(block))
+        probe = range(0, rows, max(rows // _WRITE_PROBES, 1))
+        row_chars = max((sum(len(column[i]) for column in columns) for i in probe), default=0) + width
+        step = max(_WRITE_CHARS // row_chars, 1)
+        for start in range(0, rows, step):
+            cells = pattern * (min(start + step, rows) - start)
+            for j, column in enumerate(columns):
+                cells[2 * j::2 * width] = column[start:start + step]
+            handle.write("".join(cells))
 
 
 def write_svg_chart(path, x, y, title, x_label, y_label):

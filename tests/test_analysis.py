@@ -10,6 +10,7 @@ from ottokiln import (
     InitialStateSpec,
     OttoKilnError,
     RefrigeratorRegimeError,
+    Sweep,
     SweepPoint,
     UndefinedEfficiencyError,
     analytic_cycle_thermal_balance,
@@ -23,7 +24,7 @@ from ottokiln import (
     stationary_distribution,
     sweep_efficiency_power,
 )
-from ottokiln.analysis import default_ratio_grid, efficiency_or_nan
+from ottokiln.analysis import SWEEP_COLUMNS, default_ratio_grid, efficiency_or_nan
 
 W_EFF_BALANCE = 0.15606281432958044
 Q_IN_BALANCE = 0.4681884429887413
@@ -250,6 +251,35 @@ def test_sweep_rows_sorted_for_shuffled_and_repeated_hot_temperatures():
         sorted((t_h, r) for t_h in t_h_list for r in grid)
     assert rows_of(sweep) == scalar_sweep(0.4, t_h_list, grid, 2.0)
     assert sweep[-1] == list(sweep)[-1] == SweepPoint(*rows_of(sweep)[-1])
+
+
+def lexsorted(columns):
+    """Sweep.sorted's columns through the stable lexsort on (t_h, ratio)."""
+    order = np.lexsort((columns[1], columns[0]))
+    return [np.asarray(column)[order] for column in columns]
+
+
+def same_bits(sweep, columns):
+    return all(getattr(sweep, name).dtype == column.dtype and getattr(sweep, name).tobytes() == column.tobytes()
+               for name, column in zip(SWEEP_COLUMNS, columns))
+
+
+KEYS = st.sampled_from([0.5, 1.0, 1.5, -0.0, 0.0, np.inf, np.nan]) | st.floats()
+
+
+@given(keys=st.lists(st.tuples(KEYS, KEYS), min_size=1, max_size=30))
+def test_sweep_rows_in_order_are_kept_bit_for_bit_as_the_lexsort_leaves_them(keys):
+    # the payload columns number the input rows, so a moved row shows
+    t_h, ratio = np.array(keys).T
+    n = len(keys)
+    columns = [t_h, ratio, np.arange(n, dtype=float), -np.arange(n, dtype=float), np.arange(n) % 2 == 0]
+    assert same_bits(Sweep.sorted(*columns), lexsorted(columns))  # drawn order, often shuffled
+    ordered = lexsorted(columns)
+    expected = lexsorted(ordered)
+    with pytest.MonkeyPatch.context() as patch:
+        if not np.isnan(ordered[0]).any() and not np.isnan(ordered[1]).any():
+            patch.setattr(np, "lexsort", None)  # rows in order take no sort
+        assert same_bits(Sweep.sorted(*ordered), expected)
 
 
 @pytest.mark.parametrize("grid,error,message", [

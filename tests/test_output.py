@@ -18,6 +18,7 @@ from ottokiln.output import (
     TraceText,
     _format_column,
     _format_rows,
+    _write_table,
     fmt,
     sweep_text,
     write_cycles_csv,
@@ -58,6 +59,66 @@ def test_column_formatter_matches_fmt_on_edge_values():
                 | st.sampled_from(EDGE_VALUES)))
 def test_column_formatter_matches_fmt_on_drawn_values(values):
     assert _format_column(values) == [fmt(v) for v in values]
+
+
+TIE_VALUES = [123456789012.5, -0.1234567890125, 1.0000000000005, 2.5e-7 + 1.25e-18, 9.999999999995]
+
+
+def test_a_series_with_no_repeat_is_printed_in_place(monkeypatch):
+    values = np.concatenate([np.linspace(1.0, 2.0, 600), [math.nan, -0.0, 1e16], TIE_VALUES]).tolist()
+    assert np.unique(values).size == len(values)
+
+    def gather(matrix, index):
+        raise AssertionError("a series with no repeat went through the gather")
+
+    monkeypatch.setattr(output, "_format_indexed", gather)
+    assert _format_column(values) == [fmt(v) for v in values]
+
+
+@pytest.mark.parametrize("values,text", [([0.0, -0.0], "0"), ([math.nan, -math.nan], "nan")],
+                         ids=["both-zeros", "two-nans"])
+def test_equal_values_that_differ_in_bits_print_alike(values, text):
+    series = values * 300 + np.linspace(1.0, 2.0, 600).tolist()  # long enough for the kernel
+    printed = _format_column(series)
+    assert printed[:600] == [text] * 600
+    assert printed == [fmt(v) for v in series]
+
+
+@st.composite
+def tables(draw):
+    """1 to 6 columns of ASCII strings, empty ones included, all of one length."""
+    width, rows = draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    field = st.text(st.characters(codec="ascii"), max_size=12)
+    return [draw(st.lists(field, min_size=rows, max_size=rows)) for _ in range(width)]
+
+
+def expected_table(header, columns, sep):
+    return sep.join(header) + "\n" + "".join(sep.join(row) + "\n" for row in zip(*columns))
+
+
+@given(columns=tables(), sep=st.sampled_from([",", " "]), budget=st.integers(1, 80))
+def test_write_table_writes_the_header_then_each_row_joined(tmp_path_factory, columns, sep, budget):
+    # a small budget cuts the rows into many blocks, and a row longer than it
+    # is a block of its own
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    header = [f"c{j}" for j in range(len(columns))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(output, "_WRITE_CHARS", budget)
+        _write_table(path, header, columns, sep)
+    assert path.read_bytes().decode("ascii") == expected_table(header, columns, sep)
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+@pytest.mark.parametrize("columns", [
+    [[]], [[], [], []], [["1.5"]], [["", "x"], ["", ""]],
+    [["a" * output._WRITE_CHARS], ["b"]],
+    [["a" * output._WRITE_CHARS, "c", "d" * output._WRITE_CHARS], ["b", "", "e"]],
+], ids=["no-rows", "three-empty-columns", "one-row", "empty-fields", "one-row-past-the-budget",
+        "rows-past-the-budget"])
+def test_write_table_at_the_edges_of_its_blocks(tmp_path, columns, sep):
+    header = ["#"] + [f"c{j}" for j in range(len(columns) - 1)]
+    _write_table(tmp_path / "table.txt", header, columns, sep)
+    assert (tmp_path / "table.txt").read_bytes().decode("ascii") == expected_table(header, columns, sep)
 
 
 def test_probability_guard_names_the_first_bad_row(tmp_path):
