@@ -21,7 +21,7 @@ from .cycle import run_engine
 from .exceptions import OttoKilnError
 from .output import (
     TraceText,
-    sweep_text,
+    sweep_blocks,
     write_cycles_csv,
     write_dat,
     write_svg_chart,
@@ -127,17 +127,14 @@ def _run_sweep(args):
         ratio_steps=config.sweep_ratio_steps,
     )
     out = args.out
-    text = sweep_text(sweep)
+    blocks = sweep_blocks(sweep)
     with _writing_into(out):
-        write_sweep_csv(out / "sweep.csv", text)
+        write_sweep_csv(out / "sweep.csv", blocks)
         if args.svg:
-            # rows are in (t_h, ratio) order, so each t_h is one contiguous block
-            starts = [0, *(np.flatnonzero(sweep.t_h[1:] != sweep.t_h[:-1]) + 1).tolist()]
-            for lo, hi in zip(starts, [*starts[1:], len(sweep)]):
-                rows = slice(lo, hi)
-                t_h = text["t_h"][lo]  # %.12g: EngineConfig keeps the t_h distinct at that precision
+            for rows, text in blocks:
+                t_h = text["t_h"][0]  # %.12g: EngineConfig keeps the t_h distinct at that precision
                 tag = t_h.replace(".", "p")
-                write_dat(out / f"eta_power_th{tag}.dat", text, ["power", "efficiency"], rows)
+                write_dat(out / f"eta_power_th{tag}.dat", text, ["power", "efficiency"])
                 _chart(out / f"eta_power_th{tag}.svg", sweep.power[rows], sweep.efficiency[rows],
                        f"Efficiency vs power (t_h = {t_h})", "power", "efficiency", "points")
     flagged = int(np.count_nonzero(~sweep.converged))

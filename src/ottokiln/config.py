@@ -28,10 +28,12 @@ _MODES = ("otto", "pump", "sweep")
 # traced 2-cycle run at n_max = 1000: 103 MB.
 MAX_N_MAX = 1000
 # Most points of one sweep (sweep_ratio_steps times the sweep_t_h entries).
-# A balance sweep with --svg peaks at about 230 bytes per point (measured:
-# its columns, formatted text and chart), so the cap holds it near 230 MB.
+# A balance sweep with --svg peaks at about 180 bytes per point (measured in
+# fresh processes: 65.3 MiB at 200,000 points and 167.8 MiB at 800,000, for
+# its columns, the strings of each t_h block and the charts), so the cap
+# holds it near 180 MB above the interpreter's own.
 MAX_SWEEP_POINTS = 1_000_000
-SWEEP_POINT_BYTES = 230
+SWEEP_POINT_BYTES = 180
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 """File emission: CSVs, gnuplot-style .dat twins, and minimal SVG charts.
 
 All numeric output is printed as "%.12g", with "-0" as "0", so repeated
-runs with the same configuration are byte-identical.  Each series of a
-command is formatted once, in one block, and every file that prints it
+runs with the same configuration are byte-identical.  Each series of an
+engine run is formatted once, in one block, and every file that prints it
 reuses those strings: a CSV and its .dat twin, or the columns the narrow
-and the wide time series share.  One printer, _format_rows, prints both
-the series, each as the one-column matrix of its distinct values (or of
-all its values, in place, where none repeats), and each time-series
-file's populations (the narrow file's p_sum first), once per stored trace
-row; each printed value ends in its own separator.  A file is written in
-blocks of about 0.25 MB of text, each one join of its rows' strings and
-separators.  Undefined efficiencies are written as "nan", never as a large
-float.
+and the wide time series share.  A sweep is printed one t_h block at a
+time (sweep_blocks): each column of a block in place and its t_h once, and
+a ratio or efficiency column equal to the block before's takes that
+block's strings; sweep.csv and the block's .dat twin print the same ones.
+One printer, _format_rows, prints every column (a series as the
+one-column matrix of its distinct values, or of all its values, in place,
+where none repeats) and each time-series file's populations (the narrow
+file's p_sum first), once per stored trace row; each printed value ends in
+its own separator.  A file is written in blocks of about 0.25 MB of text,
+each one join of its rows' strings and separators.  Undefined efficiencies
+are written as "nan", never as a large float.
 SVG charts are rendered from the numeric series and never feed back into
 them.
 
@@ -19,13 +22,18 @@ Long matrices are printed by numpy kernels that reproduce Python's "%.12g"
 (and the "%.2f" of the chart polylines) byte for byte, in blocks of 8192
 values cut at whole rows.  A value's decimal exponent comes from log10;
 the value times a correctly rounded power of ten, rounded to an integer,
-is its 12-digit mantissa, within 2.3e-4 of the exact one.  Digit tables turn the mantissa
-and its separator into uint32 words of four characters, with zero bytes for the leading and
-trailing zeros that %g drops; the blanks are deleted from the block in one
-pass.  Values whose mantissa lies within 1e-3 of a rounding tie (pixels:
-1e-6), and zero, nan, inf and |x| outside [1e-280, 1e280] are printed by %
-itself, as are whole matrices smaller than the measured crossover (512
-entries; 128 pixels), where the kernels' fixed cost exceeds that of %.
+is its 12-digit mantissa, within 2.3e-4 of the exact one.  Digit tables
+turn the mantissa and its separator into uint32 words of four characters,
+with zero bytes for the leading and trailing zeros that %g drops; the
+blanks are deleted from the block in one pass.  A block's records leave
+out the words blank in all of its values: the sign where none is
+negative, and the top eight whole digits where every whole part is below
+10**4, so a sweep column or a population row takes six words per value
+instead of nine.  Values whose mantissa lies within 1e-3 of a rounding
+tie (pixels: 1e-6), and zero, nan, inf and |x| outside [1e-280, 1e280]
+are printed by % itself, as are whole matrices smaller than the measured
+crossover (512 entries; 128 pixels), where the kernels' fixed cost
+exceeds that of %.
 """
 
 import functools
@@ -137,9 +145,14 @@ def _patch_records(records, values, fallback, text_format):
 
 def _g12_records(x, row_length=1):
     """%.12g of each value of whole rows of row_length values, and a newline
-    after each row's last value and a comma after every other, as nine uint32
-    words per value with zero bytes for blanks: sign, 12 whole digits, "." and
-    15 fraction digits (the last four shared with the exponent), exponent and separator."""
+    after each row's last value and a comma after every other, as uint32 words
+    with zero bytes for blanks: sign, 12 whole digits, "." and 15 fraction
+    digits (the last four shared with the exponent), exponent and separator.
+    A block keeps the sign word only if one of its values is negative, and the
+    words of the top eight whole digits only if a whole part reaches 10**4: six
+    words per value in [0, 1e4), nine at most.  The longest %.12g of a
+    non-negative value (18 characters) and its separator fit in six, so does a
+    fallback's text."""
     t = _tables()
     ends = np.zeros(x.size, dtype=bool)
     ends[row_length - 1::row_length] = True
@@ -166,28 +179,34 @@ def _g12_records(x, row_length=1):
     fraction = ((m - whole * q) * t.pow10[point + 4 - _EXP_MIN]).astype(np.int64)  # 15 digits
     whole = whole.astype(np.int64)
 
-    records = np.empty((x.size, 9), dtype=np.uint32)
-    records[:, 0] = (x < 0).view(np.uint8) * np.uint8(ord("-"))
-    top = whole // 10 ** 8
-    rest = whole - top * 10 ** 8
-    middle = rest // 10000
-    rest -= middle * 10000
-    records[:, 1] = t.whole.take(top)
-    records[:, 2] = t.whole.take(middle + 10000 * np.minimum(top, 1))
-    records[:, 3] = t.whole.take(rest + 20000 - 10000 * np.minimum(top + middle, 1))
+    negative = x < 0
+    signed, wide = int(negative.any()), int(whole.max() >= 10 ** 4)
+    records = np.empty((x.size, 6 + signed + 2 * wide), dtype=np.uint32)
+    if signed:
+        records[:, 0] = negative.view(np.uint8) * np.uint8(ord("-"))
+    low = whole + 20000
+    if wide:
+        top = whole // 10 ** 8
+        rest = whole - top * 10 ** 8
+        middle = rest // 10000
+        rest -= middle * 10000
+        records[:, signed] = t.whole.take(top)
+        records[:, signed + 1] = t.whole.take(middle + 10000 * np.minimum(top, 1))
+        low = rest + 20000 - 10000 * np.minimum(top + middle, 1)
+    records[:, -6] = t.whole.take(low)
     f0 = fraction // 10 ** 12
     rest = fraction - f0 * 10 ** 12
-    records[:, 4] = t.point.take(f0 + 1000 * np.minimum(rest, 1))
+    records[:, -5] = t.point.take(f0 + 1000 * np.minimum(rest, 1))
     f1 = rest // 10 ** 8
     rest -= f1 * 10 ** 8
-    records[:, 5] = t.fraction.take(f1 + 10000 * np.minimum(rest, 1))
+    records[:, -4] = t.fraction.take(f1 + 10000 * np.minimum(rest, 1))
     f2 = rest // 10000
     rest -= f2 * 10000
-    records[:, 6] = t.fraction.take(f2 + 10000 * np.minimum(rest, 1))
+    records[:, -3] = t.fraction.take(f2 + 10000 * np.minimum(rest, 1))
     exponent = t.exponent.take(np.where(scientific, e - _EXP_MIN, _FIXED_ROW) + _COMMA_ROWS * ~ends, axis=0)
     # a scientific mantissa has 11 fraction digits: its last group is blank
-    records[:, 7] = t.fraction.take(rest) | exponent[:, 0]
-    records[:, 8] = exponent[:, 1]
+    records[:, -2] = t.fraction.take(rest) | exponent[:, 0]
+    records[:, -1] = exponent[:, 1]
     _patch_records(records, x, fallback & ends, "%.12g\n")
     _patch_records(records, x, fallback & ~ends, "%.12g,")
     return records
@@ -246,7 +265,7 @@ def _format_column(values):
     """One series as fmt() prints it, one string per entry, each distinct value
     formatted once: ramps repeat the populations of every sample, and a
     converged run repeats its cycle bit for bit.  A series with no repeat (a
-    sweep's power, a trace's t) is printed in place, without the gather."""
+    trace's t) is printed in place, without the gather."""
     values = np.asarray(values, dtype=float)
     distinct, where = np.unique(values, return_inverse=True)
     if distinct.size == values.size:
@@ -259,31 +278,12 @@ def _format_indexed(matrix, index):
     return np.array(_format_rows(matrix), dtype=object)[index].tolist()
 
 
-class SeriesText:
-    """Named series of one command as fmt() prints them.
+class TraceText:
+    """The series of one engine run as fmt() prints them: time series and
+    cycle ledger columns.
 
     Each series is formatted at its first use, inside the writer of the
     first file that prints it; every later file reuses the same strings.
-    """
-
-    def __init__(self, values):
-        self.values = values  # name -> numbers
-        self._text = {}
-
-    def __getitem__(self, name):
-        if name not in self._text:
-            self._text[name] = _format_column(self.values[name])
-        return self._text[name]
-
-
-def sweep_text(sweep):
-    """The sweep.csv columns of a Sweep, shared with its eta_power .dat twins."""
-    return SeriesText({name: getattr(sweep, name) for name in SWEEP_CSV_COLUMNS})
-
-
-class TraceText(SeriesText):
-    """The series of one engine run: time series and cycle ledger columns.
-
     The time-series files print the populations, and their sum, once per
     stored row (EngineTrace.rows): ramps repeat one population row for every
     sample, and copied cycles repeat every row of the cycle they copy.
@@ -291,17 +291,50 @@ class TraceText(SeriesText):
 
     def __init__(self, trace, csv_levels=8):
         records = trace.records
-        super().__init__({
+        self.values = {  # name -> numbers
             "t": trace.times, "omega": trace.omegas, "U": trace.energies, "S": trace.entropies,
             "cycle": [r.cycle_index + 1 for r in records],
             **{name: [getattr(r, name) for r in records] for name in CYCLE_COLUMNS[1:8]},
             "efficiency": [efficiency_or_nan(r) for r in records],
             "power": [cycle_power(r, trace.cycle_time) for r in records],
             "a_shift_tv": trace.a_shift_tv,
-        })
+        }
+        self._text = {}
         self.trace = trace
         self.levels = trace.rows.shape[1]
         self.csv_levels = min(csv_levels, self.levels) if self.levels else csv_levels
+
+    def __getitem__(self, name):
+        if name not in self._text:
+            self._text[name] = _format_column(self.values[name])
+        return self._text[name]
+
+
+def sweep_blocks(sweep):
+    """The sweep.csv columns of a Sweep as fmt() prints them, one block per
+    t_h: a list of (rows, text) pairs, rows the block's slice of the sweep and
+    text its columns' strings by name, shared with its eta_power .dat twin.
+
+    Rows are in (t_h, ratio) order, so each t_h is one contiguous block.  Each
+    column of a block is printed in place, its t_h once.  A ratio or
+    efficiency column equal to the block before's (one ratio grid for every
+    t_h) reuses that block's strings; a nan never compares equal.
+    """
+    t_h = sweep.t_h
+    cuts = [0, *(np.flatnonzero(t_h[1:] != t_h[:-1]) + 1).tolist(), len(sweep)]
+    blocks = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rows = slice(lo, hi)
+        text = {"t_h": _format_rows(t_h[lo:lo + 1, None]) * (hi - lo)}
+        for name in ("ratio", "efficiency"):
+            column = getattr(sweep, name)
+            if blocks and np.array_equal(column[rows], column[blocks[-1][0]]):
+                text[name] = blocks[-1][1][name]
+            else:
+                text[name] = _format_rows(column[rows, None])
+        text["power"] = _format_rows(sweep.power[rows, None])
+        blocks.append((rows, text))
+    return blocks
 
 
 def write_timeseries_csv(path, text):
@@ -326,44 +359,47 @@ def _write_timeseries(path, text, header, matrix):
     row per stored trace row, each row printed once."""
     columns = [text[name] for name in ("t", "omega", "U", "S")]
     columns += [text.trace.stroke_labels, _format_indexed(matrix, text.trace.row_index)]
-    _write_table(path, ["t", "omega", "U", "S", "stroke", *header], columns)
+    _write_table(path, ["t", "omega", "U", "S", "stroke", *header], [columns])
 
 
 def write_cycles_csv(path, text):
-    _write_table(path, CYCLE_COLUMNS, [text[name] for name in CYCLE_COLUMNS])
+    _write_table(path, CYCLE_COLUMNS, [[text[name] for name in CYCLE_COLUMNS]])
 
 
-def write_sweep_csv(path, text):
-    _write_table(path, SWEEP_CSV_COLUMNS, [text[name] for name in SWEEP_CSV_COLUMNS])
+def write_sweep_csv(path, blocks):
+    """sweep.csv from the blocks of sweep_blocks, in their order."""
+    _write_table(path, SWEEP_CSV_COLUMNS, [[text[name] for name in SWEEP_CSV_COLUMNS] for _, text in blocks])
 
 
-def write_dat(path, text, columns, rows=slice(None)):
+def write_dat(path, text, columns):
     """Whitespace-separated twin of a chart's series for gnuplot-style tools:
-    the given rows of the named columns of a SeriesText."""
-    _write_table(path, ["#", *columns], [text[name][rows] for name in columns], sep=" ")
+    the named columns of a TraceText or of a sweep block's text."""
+    _write_table(path, ["#", *columns], [[text[name] for name in columns]], sep=" ")
 
 
-def _write_table(path, header, columns, sep=","):
-    """The header line, then one line per row of the formatted columns: each
-    row's fields joined by sep, ended by a newline.
+def _write_table(path, header, tables, sep=","):
+    """The header line, then one line per row of each table of formatted
+    columns, table after table: each row's fields joined by sep, ended by a
+    newline.
 
     A block of rows is written with one join: its fields and separators are
     slice-assigned into one list, no row is joined on its own.  Each block
     holds about _WRITE_CHARS characters, sized from the widest of a few rows
-    spread over the table, so the text of a large file is never held whole.
+    spread over its table, so the text of a large file is never held whole.
     """
-    width, rows = len(columns), len(columns[0])
-    pattern = [None, sep] * (width - 1) + [None, "\n"]  # a row's fields go in the Nones
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(sep.join(header) + "\n")
-        probe = range(0, rows, max(rows // _WRITE_PROBES, 1))
-        row_chars = max((sum(len(column[i]) for column in columns) for i in probe), default=0) + width
-        step = max(_WRITE_CHARS // row_chars, 1)
-        for start in range(0, rows, step):
-            cells = pattern * (min(start + step, rows) - start)
-            for j, column in enumerate(columns):
-                cells[2 * j::2 * width] = column[start:start + step]
-            handle.write("".join(cells))
+        for columns in tables:
+            width, rows = len(columns), len(columns[0])
+            pattern = [None, sep] * (width - 1) + [None, "\n"]  # a row's fields go in the Nones
+            probe = range(0, rows, max(rows // _WRITE_PROBES, 1))
+            row_chars = max((sum(len(column[i]) for column in columns) for i in probe), default=0) + width
+            step = max(_WRITE_CHARS // row_chars, 1)
+            for start in range(0, rows, step):
+                cells = pattern * (min(start + step, rows) - start)
+                for j, column in enumerate(columns):
+                    cells[2 * j::2 * width] = column[start:start + step]
+                handle.write("".join(cells))
 
 
 def write_svg_chart(path, x, y, title, x_label, y_label):

@@ -242,9 +242,9 @@ def test_sweep_points_above_the_memory_bound_rejected():
     config = EngineConfig(sweep_t_h=(1.2,), sweep_ratio_steps=MAX_SWEEP_POINTS)
     assert config.sweep_ratio_steps == MAX_SWEEP_POINTS
     with pytest.raises(ConfigError, match=r"at most 1,000,000 points, got 1,000,002 \(500,001 ratios "
-                                          r"x 2 hot temperatures\): it would need about 230 MB"):
+                                          r"x 2 hot temperatures\): it would need about 180 MB"):
         EngineConfig(sweep_t_h=(1.2, 1.6), sweep_ratio_steps=500_001)
-    with pytest.raises(ConfigError, match=r"got 40,000,000,000,000 .* about 9,200,000,000 MB"):
+    with pytest.raises(ConfigError, match=r"got 40,000,000,000,000 .* about 7,200,000,000 MB"):
         parse_config("sweep_ratio_steps = 10000000000000\n")
 
 

@@ -209,3 +209,49 @@ def test_row_printer_takes_the_kernel_from_its_crossover_in_blocks_of_whole_rows
         assert _format_rows(matrix) == [",".join(fmt(v) for v in row) for row in matrix.tolist()]
         assert sum(calls) == (matrix.size if matrix.size >= output._G12_MIN_SIZE else 0)
         assert all(size % width == 0 and size <= output._BLOCK for size in calls)
+
+
+# A kernel block leaves out the sign word where none of its values is
+# negative, and the words of the top eight whole digits where every whole
+# part is below 10**4: six to nine words per value.  Each rule below draws
+# blocks that keep it, and a breaker that puts its word back: a negative
+# value, or one whose whole part has 5 to 12 digits.
+negatives = st.floats(max_value=-5e-324)
+# 5 to 11 whole digits, each count as often: the words of the top eight
+# digits hold digits 5 to 8 alone, or more
+whole_breakers = st.tuples(st.integers(4, 10), st.floats(1.0, 10.0, exclude_max=True), st.booleans()).map(
+    lambda drawn: drawn[1] * 10.0 ** drawn[0] * (-1 if drawn[2] else 1))
+record_rules = {
+    "non-negative": (st.floats(min_value=0.0) | st.just(math.nan), negatives),
+    "below 1e4": (st.floats(-9999.0, 9999.0), whole_breakers),
+    "both": (st.floats(0.0, 9999.0), negatives | whole_breakers),
+}
+
+
+@given(st.sampled_from(sorted(record_rules)).flatmap(lambda rule: st.tuples(
+           st.just(rule), st.lists(record_rules[rule][0], min_size=1, max_size=60),
+           st.none() | record_rules[rule][1])),
+       st.sampled_from([1, output._G12_MIN_SIZE - 1, output._G12_MIN_SIZE, 2000]), st.integers(0, 1999))
+def test_narrow_records_print_like_percent(block, n, where):
+    rule, values, breaker = block
+    x = np.resize(np.array(values), n)
+    if breaker is not None:
+        x[where % n] = breaker
+    assert _format_rows(x[:, None]) == [fmt(v) for v in x.tolist()]
+    assert kernel_g12(x) == percent_g12(x)
+    width = output._g12_records(x).shape[1]
+    assert (width in (7, 9)) == bool((x < 0).any())  # the sign word
+    if rule != "non-negative":
+        assert (width >= 8) == (breaker is not None and 1e4 <= abs(breaker) <= 1e11)  # the top whole words
+
+
+def test_the_widest_fallbacks_fit_a_six_word_record():
+    # small positive values around the longest texts % writes into a
+    # six-word record: a far-range value, nan, inf and near-ties in fixed notation
+    x = np.random.default_rng(6).random(output._G12_MIN_SIZE) * 1e3
+    x[[0, 100, 200, 300, -1]] = [1.23456789012e-300, math.nan, math.inf, nudged(0.0001234567890125, 1),
+                                 nudged(9999.999999985, -1)]
+    assert output._g12_records(x).shape[1] == 6
+    assert _format_rows(x[:, None]) == [fmt(v) for v in x.tolist()]
+    assert kernel_g12(x) == percent_g12(x)
+    assert max(len(text) for text in percent_g12(x)) == 18

@@ -6,6 +6,7 @@ the same files one value at a time through fmt(), row by row.
 
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from ottokiln import EngineConfig, OttoKilnError, Sweep, cycle, output, run_engine, sweep_efficiency_power
 from ottokiln.analysis import SWEEP_COLUMNS, cycle_power, efficiency_or_nan
+from ottokiln.cli import main
 from ottokiln.cycle import EngineTrace
 from ottokiln.output import (
     TraceText,
@@ -20,7 +22,7 @@ from ottokiln.output import (
     _format_rows,
     _write_table,
     fmt,
-    sweep_text,
+    sweep_blocks,
     write_cycles_csv,
     write_dat,
     write_svg_chart,
@@ -86,26 +88,31 @@ def test_equal_values_that_differ_in_bits_print_alike(values, text):
 
 @st.composite
 def tables(draw):
-    """1 to 6 columns of ASCII strings, empty ones included, all of one length."""
-    width, rows = draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    """1 to 3 tables, each 1 to 6 columns (as many in every table) of ASCII
+    strings, empty ones included, all of one length within a table."""
+    width = draw(st.integers(1, 6))
     field = st.text(st.characters(codec="ascii"), max_size=12)
-    return [draw(st.lists(field, min_size=rows, max_size=rows)) for _ in range(width)]
+
+    def table(rows):
+        return [draw(st.lists(field, min_size=rows, max_size=rows)) for _ in range(width)]
+
+    return [table(draw(st.integers(0, 40))) for _ in range(draw(st.integers(1, 3)))]
 
 
-def expected_table(header, columns, sep):
-    return sep.join(header) + "\n" + "".join(sep.join(row) + "\n" for row in zip(*columns))
+def expected_table(header, tables, sep):
+    return sep.join(header) + "\n" + "".join(sep.join(row) + "\n" for columns in tables for row in zip(*columns))
 
 
-@given(columns=tables(), sep=st.sampled_from([",", " "]), budget=st.integers(1, 80))
-def test_write_table_writes_the_header_then_each_row_joined(tmp_path_factory, columns, sep, budget):
+@given(tables=tables(), sep=st.sampled_from([",", " "]), budget=st.integers(1, 80))
+def test_write_table_writes_the_header_then_each_row_joined(tmp_path_factory, tables, sep, budget):
     # a small budget cuts the rows into many blocks, and a row longer than it
-    # is a block of its own
+    # is a block of its own; the tables follow one another
     path = tmp_path_factory.getbasetemp() / "table.txt"
-    header = [f"c{j}" for j in range(len(columns))]
+    header = [f"c{j}" for j in range(len(tables[0]))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(output, "_WRITE_CHARS", budget)
-        _write_table(path, header, columns, sep)
-    assert path.read_bytes().decode("ascii") == expected_table(header, columns, sep)
+        _write_table(path, header, tables, sep)
+    assert path.read_bytes().decode("ascii") == expected_table(header, tables, sep)
 
 
 @pytest.mark.parametrize("sep", [",", " "])
@@ -117,8 +124,8 @@ def test_write_table_writes_the_header_then_each_row_joined(tmp_path_factory, co
         "rows-past-the-budget"])
 def test_write_table_at_the_edges_of_its_blocks(tmp_path, columns, sep):
     header = ["#"] + [f"c{j}" for j in range(len(columns) - 1)]
-    _write_table(tmp_path / "table.txt", header, columns, sep)
-    assert (tmp_path / "table.txt").read_bytes().decode("ascii") == expected_table(header, columns, sep)
+    _write_table(tmp_path / "table.txt", header, [columns], sep)
+    assert (tmp_path / "table.txt").read_bytes().decode("ascii") == expected_table(header, [columns], sep)
 
 
 def test_probability_guard_names_the_first_bad_row(tmp_path):
@@ -275,9 +282,102 @@ def test_sweep_writer_matches_per_value_rendering(tmp_path):
     extra = [(2.0, 0.5, math.nan, -0.0, True), (2.0, 0.75, math.inf, 1e16, True)]
     points = Sweep(*(np.concatenate([getattr(swept, name), column])
                      for name, column in zip(SWEEP_COLUMNS, zip(*extra))))
-    write_sweep_csv(tmp_path / "sweep.csv", sweep_text(points))
+    write_sweep_csv(tmp_path / "sweep.csv", sweep_blocks(points))
     rows = [[p.t_h, p.ratio, p.efficiency, p.power] for p in points]
     assert lines_of(tmp_path / "sweep.csv") == render("t_h,ratio,efficiency,power", rows)
+
+
+def write_sweep_as_one_table(out, sweep):
+    """sweep.csv and the eta_power .dat twins as they were written before
+    sweep_blocks: each column formatted whole through _format_column, and each
+    twin the rows of one t_h sliced from those columns."""
+    text = {name: _format_column(getattr(sweep, name)) for name in ("t_h", "ratio", "efficiency", "power")}
+    _write_table(out / "sweep.csv", ["t_h", "ratio", "efficiency", "power"],
+                 [[text[name] for name in ("t_h", "ratio", "efficiency", "power")]])
+    for t_h in np.unique(sweep.t_h):
+        where = np.flatnonzero(sweep.t_h == t_h)
+        rows = slice(int(where[0]), int(where[-1]) + 1)
+        tag = text["t_h"][rows.start].replace(".", "p")
+        _write_table(out / f"eta_power_th{tag}.dat", ["#", "power", "efficiency"],
+                     [[text["power"][rows], text["efficiency"][rows]]], sep=" ")
+
+
+def write_sweep_in_blocks(out, sweep):
+    """The files of sweep --svg, through the block writer as cli writes them."""
+    blocks = sweep_blocks(sweep)
+    write_sweep_csv(out / "sweep.csv", blocks)
+    for _, text in blocks:
+        write_dat(out / f"eta_power_th{text['t_h'][0].replace('.', 'p')}.dat", text, ["power", "efficiency"])
+
+
+def same_tables(a, b):
+    """Directories a and b hold the same .csv and .dat files, line for line."""
+    def tables(directory):
+        return sorted(p.name for p in directory.iterdir() if p.suffix in (".csv", ".dat"))
+
+    assert tables(a) == tables(b)
+    for name in tables(a):
+        assert lines_of(a / name) == lines_of(b / name), name
+
+
+sweep_efficiencies = st.sampled_from([math.nan, 0.0, -0.0, 0.25, 0.5]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def drawn_sweeps(draw):
+    """Sweeps through Sweep.sorted: 1 to 4 t_h in drawn order, each with 2 to
+    40 ratios.  The grids (ratios and efficiencies) are drawn from a pool of
+    1 to 4, so every t_h may share one, each may have its own, or a grid may
+    come back after another; efficiencies with nan, both zeros and repeats."""
+    t_hs = draw(st.lists(st.floats(0.5, 4.0), min_size=1, max_size=4, unique=True))
+    grid = st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n),
+        st.lists(sweep_efficiencies, min_size=n, max_size=n)))
+    pool = draw(st.lists(grid, min_size=1, max_size=len(t_hs)))
+    grids = [pool[draw(st.integers(0, len(pool) - 1))] for _ in t_hs]
+    t_h = np.concatenate([np.full(len(ratios), t) for t, (ratios, _) in zip(t_hs, grids)])
+    ratio = np.concatenate([ratios for ratios, _ in grids])
+    efficiency = np.concatenate([efficiencies for _, efficiencies in grids])
+    power = np.array(draw(st.lists(st.floats(-1e6, 1e6) | sweep_efficiencies,
+                                   min_size=t_h.size, max_size=t_h.size)))
+    return Sweep.sorted(t_h, ratio, efficiency, power, np.ones(t_h.size, dtype=bool))
+
+
+def empty_dir(path):
+    shutil.rmtree(path, ignore_errors=True)
+    path.mkdir()
+    return path
+
+
+@given(drawn_sweeps())
+def test_sweep_blocks_write_the_files_of_the_whole_column_writer(tmp_path_factory, sweep):
+    base = tmp_path_factory.getbasetemp()
+    blocks, whole = empty_dir(base / "blocks"), empty_dir(base / "whole")
+    write_sweep_in_blocks(blocks, sweep)
+    write_sweep_as_one_table(whole, sweep)
+    same_tables(blocks, whole)
+
+
+def test_a_balance_sweep_prints_its_shared_ratio_and_efficiency_columns_once(tmp_path, monkeypatch):
+    # explicit ratio bounds: every t_h has the same ratio grid, so the same
+    # efficiencies (1 - ratio); only t_h and power differ from block to block
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep_t_h = 1.6, 0.8, 2.0, 1.2\nsweep_ratio_min = 0.52\nsweep_ratio_max = 0.95\n"
+                      "sweep_ratio_steps = 700\n")
+    printed = []  # the values of each _format_rows call
+    monkeypatch.setattr(output, "_format_rows", lambda m: printed.append(np.ravel(m)) or _format_rows(m))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "blocks"), "--svg"]) == 0
+    monkeypatch.undo()
+    sweep = sweep_efficiency_power(0.4, [0.8, 1.2, 1.6, 2.0], np.linspace(0.52, 0.95, 700))
+    # each block's t_h and power; the ratios and efficiencies of the first block only
+    expected = [(sweep.t_h[:1], sweep.ratio[:700], sweep.efficiency[:700], sweep.power[:700])]
+    expected += [(sweep.t_h[lo:lo + 1], sweep.power[lo:lo + 700]) for lo in (700, 1400, 2100)]
+    expected = [column for block in expected for column in block]
+    assert len(printed) == len(expected) == 10
+    assert all(np.array_equal(got, want) for got, want in zip(printed, expected))
+    (tmp_path / "whole").mkdir()
+    write_sweep_as_one_table(tmp_path / "whole", sweep)
+    same_tables(tmp_path / "blocks", tmp_path / "whole")
 
 
 def reference_polyline(x, y):
